@@ -43,12 +43,10 @@ from .fatgraph import (
 from .sampling import (
     BishapeSampler,
     SampleStats,
-    SamplerConfig,
     ShapeTable,
     build_table,
     sample_stats,
     table_from_shapes,
-    uniform_bishape,
     uniform_shape_1bb,
 )
 from .series import (

@@ -14,7 +14,7 @@ and every output is re-validated against the shape predicate.
 from __future__ import annotations
 
 from .diagram import Diagram
-from .errors import BijectionDomainError
+from .errors import BijectionDomainError, ConsistencyError
 from .shapes import Shape, ShapeClass, as_shape, is_shape, shape_class
 
 
@@ -53,7 +53,8 @@ def theta(a: Shape | Diagram) -> Shape:
         (relabel(i), relabel(j)) for i, j in d.arcs if (i, j) != gone
     )
     out = as_shape(Diagram((m - 2,), arcs, planted=True))
-    assert shape_class(out) is ShapeClass.B
+    if shape_class(out) is not ShapeClass.B:
+        raise ConsistencyError("surgery left the B-shape family")
     return out
 
 
@@ -74,7 +75,8 @@ def theta_inv(b: Shape | Diagram) -> Shape:
     arcs = {(relabel(i), relabel(j)) for i, j in d.arcs}
     arcs.add((v + 1, m + 1))
     out = as_shape(Diagram((m + 2,), frozenset(arcs), planted=True))
-    assert shape_class(out) is ShapeClass.A
+    if shape_class(out) is not ShapeClass.A:
+        raise ConsistencyError("surgery left the A-shape family")
     return out
 
 
@@ -95,7 +97,8 @@ def eta(q: Shape | Diagram) -> Shape:
     arcs = {(i + 1, j + 1) for i, j in d.arcs}
     arcs.add((1, big + 2))
     out = as_shape(Diagram((big + 2,), frozenset(arcs), planted=True))
-    assert shape_class(out) is ShapeClass.A
+    if shape_class(out) is not ShapeClass.A:
+        raise ConsistencyError("surgery left the A-shape family")
     return out
 
 
@@ -116,5 +119,5 @@ def eta_inv(a: Shape | Diagram) -> Diagram:
     )
     out = Diagram((v - 1, m - 1 - v), arcs, planted=True)
     if not is_shape(out):  # the surgery never leaves the shape family
-        raise AssertionError("eta_inv produced a non-shape")
+        raise ConsistencyError("eta_inv produced a non-shape")
     return out

@@ -15,12 +15,19 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .bijections import eta, eta_inv, theta, theta_inv
-from .diagram import Diagram, canonical_code, parse_diagram, serialize_diagram
+from .diagram import (
+    Diagram,
+    canonical_code,
+    components,
+    parse_diagram,
+    serialize_diagram,
+)
 from .enumeration import EnumSpec, count_fiber, enumerate_matchings, enumerate_shapes
 from .errors import (
     ChordShapesError,
@@ -28,8 +35,8 @@ from .errors import (
     DiagramError,
     InfeasibleError,
 )
-from .fatgraph import boundary_components, classify_loops
-from .sampling import BishapeSampler, SampleStats, default_cache_dir
+from .fatgraph import boundary_components, classify_loops, genus
+from .sampling import sample_stats
 from .series import fiber_gf, shape_poly_1bb, shape_poly_2bb, w_gf
 from .shapes import Shape, as_shape, project_shape, shape_class
 
@@ -46,21 +53,21 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+
+
 def _read_diagrams(path: str) -> list[Diagram]:
-    """Parse one diagram per blank-line-separated paragraph."""
+    """Parse one diagram per paragraph; paragraphs are separated by lines
+    holding only whitespace, so CRLF input and indented blanks work."""
     text = _read_text(path)
-    paragraphs = [p for p in text.split("\n\n") if p.strip()]
+    paragraphs = [p for p in _BLANK_LINE.split(text) if p.strip()]
     if not paragraphs:
         raise DiagramError("no diagram in input")
     return [parse_diagram(p) for p in paragraphs]
 
 
-def _poly_json(p) -> dict[str, str]:
+def _coeffs_json(p) -> dict[str, str]:
     return {str(k): str(c) for k, c in enumerate(p.coeffs) if c}
-
-
-def _series_json(s) -> dict[str, str]:
-    return {str(k): str(c) for k, c in enumerate(s.coeffs) if c}
 
 
 def _emit(obj) -> None:
@@ -75,7 +82,7 @@ def _cmd_genus(args) -> int:
                 "genus": dec.genus,
                 "r": dec.r,
                 "cycles": [list(c) for c in dec.cycles],
-                "component_genera": list(dec.per_component_genera),
+                "component_genera": [genus(c) for c in components(d)],
             }
         )
     return EXIT_OK
@@ -85,8 +92,8 @@ def _cmd_loops(args) -> int:
     for d in _read_diagrams(args.input):
         if args.planted:
             d = Diagram(d.backbone_lengths, d.arcs, planted=True)
-        dec = boundary_components(d)
         prof = classify_loops(d)
+        dec = prof.boundary
         _emit(
             {
                 "genus": dec.genus,
@@ -143,7 +150,7 @@ def _cmd_poly(args) -> int:
         p = shape_poly_1bb(args.genus)
     else:
         p = shape_poly_2bb(args.genus)
-    _emit(_poly_json(p))
+    _emit(_coeffs_json(p))
     return EXIT_OK
 
 
@@ -154,7 +161,7 @@ def _cmd_series(args) -> int:
         s = fiber_gf(args.l, args.order)
     else:
         s = w_gf(args.genus, args.order)
-    _emit(_series_json(s))
+    _emit(_coeffs_json(s))
     return EXIT_OK
 
 
@@ -199,19 +206,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rng = random.Random(args.seed)
-    cache = args.cache_dir or default_cache_dir()
-    sampler = BishapeSampler(
-        args.genus, rng, cache_dir=cache, arc_filter=args.arcs
+    def show(s: Shape) -> None:
+        print(canonical_code(s.diagram))
+
+    stats = sample_stats(
+        args.genus,
+        args.count,
+        random.Random(args.seed),
+        arc_filter=args.arcs,
+        cache_dir=args.cache_dir,
+        on_sample=None if args.stats_only else show,
     )
-    stats = SampleStats(genus=args.genus)
-    for _ in range(args.count):
-        s = sampler.draw()
-        stats.record(s)
-        if not args.stats_only:
-            print(canonical_code(s.diagram))
-    stats.attempts = sampler.attempts
-    stats.connected_hits = sampler.connected_hits
     if args.format == "json":
         _emit(
             {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram, canonical_code
-from .errors import DiagramError, InfeasibleError
+from .errors import ConsistencyError, DiagramError, InfeasibleError
 from .shapes import Shape, project_shape
 
 Visit = Callable[[Diagram], None]
@@ -142,41 +142,11 @@ def _search_split(
             ext += 1
         placed.append((i, j))
 
-    def unplace(i: int, j: int) -> None:
-        nonlocal empties, ext
-        placed.pop()
-        if bb[i] != bb[j]:
-            ext -= 1
-        ring_remove(j)
-        ring_remove(i)
-        for x in (i, j):
-            k = bb[x]
-            paired_cnt[k] -= 1
-            if paired_cnt[k] == 0:
-                empties += 1
-        pair[i] = 0
-        pair[j] = 0
-
-    def partial_genus() -> int:
-        nonlocal stamp
-        stamp += 1
-        r = empties
-        for a, c in placed:
-            for h in (a, c):
-                if seen[h] != stamp:
-                    r += 1
-                    x = h
-                    while seen[x] != stamp:
-                        seen[x] = stamp
-                        x = nxt[pair[x]]
-        return (2 - r - b + len(placed)) // 2
-
+    # The preplaced arcs are the rainbows: alone they have formal genus 0
+    # on one backbone and -1 on two, so they never exceed genus_cap >= 0,
+    # and the arrays are local to this call, so they are never undone.
     for i, j in preplaced:
         place(i, j)
-    if preplaced and partial_genus() > genus_cap:
-        for i, j in reversed(preplaced):
-            unplace(i, j)
-        return 0
 
     def rec(lo: int) -> None:
         nonlocal empties, ext, stamp, count
@@ -262,8 +232,6 @@ def _search_split(
             pair[j] = 0
 
     rec(1)
-    for i, j in reversed(preplaced):
-        unplace(i, j)
     return count
 
 
@@ -355,7 +323,7 @@ def enumerate_shapes(
                 d = Diagram(_lengths, frozenset(arcs), planted=True)
                 code = canonical_code(d)
                 if code in found:
-                    raise AssertionError(f"duplicate shape emitted: {code}")
+                    raise ConsistencyError(f"duplicate shape emitted: {code}")
                 found[code] = d
 
             _search_split(

@@ -13,14 +13,19 @@ negative.
 Unpaired vertices carry no half-edge: they subdivide a boundary without
 changing r or g.  A backbone with no paired vertex at all still bounds
 one disk, so it contributes one empty cycle; this keeps the Euler count
-integral on degenerate inputs.
+integral on degenerate inputs (an odd count raises ConsistencyError).
+
+Each public function traces phi once.  The genus of each connected
+component is ``genus`` applied to ``diagram.components``, which only
+callers that need it pay for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, components
+from .diagram import Diagram
+from .errors import ConsistencyError
 
 Cycle = tuple[int, ...]
 
@@ -37,7 +42,6 @@ class BoundaryDecomposition:
     cycles: tuple[Cycle, ...]
     r: int
     genus: int
-    per_component_genera: tuple[int, ...]
 
 
 def _sigma_next(d: Diagram) -> dict[int, int]:
@@ -78,7 +82,8 @@ def _trace(d: Diagram) -> tuple[list[Cycle], int]:
 
 def _formal_genus(r: int, b: int, n_arcs: int) -> int:
     num = 2 - r - b + n_arcs
-    assert num % 2 == 0, "Euler count must be even"
+    if num % 2:
+        raise ConsistencyError("Euler count must be even")
     return num // 2
 
 
@@ -93,18 +98,17 @@ def genus(d: Diagram) -> int:
 
 
 def boundary_components(d: Diagram) -> BoundaryDecomposition:
-    """Full boundary decomposition, genus and per-component genera."""
+    """Full boundary decomposition and genus, from one trace."""
     cycles, r = _trace(d)
-    g = _formal_genus(r, d.b, d.n_arcs)
-    per_comp = tuple(genus(c) for c in components(d))
-    return BoundaryDecomposition(tuple(cycles), r, g, per_comp)
+    return BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
 
 
 @dataclass(frozen=True)
 class LoopProfile:
     """Per-boundary-cycle loop classification.
 
-    ``kinds`` is aligned with the cycles of :func:`boundary_components`:
+    ``boundary`` is the decomposition that was classified, and ``kinds``
+    is aligned with its cycles:
     "plant" for the length-1 boundary along a rainbow, "hairpin" /
     "interior" / "multi" for lengths 1 / 2 / >= 3 otherwise, and
     "empty" for arcless backbones.  ``is_alpha`` marks cycles all of
@@ -112,6 +116,7 @@ class LoopProfile:
     marks multi-loops traversing at least one crossing pair of arcs.
     """
 
+    boundary: BoundaryDecomposition
     kinds: tuple[str, ...]
     is_alpha: tuple[bool, ...]
     is_pseudoknot: tuple[bool, ...]
@@ -206,4 +211,4 @@ def classify_loops(d: Diagram) -> LoopProfile:
             kinds.append("multi")
             pks.append(_has_crossing(arcs))
         alphas.append(alpha)
-    return LoopProfile(tuple(kinds), tuple(alphas), tuple(pks))
+    return LoopProfile(dec, tuple(kinds), tuple(alphas), tuple(pks))

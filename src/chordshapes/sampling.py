@@ -15,6 +15,14 @@ Randomness comes from ``random.Random``: seedable, with unbiased
 integer draws (rejection sampling below the largest multiple is built
 into ``randrange``).  Parallel experiments should use independent
 seeds; all statistics merge by plain sums.
+
+Table caches are written to a unique temporary file in the cache
+directory and renamed into place, so concurrent builds never see a
+partial file.  A reload that cannot be decoded, or whose digest,
+cardinality or shapes disagree with the requested table, raises
+``TableCacheError``.  An arc filter that no connected shape of the
+genus meets raises ``DiagramError`` up front instead of rejecting
+forever.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -30,8 +39,8 @@ from typing import Optional
 from .bijections import eta_inv, theta_inv
 from .diagram import canonical_code, diagram_from_code, is_connected
 from .enumeration import enumerate_shapes
-from .errors import TableCacheError
-from .fatgraph import boundary_components, classify_loops
+from .errors import DiagramError, TableCacheError
+from .fatgraph import classify_loops
 from .series import shape_poly_1bb, shape_poly_2bb
 from .shapes import Shape, ShapeClass, as_shape, shape_class
 
@@ -63,7 +72,6 @@ class ShapeTable:
     genus: int
     shapes: tuple[Shape, ...]
     digest: str
-    source: str = "enumerated"
 
     def __len__(self) -> int:
         return len(self.shapes)
@@ -102,8 +110,13 @@ def build_table(
     path = cache / f"shapes_{b}bb_g{g}.json"
 
     if path.exists() and not force_rebuild:
-        payload = json.loads(path.read_text())
-        codes = payload.get("codes", [])
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:  # undecodable bytes or truncated JSON
+            raise TableCacheError(f"{path} is not a JSON table: {exc}") from exc
+        codes = payload.get("codes") if isinstance(payload, dict) else None
+        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+            raise TableCacheError(f"{path} holds no list of shape codes")
         if payload.get("digest") != _digest(codes):
             raise TableCacheError(f"digest mismatch in {path}")
         if len(codes) != _expected_count(b, g):
@@ -111,38 +124,37 @@ def build_table(
                 f"{path} holds {len(codes)} shapes, expected "
                 f"{_expected_count(b, g)}"
             )
-        shapes = tuple(
-            as_shape(diagram_from_code(c, planted=True)) for c in codes
-        )
-        return ShapeTable(b, g, shapes, payload["digest"], payload.get("source", "cache"))
+        try:
+            shapes = tuple(
+                as_shape(diagram_from_code(c, planted=True)) for c in codes
+            )
+        except DiagramError as exc:
+            raise TableCacheError(f"{path} holds a non-shape: {exc}") from exc
+        if any(s.b != b or s.genus != g for s in shapes):
+            raise TableCacheError(f"{path} holds a shape outside b={b}, g={g}")
+        return ShapeTable(b, g, shapes, payload["digest"])
 
     table = table_from_shapes(b, g, enumerate_shapes(b, g, connected=(b == 2)))
     codes = [canonical_code(s.diagram) for s in table.shapes]
     cache.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps(
-            {
-                "backbones": b,
-                "genus": g,
-                "digest": table.digest,
-                "source": "enumerated",
-                "codes": codes,
-            }
-        )
+    text = json.dumps(
+        {
+            "backbones": b,
+            "genus": g,
+            "digest": table.digest,
+            "source": "enumerated",
+            "codes": codes,
+        }
     )
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return table
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Reproducible sampling run: same seed, same stream."""
-
-    seed: int
-    genus: int
-    count: int
-    arc_filter: Optional[int] = None
 
 
 def uniform_shape_1bb(
@@ -186,6 +198,13 @@ class BishapeSampler:
         self._images: list[Optional[Shape]] = [
             _pullback(s) for s in self.table.shapes
         ]
+        if arc_filter is not None and not any(
+            s is not None and s.n_arcs == arc_filter for s in self._images
+        ):
+            raise DiagramError(
+                f"no connected genus-{genus} two-backbone shape has "
+                f"{arc_filter} arcs"
+            )
 
     def draw(self) -> Shape:
         while True:
@@ -215,26 +234,6 @@ def _pullback(s1: Shape) -> Optional[Shape]:
     if not is_connected(q):
         return None
     return as_shape(q)
-
-
-def uniform_bishape(
-    g: int,
-    rng: random.Random,
-    table: Optional[ShapeTable] = None,
-    cache_dir: Optional[Path | str] = None,
-) -> Shape:
-    """One uniform draw over the connected two-backbone shapes of genus g.
-
-    For repeated draws prefer :class:`BishapeSampler`, which precomputes
-    the pullbacks once.
-    """
-    if table is None:
-        table = build_table(1, g + 1, cache_dir)
-    while True:
-        s1 = table.shapes[rng.randrange(len(table))]
-        s2 = _pullback(s1)
-        if s2 is not None:
-            return s2
 
 
 @dataclass
@@ -282,8 +281,7 @@ class SampleStats:
         self.n_samples += 1
         self.arc_hist[s.n_arcs] = self.arc_hist.get(s.n_arcs, 0) + 1
         profile = classify_loops(s.diagram)
-        dec = boundary_components(s.diagram)
-        for kind, cyc in zip(profile.kinds, dec.cycles):
+        for kind, cyc in zip(profile.kinds, profile.boundary.cycles):
             if kind not in ("plant", "empty"):
                 l = len(cyc)
                 self.loop_length_hist[l] = self.loop_length_hist.get(l, 0) + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .diagram import Arc, Diagram, plant
-from .errors import BijectionDomainError, DiagramError
+from .errors import BijectionDomainError, ConsistencyError, DiagramError
 from .fatgraph import genus
 
 
@@ -80,37 +80,16 @@ def is_shape(d: Diagram) -> bool:
     return True
 
 
-def as_shape(d: Diagram, *, allow_degenerate: bool = False) -> Shape:
+def as_shape(d: Diagram) -> Shape:
     """Wrap a diagram as a Shape, validating the predicate.
 
-    With ``allow_degenerate`` the reduced-but-improper outputs of
-    projection (rainbow-only backbones) are accepted as well.
+    The rainbow-only projection result is not a proper shape and is
+    rejected here; only :func:`project_shape` produces it.
     """
     planted = d if d.planted else Diagram(d.backbone_lengths, d.arcs, planted=True)
-    if not is_shape(planted) and not (
-        allow_degenerate and _is_reduced_planted(planted)
-    ):
+    if not is_shape(planted):
         raise DiagramError("diagram does not satisfy the shape predicate")
     return Shape(diagram=planted, genus=genus(planted))
-
-
-def _is_reduced_planted(d: Diagram) -> bool:
-    """Fixpoint-stable planted diagram: like is_shape but rainbows may be 1-arcs."""
-    if not d.planted:
-        return False
-    if not d.is_matching:
-        return False
-    rainbows = set(d.rainbow_arcs)
-    for i, j in d.arcs:
-        if (i + 1, j - 1) in d.arcs and i + 1 < j - 1:
-            return False
-        if (
-            j == i + 1
-            and d.backbone_of(i) == d.backbone_of(j)
-            and (i, j) not in rainbows
-        ):
-            return False
-    return True
 
 
 # -- projection ----------------------------------------------------------
@@ -124,7 +103,8 @@ class _Reducer:
     """
 
     def __init__(self, d: Diagram):
-        assert d.planted
+        if not d.planted:
+            raise DiagramError("reduction needs a planted diagram")
         self.bbs: list[list[int]] = [
             list(range(s, e + 1)) for s, e in d.bounds
         ]
@@ -189,7 +169,7 @@ class _Reducer:
             if w is not None:
                 del self.pair[w]
                 if w not in doomed:  # half-dropped arcs never happen
-                    raise AssertionError("arc endpoint dropped without partner")
+                    raise ConsistencyError("arc endpoint dropped without partner")
         self.bbs = [[v for v in bb if v not in doomed] for bb in self.bbs]
 
     def to_diagram(self) -> Diagram:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -27,13 +28,24 @@ def test_genus_subcommand(tmp_path, capsys):
     assert payload["cycles"] == [[1, 4, 3, 2]]
 
 
-def test_genus_batch_mode(tmp_path, capsys):
+def test_genus_batch_mode(tmp_path, capsys, monkeypatch):
     f = tmp_path / "batch.txt"
     f.write_text(CROSSING + "\n" + "4\n1-4 2-3\n")
     code, out, _ = run(capsys, "genus", "-i", str(f))
     assert code == 0
     lines = out.strip().split("\n")
     assert [json.loads(l)["genus"] for l in lines] == [1, 0]
+    # CRLF line ends, and a separator line that holds only whitespace;
+    # stdin as a StringIO keeps the CR bytes that a text-mode file read
+    # would translate
+    for text in (
+        "4\r\n1-3 2-4\r\n\r\n4\r\n1-4 2-3\r\n",
+        CROSSING + " \t \n" + "4\n1-4 2-3\n",
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out2, _ = run(capsys, "genus")
+        assert code == 0
+        assert out2 == out
 
 
 def test_loops_subcommand(tmp_path, capsys):
@@ -255,9 +267,30 @@ def test_corrupt_cache_exit_code_5(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "consistency"
 
 
-def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
+def test_sample_arcs_outside_support_exit_code_3(capsys, monkeypatch, make_table):
+    monkeypatch.setattr(
+        "chordshapes.sampling.build_table", lambda b, g, cache_dir=None: make_table(b, g)
+    )
+    code, out, err = run(
+        capsys, "sample", "--genus", "0", "--count", "1", "--arcs", "99"
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "input"
 
+
+@pytest.mark.parametrize("text", ['{"digest": "0", "codes": ["3 3|1-', "[1, 2]"])
+def test_undecodable_cache_exit_code_5(tmp_path, capsys, text):
+    (tmp_path / "shapes_1bb_g1.json").write_text(text)
+    code, out, err = run(
+        capsys, "sample", "--genus", "0", "--count", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 5
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "consistency"
+
+
+def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(CROSSING))
     code, out, _ = run(capsys, "genus")
     assert code == 0

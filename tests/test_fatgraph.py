@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 
 from chordshapes import (
     Diagram,
+    SampleStats,
+    as_shape,
     boundary_components,
     classify_loops,
     components,
     disjoint_union,
+    fatgraph,
     genus,
     plant,
+    serialize_diagram,
 )
+from chordshapes.cli import main
 
 from conftest import all_matchings, diagram_strategy, matching_strategy
 
@@ -59,10 +72,12 @@ class TestGenus:
         one = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}), planted=True)
         assert genus(disjoint_union(one, one)) == 1
 
-    def test_per_component_genera(self):
-        one = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}), planted=True)
-        dec = boundary_components(disjoint_union(one, one))
-        assert dec.per_component_genera == (1, 1)
+    def test_per_component_genera(self, capsys, monkeypatch):
+        one = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}))
+        d = disjoint_union(one, one)
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(d)))
+        assert main(["genus"]) == 0
+        assert json.loads(capsys.readouterr().out)["component_genera"] == [1, 1]
 
 
 class TestLoops:
@@ -167,3 +182,66 @@ def test_unpaired_vertices_do_not_change_genus(d):
     )
     assert genus(stripped) == genus(d)
     assert boundary_components(stripped).r == boundary_components(d).r
+
+
+class TestTraceOnce:
+    """Each diagram is traced once per call; only ``genus`` traces the
+    components again, to report their genera."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        seen = []
+        trace = fatgraph._trace
+
+        def counting(d):
+            seen.append(d)
+            return trace(d)
+
+        monkeypatch.setattr(fatgraph, "_trace", counting)
+        return seen
+
+    SHAPE = Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
+
+    def test_classify_loops(self, traced):
+        classify_loops(self.SHAPE)
+        assert traced == [self.SHAPE]
+
+    def test_sample_stats_record(self, traced):
+        s = as_shape(self.SHAPE)
+        traced.clear()
+        SampleStats(genus=0).record(s)
+        assert traced == [self.SHAPE]
+
+    def test_cli_loops(self, traced, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(self.SHAPE)))
+        assert main(["loops"]) == 0
+        assert len(traced) == 1
+
+    def test_cli_genus(self, traced, capsys, monkeypatch):
+        one = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}))
+        d = disjoint_union(one, one)
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(d)))
+        assert main(["genus"]) == 0
+        # the whole diagram once, then each of its two components once
+        assert traced.count(d) == 1
+        assert len(traced) == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_internal_check_survives_optimize(flags):
+    """An odd Euler count raises ConsistencyError, also under python -O."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "from chordshapes.errors import ConsistencyError\n"
+        "from chordshapes.fatgraph import _formal_genus\n"
+        "try:\n"
+        "    _formal_genus(1, 1, 1)\n"
+        "except ConsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

@@ -7,6 +7,7 @@ import pytest
 
 from chordshapes import (
     BishapeSampler,
+    DiagramError,
     TableCacheError,
     build_table,
     canonical_code,
@@ -14,9 +15,9 @@ from chordshapes import (
     eta,
     is_shape,
     sample_stats,
-    uniform_bishape,
     uniform_shape_1bb,
 )
+from chordshapes.sampling import _digest
 
 
 class TestTables:
@@ -55,6 +56,32 @@ class TestTables:
         path.write_text(json.dumps(payload))
         with pytest.raises(TableCacheError, match="expected"):
             build_table(2, 0, tmp_path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["truncated", "[]", '{"codes": "3 3|1-3 2-5 4-6"}', '{"codes": [1, 2]}'],
+    )
+    def test_undecodable_cache_detected(self, tmp_path, text):
+        build_table(2, 0, tmp_path)
+        path = tmp_path / "shapes_2bb_g0.json"
+        if text == "truncated":
+            text = path.read_text()[:40]
+        path.write_text(text)
+        with pytest.raises(TableCacheError):
+            build_table(2, 0, tmp_path)
+
+    def test_cache_of_another_table_detected(self, tmp_path):
+        # four valid shape codes with a matching digest, but over two
+        # backbones at genus 0 where the (1, 1) table expects one at genus 1
+        codes = ["3 3|1-3 2-5 4-6", "4 4|1-4 2-6 3-7 5-8"] * 2
+        payload = {"codes": codes, "digest": _digest(codes)}
+        (tmp_path / "shapes_1bb_g1.json").write_text(json.dumps(payload))
+        with pytest.raises(TableCacheError, match="outside"):
+            build_table(1, 1, tmp_path)
+
+    def test_cache_write_leaves_no_temp_file(self, tmp_path):
+        build_table(1, 1, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["shapes_1bb_g1.json"]
 
     def test_index_of(self, make_table):
         t = make_table(2, 0)
@@ -118,20 +145,21 @@ class TestBishape:
 
     def test_seeded_determinism(self, make_table):
         t = make_table(1, 1)
-        a = [
-            canonical_code(uniform_bishape(0, random.Random(9), t).diagram)
-            for _ in range(25)
-        ]
-        b = [
-            canonical_code(uniform_bishape(0, random.Random(9), t).diagram)
-            for _ in range(25)
-        ]
-        assert a == b
+        streams = []
+        for _ in range(2):
+            sampler = BishapeSampler(0, seed=9, table=t)
+            streams.append([canonical_code(sampler.draw().diagram) for _ in range(25)])
+        assert streams[0] == streams[1]
 
     def test_arc_filter(self, make_table):
         sampler = BishapeSampler(0, seed=5, table=make_table(1, 1), arc_filter=4)
         for _ in range(25):
             assert sampler.draw().n_arcs == 4
+
+    def test_arc_filter_outside_support_fails_fast(self, make_table):
+        # genus-0 connected two-backbone shapes have 3 or 4 arcs only
+        with pytest.raises(DiagramError, match="99 arcs"):
+            BishapeSampler(0, seed=5, table=make_table(1, 1), arc_filter=99)
 
     def test_genus1_sampler_draws_genus1_shapes(self, make_table):
         sampler = BishapeSampler(1, seed=11, table=make_table(1, 2))

@@ -106,7 +106,8 @@ class TestPredicate:
         rainbow_only = Diagram((2,), frozenset({(1, 2)}), planted=True)
         with pytest.raises(DiagramError):
             as_shape(rainbow_only)
-        s = as_shape(rainbow_only, allow_degenerate=True)
+        s = project_shape(Diagram((1,), frozenset()))
+        assert s.diagram == rainbow_only
         assert s.empty_pure_preshape
 
 
@@ -125,9 +126,7 @@ class TestShapeClass:
         assert sorted(by_class[ShapeClass.B]) == [3, 4]
 
     def test_rainbow_only_has_no_class(self):
-        s = as_shape(
-            Diagram((2,), frozenset({(1, 2)}), planted=True), allow_degenerate=True
-        )
+        s = project_shape(Diagram((1,), frozenset()))
         with pytest.raises(DiagramError):
             shape_class(s)
 
@@ -147,6 +146,11 @@ class TestIdempotence:
     def test_reduce_is_fixpoint(self, shape_sets):
         for s in shape_sets(1, 1):
             assert reduce_planted(s.diagram) == s.diagram
+
+    def test_reduce_rejects_unplanted(self):
+        # a caller error, so it holds under python -O too
+        with pytest.raises(DiagramError, match="planted"):
+            reduce_planted(Diagram((4,), frozenset({(1, 4), (2, 3)})))
 
 
 @settings(max_examples=100)
