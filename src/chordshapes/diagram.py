@@ -17,6 +17,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
+
 from .errors import DiagramError, ParseError
 
 Arc = tuple[int, int]
@@ -110,7 +112,7 @@ class Diagram:
         """0-based index of the backbone containing vertex v."""
         if not 1 <= v <= self.n_vertices:
             raise DiagramError(f"vertex {v} out of range")
-        return bisect_right([s for s, _ in self.bounds], v) - 1
+        return bisect_right(self.bounds, v, key=itemgetter(0)) - 1
 
     def pairing(self) -> dict[int, int]:
         """Partner map containing both directions of every arc."""
@@ -129,6 +131,16 @@ class Diagram:
 
 
 # -- text format ---------------------------------------------------------
+
+
+def _number(digits: str, line: int, column: int) -> int:
+    """``int(digits)``, with the interpreter's digit limit as a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(digits)} digits is too long", line, column
+        ) from None
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -156,13 +168,14 @@ def parse_diagram(text: str) -> Diagram:
     lengths: list[int] = []
     for m in _TOKEN_RE.finditer(lengths_line):
         tok = m.group(0)
-        if not tok.isdigit() or int(tok) < 1:
+        length = _number(tok, lineno, m.start() + 1) if tok.isdecimal() else 0
+        if length < 1:
             raise ParseError(
                 f"backbone length {tok!r} is not a positive integer",
                 lineno,
                 m.start() + 1,
             )
-        lengths.append(int(tok))
+        lengths.append(length)
     n = sum(lengths)
 
     arcs: set[Arc] = set()
@@ -174,7 +187,8 @@ def parse_diagram(text: str) -> Diagram:
             am = _ARC_RE.match(tok)
             if am is None:
                 raise ParseError(f"malformed arc token {tok!r}", lineno, col)
-            i, j = int(am.group(1)), int(am.group(2))
+            i = _number(am.group(1), lineno, col)
+            j = _number(am.group(2), lineno, col)
             if i == j:
                 raise ParseError(f"self-pairing {tok!r}", lineno, col)
             if i > j:
@@ -227,13 +241,14 @@ def plant(d: Diagram) -> Diagram:
     """
     if d.planted:
         raise DiagramError("diagram is already planted")
-    # vertex v of backbone k (0-based) shifts by 2k + 1
-    shift = {}
-    for k, (s, e) in enumerate(d.bounds):
-        for v in range(s, e + 1):
-            shift[v] = v + 2 * k + 1
+    # vertex v of backbone k (0-based) shifts by 2k + 1, and k + 1 is
+    # the number of backbone starts up to v
+    starts = [s for s, _ in d.bounds]
     new_lengths = tuple(l + 2 for l in d.backbone_lengths)
-    new_arcs = {(shift[i], shift[j]) for i, j in d.arcs}
+    new_arcs = {
+        (i + 2 * bisect_right(starts, i) - 1, j + 2 * bisect_right(starts, j) - 1)
+        for i, j in d.arcs
+    }
     start = 1
     for l in new_lengths:
         new_arcs.add((start, start + l - 1))
@@ -250,12 +265,13 @@ def strip_plants(d: Diagram) -> Diagram:
             "cannot strip a rainbow-only backbone (nothing underneath)"
         )
     rainbows = set(d.rainbow_arcs)
-    shift = {}
-    for k, (s, e) in enumerate(d.bounds):
-        for v in range(s + 1, e):
-            shift[v] = v - 2 * k - 1
+    starts = [s for s, _ in d.bounds]
     new_lengths = tuple(l - 2 for l in d.backbone_lengths)
-    new_arcs = {(shift[i], shift[j]) for i, j in d.arcs if (i, j) not in rainbows}
+    new_arcs = {
+        (i - 2 * bisect_right(starts, i) + 1, j - 2 * bisect_right(starts, j) + 1)
+        for i, j in d.arcs
+        if (i, j) not in rainbows
+    }
     return Diagram(new_lengths, frozenset(new_arcs), planted=False)
 
 
@@ -294,30 +310,29 @@ def components(d: Diagram) -> list[Diagram]:
     """Split into connected components, preserving backbone order and
     relative vertex order within each component."""
     roots = _backbone_roots(d)
-    order: list[int] = []
+    starts = [s for s, _ in d.bounds]
     groups: dict[int, list[int]] = {}
     for k, r in enumerate(roots):
-        if r not in groups:
-            groups[r] = []
-            order.append(r)
-        groups[r].append(k)
-
-    out: list[Diagram] = []
-    for r in order:
-        ks = groups[r]
-        remap: dict[int, int] = {}
-        nxt = 1
+        groups.setdefault(r, []).append(k)
+    # vertex v of backbone k moves to v + shift[k] inside its component
+    shift = [0] * d.b
+    for ks in groups.values():
+        offset = 1
         for k in ks:
-            s, e = d.bounds[k]
-            for v in range(s, e + 1):
-                remap[v] = nxt
-                nxt += 1
-        lengths = tuple(d.backbone_lengths[k] for k in ks)
-        arcs = frozenset(
-            (remap[i], remap[j]) for i, j in d.arcs if i in remap
+            shift[k] = offset - starts[k]
+            offset += d.backbone_lengths[k]
+    arcs: dict[int, set[Arc]] = {r: set() for r in groups}
+    for i, j in d.arcs:
+        ki, kj = bisect_right(starts, i) - 1, bisect_right(starts, j) - 1
+        arcs[roots[ki]].add((i + shift[ki], j + shift[kj]))
+    return [
+        Diagram(
+            tuple(d.backbone_lengths[k] for k in ks),
+            frozenset(arcs[r]),
+            planted=d.planted,
         )
-        out.append(Diagram(lengths, arcs, planted=d.planted))
-    return out
+        for r, ks in groups.items()
+    ]
 
 
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:

@@ -31,9 +31,8 @@ class EnumSpec:
     """What to enumerate.
 
     ``genus_cap`` prunes partial diagrams; ``genus_exact`` additionally
-    filters leaves (and tightens pruning from below).  ``shape_only``
-    forbids 1-arcs and stacks during the search; ``splits`` restricts
-    the backbone-length compositions (default: all of them).
+    filters leaves (and tightens pruning from below).  ``splits``
+    restricts the backbone-length compositions (default: all of them).
     """
 
     backbones: int
@@ -42,7 +41,6 @@ class EnumSpec:
     genus_cap: int
     genus_exact: Optional[int] = None
     connected_only: bool = False
-    shape_only: bool = False
     splits: Optional[tuple[tuple[int, ...], ...]] = None
     node_budget: Optional[int] = None
 
@@ -262,7 +260,7 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
                 tuple(lengths),
                 spec.genus_cap,
                 spec.genus_exact,
-                spec.shape_only,
+                False,
                 spec.connected_only,
                 (),
                 emit,

@@ -2,11 +2,13 @@
 
 A shape is a planted diagram without stacks, without 1-arcs inside a
 backbone, and without isolated vertices.  Projection plants a diagram
-and then reduces it to the unique fixpoint of two moves: collapse every
-maximal stack to its outermost arc, then delete every 1-arc within one
-backbone together with all unpaired vertices.  Rainbows may absorb
-stacks during collapse but are never deleted themselves, so the result
-keeps one rainbow per backbone and the same genus as the planted input.
+and reduces it to the unique fixpoint of two moves: drop the inner arc
+of two stacked arcs, and drop a 1-arc within one backbone or an
+unpaired vertex.  :func:`reduce_planted` reaches that fixpoint in one
+left-to-right scan over the paired vertices, so its cost grows with the
+arc count, not with the backbone lengths.  Rainbows may absorb stacks
+but are never deleted themselves, so the result keeps one rainbow per
+backbone and the same genus as the planted input.
 
 A diagram whose non-rainbow content dies entirely reduces to the
 rainbows-only planted diagram.  That degenerate value is reported with
@@ -19,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagram import Arc, Diagram, plant
-from .errors import BijectionDomainError, ConsistencyError, DiagramError
+from .diagram import Diagram, plant
+from .errors import BijectionDomainError, DiagramError
 from .fatgraph import genus
 
 
@@ -95,120 +97,71 @@ def as_shape(d: Diagram) -> Shape:
 # -- projection ----------------------------------------------------------
 
 
-class _Reducer:
-    """Mutable state for the collapse/delete fixpoint on a planted diagram.
+def reduce_planted(d: Diagram) -> Diagram:
+    """Reduce a planted diagram to its shape in one left-to-right scan.
 
-    Vertices keep their original ids; adjacency is always evaluated on
-    the current left-to-right order of the survivors.
+    The scan visits the paired vertices in order and keeps the surviving
+    ones in prev/next links; an opening vertex is appended.  For a
+    closing vertex ``w`` with partner ``u``:
+
+    - if the last survivor ``y`` closes an arc ``(x, y)`` and ``x``
+      comes straight after ``u``, drop ``x`` and ``y`` (the inner arc of
+      a stack);
+    - then, if the last survivor is ``u`` and ``(u, w)`` is not a
+      rainbow, drop both (a 1-arc); otherwise append ``w``.
+
+    At the end the survivors are relabelled.  Unpaired vertices are
+    never visited, so none survives.
+
+    One pass is enough:
+
+    - Rainbows sit at both ends of every backbone and are never dropped,
+      so no adjacency the scan tests crosses a backbone boundary.
+    - Dropping an inner arc leaves the outer arc's opening vertex as the
+      left neighbour of the gap, so no arc that closed earlier gains a
+      new neighbouring arc.  In particular no second stack sits inside
+      ``(u, w)`` after the first is dropped: it would have been straight
+      inside ``(x, y)`` when ``y`` closed, and been dropped then.
+    - The output therefore has no 1-arc, no stack and no unpaired
+      vertex.  That is the unique fixpoint of the two moves.
     """
+    if not d.planted:
+        raise DiagramError("reduction needs a planted diagram")
+    pair = d.pairing()
+    rainbows = set(d.bounds)
+    # the survivors and the sentinel 0 form a ring: prv[0] is the last
+    # survivor; links of dropped vertices go stale and are never read
+    prv = {0: 0}
+    nxt = {0: 0}
+    for w in sorted(pair):
+        u = pair[w]
+        y = prv[0]
+        if u < w:
+            x = pair[y]
+            if x < y and nxt[u] == x:
+                for v in (x, y):
+                    nxt[prv[v]] = nxt[v]
+                    prv[nxt[v]] = prv[v]
+                y = prv[0]
+            if y == u and (u, w) not in rainbows:
+                nxt[prv[u]] = 0
+                prv[0] = prv[u]
+                continue
+        nxt[y] = w
+        prv[w] = y
+        nxt[w] = 0
+        prv[0] = w
 
-    def __init__(self, d: Diagram):
-        if not d.planted:
-            raise DiagramError("reduction needs a planted diagram")
-        self.bbs: list[list[int]] = [
-            list(range(s, e + 1)) for s, e in d.bounds
-        ]
-        self.pair: dict[int, int] = d.pairing()
-
-    def _rainbows(self) -> set[Arc]:
-        return {(bb[0], bb[-1]) for bb in self.bbs}
-
-    def _order(self) -> list[int]:
-        return [v for bb in self.bbs for v in bb]
-
-    def _current_arcs(self) -> set[Arc]:
-        return {(v, w) for v, w in self.pair.items() if v < w}
-
-    def collapse_stacks(self) -> bool:
-        """Collapse every maximal stack of length >= 2 to its outermost arc."""
-        order = self._order()
-        pos = {v: k for k, v in enumerate(order)}
-        arcs = self._current_arcs()
-
-        def inner(a: Arc) -> Arc | None:
-            pi, pj = pos[a[0]], pos[a[1]]
-            if pi + 1 < pj - 1:
-                x, y = order[pi + 1], order[pj - 1]
-                if self.pair.get(x) == y:
-                    return (x, y) if x < y else (y, x)
-            return None
-
-        doomed: set[int] = set()
-        outer = {a for a in arcs if _outer_of(a, pos, order, self.pair) is None}
-        changed = False
-        for a in outer:
-            nxt = inner(a)
-            while nxt is not None:
-                doomed.update(nxt)
-                changed = True
-                nxt = inner(nxt)
-        if changed:
-            self._drop_vertices(doomed)
-        return changed
-
-    def delete_pass(self) -> bool:
-        """Delete non-rainbow same-backbone 1-arcs and unpaired vertices."""
-        rainbows = self._rainbows()
-        doomed: set[int] = set()
-        for bb in self.bbs:
-            for x, y in zip(bb, bb[1:]):
-                if self.pair.get(x) == y and (x, y) not in rainbows:
-                    doomed.update((x, y))
-        for bb in self.bbs:
-            for v in bb:
-                if v not in self.pair:
-                    doomed.add(v)
-        if doomed:
-            self._drop_vertices(doomed)
-            return True
-        return False
-
-    def _drop_vertices(self, doomed: set[int]) -> None:
-        for v in doomed:
-            w = self.pair.pop(v, None)
-            if w is not None:
-                del self.pair[w]
-                if w not in doomed:  # half-dropped arcs never happen
-                    raise ConsistencyError("arc endpoint dropped without partner")
-        self.bbs = [[v for v in bb if v not in doomed] for bb in self.bbs]
-
-    def to_diagram(self) -> Diagram:
-        order = self._order()
-        relabel = {v: k for k, v in enumerate(order, start=1)}
-        lengths = tuple(len(bb) for bb in self.bbs)
-        arcs = frozenset(
-            (relabel[i], relabel[j]) for i, j in self._current_arcs()
-        )
-        return Diagram(lengths, arcs, planted=True)
-
-
-def _outer_of(a: Arc, pos, order, pair) -> Arc | None:
-    i, j = a
-    pi, pj = pos[i], pos[j]
-    if pi > 0 and pj + 1 < len(order):
-        x, y = order[pi - 1], order[pj + 1]
-        if pair.get(x) == y:
-            return (x, y) if x < y else (y, x)
-    return None
-
-
-def reduce_planted(d: Diagram, *, delete_first: bool = False) -> Diagram:
-    """Iterate collapse and delete on a planted diagram until stable.
-
-    ``delete_first`` swaps the order of the two moves inside each round;
-    the fixpoint is the same either way (checked by the confluence
-    tests), only the default order is part of the contract.
-    """
-    red = _Reducer(d)
-    while True:
-        if delete_first:
-            c1 = red.delete_pass()
-            c2 = red.collapse_stacks()
-        else:
-            c1 = red.collapse_stacks()
-            c2 = red.delete_pass()
-        if not (c1 or c2):
-            return red.to_diagram()
+    relabel: dict[int, int] = {}
+    v = nxt[0]
+    while v:
+        relabel[v] = len(relabel) + 1
+        v = nxt[v]
+    lengths = tuple(relabel[e] - relabel[s] + 1 for s, e in d.bounds)
+    arcs = frozenset(
+        (relabel[pair[v]], relabel[v]) for v in relabel if pair[v] < v
+    )
+    return Diagram(lengths, arcs, planted=True)
 
 
 def project_shape(d: Diagram) -> Shape:

@@ -97,3 +97,10 @@ def matching_strategy(draw, max_backbones=2, max_arcs=5):
         i, j = perm[2 * t], perm[2 * t + 1]
         arcs.add((min(i, j), max(i, j)))
     return Diagram(lengths, frozenset(arcs))
+
+
+# arbitrary short text, and short text over the diagram format's alphabet
+fuzz_text = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789 -|#\r\n\t", max_size=40),
+)

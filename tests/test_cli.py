@@ -2,10 +2,20 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordshapes.cli import main
+
+from conftest import fuzz_text
 
 CROSSING = "4\n1-3 2-4\n"
 SHAPE_Q3 = "3 3\n1-3 2-5 4-6\n"
@@ -295,3 +305,122 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "genus")
     assert code == 0
     assert json.loads(out)["genus"] == 1
+
+
+# Every per-diagram call must cost arcs, not backbone length or count.
+# A child process runs the calls under a timeout and with its address
+# space capped a little above what it holds after the imports, so a
+# walk over every vertex fails the test instead of hanging the suite.
+_CAPPED_PRELUDE = """
+import io, json, resource, sys
+from chordshapes import (
+    canonical_code, classify_loops, components, genus, parse_diagram, project_shape
+)
+from chordshapes.cli import main
+try:
+    with open("/proc/self/statm") as f:
+        cap = int(f.read().split()[0]) * resource.getpagesize()
+    cap += int(sys.argv[1]) << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+except OSError:
+    pass  # no /proc: the timeout alone guards
+d = parse_diagram(text := sys.stdin.read())
+"""
+
+
+def run_capped(body: str, text: str, headroom_mib: int = 64) -> list[str]:
+    """Stdout lines of ``body`` run in a capped child on the diagram ``text``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_PRELUDE + body, str(headroom_mib)],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_LONG_BACKBONES = """
+print(json.dumps({
+    "genus": genus(d),
+    "components": [canonical_code(c) for c in components(d)],
+    "shape": canonical_code(project_shape(d).diagram),
+}))
+for cmd in ("genus", "loops", "shape"):
+    sys.stdin = io.StringIO(text)
+    print("exit", main([cmd]))
+"""
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "99999999999\n",
+            [
+                '{"genus": 0, "components": ["99999999999|"], "shape": "2|1-2"}',
+                '{"component_genera": [0], "cycles": [[]], "genus": 0, "r": 1}',
+                "exit 0",
+                '{"cycles": [[]], "genus": 0, "loops": {"alpha": 0, "beta": 0, '
+                '"hairpin": 0, "interior": 0, "multi": 0, "plant": 0, '
+                '"pseudoknot": 0}, "r": 1}',
+                "exit 0",
+                "2|1-2",
+                '{"arcs": 1, "empty_pure_preshape": true, "genus": 0}',
+                "exit 0",
+            ],
+        ),
+        (
+            "1000000 3\n1-1000002\n",
+            [
+                '{"genus": 0, "components": ["1000000 3|1-1000002"], '
+                '"shape": "3 3|1-3 2-5 4-6"}',
+                '{"component_genera": [0], "cycles": [[1, 1000002]], '
+                '"genus": 0, "r": 1}',
+                "exit 0",
+                '{"cycles": [[1, 1000002]], "genus": 0, "loops": {"alpha": 0, '
+                '"beta": 1, "hairpin": 0, "interior": 1, "multi": 0, "plant": 0, '
+                '"pseudoknot": 0}, "r": 1}',
+                "exit 0",
+                "3 3|1-3 2-5 4-6",
+                '{"arcs": 3, "empty_pure_preshape": false, "genus": 0}',
+                "exit 0",
+            ],
+        ),
+    ],
+    ids=["one-backbone-1e11", "two-backbones-1e6"],
+)
+def test_long_backbones_cost_arcs(text, expected):
+    assert run_capped(_LONG_BACKBONES, text) == expected
+
+
+def test_many_backbones_cost_arcs():
+    # 50,000 one-vertex backbones joined in pairs: a backbone lookup that
+    # costs O(b) per arc makes components and loops quadratic.  Memory
+    # grows with the input here, so the cap is wider.
+    pairs = 25_000
+    text = " ".join(["1"] * 2 * pairs) + "\n" + " ".join(
+        f"{2 * k + 1}-{2 * k + 2}" for k in range(pairs)
+    )
+    body = (
+        "print(genus(d), len(components(d)), classify_loops(d).beta,"
+        " project_shape(d).n_arcs)\n"
+    )
+    expected = f"{1 - pairs} {pairs} {pairs} {3 * pairs}"
+    assert run_capped(body, text, headroom_mib=256) == [expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=fuzz_text, cmd=st.sampled_from(["genus", "loops", "shape"]))
+def test_cli_fuzz_exits_with_documented_code(text, cmd):
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(
+        io.StringIO()
+    ), redirect_stderr(io.StringIO()):
+        code = main([cmd])
+    assert code in (0, 3)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,7 +24,7 @@ from chordshapes import (
     strip_plants,
 )
 
-from conftest import diagram_strategy
+from conftest import diagram_strategy, fuzz_text
 
 G, P, S = IntervalKind.GAP, IntervalKind.P, IntervalKind.SIGMA
 
@@ -67,6 +69,23 @@ class TestParse:
 
     def test_reversed_endpoints_normalized(self):
         assert parse_diagram("4\n3-1").arcs == {(1, 3)}
+
+    def test_non_decimal_digit_rejected(self):
+        with pytest.raises(ParseError, match="positive integer"):
+            parse_diagram("\u00b2\n")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter puts no limit on integer digits",
+    )
+    def test_overlong_number_rejected(self):
+        # int() refuses more digits than the interpreter's limit
+        nines = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="too long"):
+            parse_diagram(nines + "\n")
+        with pytest.raises(ParseError, match="too long") as e:
+            parse_diagram("4\n1-3 2-" + nines)
+        assert (e.value.line, e.value.column) == (2, 5)
 
     def test_extra_line_rejected(self):
         with pytest.raises(ParseError, match="extra line"):
@@ -247,3 +266,13 @@ def test_components_partition_arcs(d):
         d.backbone_lengths
     )
     assert len(parts) == 1 if is_connected(d) else len(parts) > 1
+
+
+@settings(max_examples=500)
+@given(fuzz_text)
+def test_parse_returns_diagram_or_parse_error(text):
+    try:
+        d = parse_diagram(text)
+    except ParseError:
+        return
+    assert isinstance(d, Diagram)

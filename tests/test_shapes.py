@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
@@ -167,11 +168,54 @@ def test_projection_output_is_reduced(d):
     assert s.n_arcs >= s.b
 
 
-@settings(max_examples=100)
-@given(diagram_strategy(max_vertices=10))
-def test_reduction_confluence(d):
+def reduce_by_moves(d: Diagram, choose) -> Diagram:
+    """The shape definition transcribed, independent of ``shapes.py``.
+
+    While a move applies, ``choose`` picks one of them: drop an unpaired
+    vertex, drop a 1-arc within one backbone that is not a rainbow, or
+    drop the inner arc of two stacked arcs.  The survivors are then
+    relabelled left to right.
+    """
+    bbs = [list(range(s, e + 1)) for s, e in d.bounds]
+    pair = d.pairing()
+    rainbows = set(d.bounds)
+    while True:
+        order = [v for bb in bbs for v in bb]
+        pos = {v: k for k, v in enumerate(order)}
+        moves = [(v,) for v in order if v not in pair]
+        for bb in bbs:
+            for x, y in zip(bb, bb[1:]):
+                if pair.get(x) == y and (x, y) not in rainbows:
+                    moves.append((x, y))
+        for i, j in pair.items():
+            if i < j and pos[i] + 1 < pos[j] - 1:
+                x, y = order[pos[i] + 1], order[pos[j] - 1]
+                if pair.get(x) == y:
+                    moves.append((x, y))
+        if not moves:
+            break
+        doomed = choose(moves)
+        for v in doomed:
+            pair.pop(v, None)
+        bbs = [[v for v in bb if v not in doomed] for bb in bbs]
+    relabel = {v: k for k, v in enumerate((v for bb in bbs for v in bb), 1)}
+    return Diagram(
+        tuple(len(bb) for bb in bbs),
+        frozenset((relabel[i], relabel[j]) for i, j in pair.items() if i < j),
+        planted=True,
+    )
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(diagram_strategy(max_vertices=10), matching_strategy(max_arcs=6)),
+    st.data(),
+)
+def test_reduction_matches_move_oracle(d, data):
+    # any order of moves ends in the one fixpoint the scan computes
     p = plant(d)
-    assert reduce_planted(p) == reduce_planted(p, delete_first=True)
+    expected = reduce_by_moves(p, lambda moves: data.draw(st.sampled_from(moves)))
+    assert reduce_planted(p) == expected
 
 
 @settings(max_examples=100)
