@@ -300,7 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true")
     p.add_argument("--list", action="store_true")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument(
+        "--node-budget",
+        type=int,
+        default=None,
+        help="fail (exit 4) once the search has placed this many arcs",
+    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("sample", help="uniform two-backbone shapes")

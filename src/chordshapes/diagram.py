@@ -27,6 +27,15 @@ _ARC_RE = re.compile(r"^(\d+)-(\d+)$")
 _TOKEN_RE = re.compile(r"\S+")
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an error message, which must not itself fail on a
+    number past the interpreter's integer-digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit number>"
+
+
 class IntervalKind(Enum):
     """Kind of a length-1 interval [i, i+1] between consecutive vertices."""
 
@@ -75,9 +84,15 @@ class Diagram:
         seen: set[int] = set()
         for i, j in arcs:
             if not (1 <= i < j <= n):
-                raise DiagramError(f"arc ({i},{j}) out of range 1..{n} or not i<j")
+                raise DiagramError(
+                    f"arc ({_decimal(i)},{_decimal(j)}) out of range"
+                    f" 1..{_decimal(n)} or not i<j"
+                )
             if i in seen or j in seen:
-                raise DiagramError(f"arc ({i},{j}) reuses an already paired vertex")
+                raise DiagramError(
+                    f"arc ({_decimal(i)},{_decimal(j)}) reuses an already"
+                    " paired vertex"
+                )
             seen.add(i)
             seen.add(j)
 
@@ -111,7 +126,7 @@ class Diagram:
     def backbone_of(self, v: int) -> int:
         """0-based index of the backbone containing vertex v."""
         if not 1 <= v <= self.n_vertices:
-            raise DiagramError(f"vertex {v} out of range")
+            raise DiagramError(f"vertex {_decimal(v)} out of range")
         return bisect_right(self.bounds, v, key=itemgetter(0)) - 1
 
     def pairing(self) -> dict[int, int]:
@@ -195,7 +210,9 @@ def parse_diagram(text: str) -> Diagram:
                 i, j = j, i
             if not (1 <= i and j <= n):
                 raise ParseError(
-                    f"arc endpoint out of range 1..{n} in {tok!r}", lineno, col
+                    f"arc endpoint out of range 1..{_decimal(n)} in {tok!r}",
+                    lineno,
+                    col,
                 )
             for v in (i, j):
                 if v in used:

@@ -4,14 +4,16 @@ Matchings are built left to right, always pairing the first unpaired
 vertex with every admissible later vertex.  The formal genus of a
 partial diagram never exceeds the genus of any completion (each new arc
 changes the boundary count by one, so the genus stays or grows by one),
-which makes pruning on the partial genus sound.  Shape mode additionally
-rejects 1-arcs within a backbone and parallel-adjacent arc pairs the
-moment both arcs exist.
+which makes pruning on the partial genus sound.  Which of the two it is
+follows from one walk of the boundary cycle through the first unpaired
+vertex's gap, so the genus prune is decided before an arc is placed.
+Shape mode additionally rejects 1-arcs within a backbone and
+parallel-adjacent arc pairs the moment both arcs exist.
 
 The search is deterministic: splits ascending, partners ascending, so
-two runs yield identical sequences.  An optional node budget turns
-oversized searches into an explicit failure instead of a silent
-truncation.
+two runs yield identical sequences.  An optional node budget, counted in
+placed arcs, turns oversized searches into an explicit failure instead
+of a silent truncation.
 """
 
 from __future__ import annotations
@@ -31,8 +33,12 @@ class EnumSpec:
     """What to enumerate.
 
     ``genus_cap`` prunes partial diagrams; ``genus_exact`` additionally
-    filters leaves (and tightens pruning from below).  ``splits``
-    restricts the backbone-length compositions (default: all of them).
+    filters leaves (and tightens pruning from below).  Both prunes are
+    decided before an arc is placed.  ``splits`` restricts the
+    backbone-length compositions (default: all of them); each split
+    holds one positive length per backbone.  ``node_budget`` caps the
+    number of arcs the search places (an arc the prunes reject is never
+    placed and not counted).
     """
 
     backbones: int
@@ -51,6 +57,13 @@ class EnumSpec:
             raise DiagramError("need 0 < arcs_min <= arcs_max")
         if self.genus_cap < 0:
             raise DiagramError("genus cap must be >= 0")
+        if self.splits is not None and any(
+            len(split) != self.backbones or min(split) < 1
+            for split in self.splits
+        ):
+            raise DiagramError(
+                "every split needs one positive length per backbone"
+            )
 
 
 def _search_split(
@@ -64,7 +77,26 @@ def _search_split(
     budget: Optional[list[int]],
 ) -> int:
     """Backtracking core for one backbone-length split.  Returns the number
-    of matchings emitted."""
+    of matchings emitted.
+
+    The partial diagram is a fat graph with one vertex per backbone, so
+    its formal genus is ``gp = (2 - b + d - r) / 2`` for ``d`` arcs and
+    ``r`` boundary cycles, an arcless backbone counting as one cycle.  A
+    new arc joins two gaps (the positions where ``i`` and ``j`` go in):
+    if both lie on the same boundary cycle it splits that cycle (r + 1,
+    gp unchanged), otherwise it merges two cycles into one (r - 1,
+    gp + 1).  The gap of ``i``, the first unpaired vertex, does not depend
+    on the partner, so each call walks the cycle through it once and
+    takes every candidate's genus from whether ``j``'s gap is on it.
+    This is the exact genus of the diagram with the arc placed, so
+    testing ``genus_cap`` and the ``genus_exact`` floor before placing
+    the arc prunes the same subtrees as tracing after placing it.  Both
+    tests are sound: gp never decreases as arcs are added, and each of
+    the ``n_arcs - d`` arcs still to come raises it by at most one.  When
+    gp + 1 is pruned, only the partners on the cycle are tried, which
+    skips exactly the candidates the test would reject.  The rainbows go
+    in through the same rule.
+    """
     V = sum(lengths)
     if V % 2:
         return 0
@@ -78,37 +110,35 @@ def _search_split(
             bb[v] = k
             v += 1
 
+    # pair: partner or 0; nxt/prv: the paired vertices of each backbone
+    # as a ring in left-to-right order (the rotation sigma)
     pair = [0] * (V + 2)
     nxt = [0] * (V + 2)
     prv = [0] * (V + 2)
-    inring = [False] * (V + 2)
-    seen = [0] * (V + 2)
-    paired_cnt = [0] * b
     bstart = [sum(lengths[:k]) + 1 for k in range(b)]
     bend = [sum(lengths[: k + 1]) for k in range(b)]
 
-    empties = b
     ext = 0
-    stamp = 0
     count = 0
     placed: list[Arc] = []
 
-    def ring_insert(x: int) -> None:
+    def ring_pred(x: int) -> int:
+        """The paired vertex cyclically before x on its backbone, 0 if none."""
         k = bb[x]
-        pred = 0
         w = x - 1
         while w >= bstart[k]:
-            if inring[w]:
-                pred = w
-                break
+            if pair[w]:
+                return w
             w -= 1
-        if not pred:
-            w = x + 1
-            while w <= bend[k]:
-                if inring[w]:
-                    pred = prv[w]
-                    break
-                w += 1
+        w = bend[k]
+        while w > x:
+            if pair[w]:
+                return w
+            w -= 1
+        return 0
+
+    def link(x: int, pred: int) -> None:
+        """Insert x into its backbone's ring after pred (alone if pred is 0)."""
         if pred:
             s = nxt[pred]
             nxt[pred] = x
@@ -117,119 +147,114 @@ def _search_split(
             prv[s] = x
         else:
             nxt[x] = prv[x] = x
-        inring[x] = True
 
-    def ring_remove(x: int) -> None:
+    def unlink(x: int) -> None:
         p, s = prv[x], nxt[x]
         nxt[p] = s
         prv[s] = p
-        inring[x] = False
 
-    def place(i: int, j: int) -> None:
-        nonlocal empties, ext
+    def face(i: int, c: int) -> set[int] | range:
+        """The unpaired vertices whose gaps lie on the boundary cycle
+        through the gap of unpaired vertex i, which follows paired vertex
+        c (0: i's backbone has no arc, and that backbone is the cycle)."""
+        if not c:
+            k = bb[i]
+            return range(bstart[k], bend[k] + 1)
+        on: set[int] = set()
+        x = c
+        while True:
+            s = nxt[x]
+            if s > x + 1:
+                on.update(range(x + 1, s))
+            elif s <= x:
+                k = bb[x]
+                on.update(range(x + 1, bend[k] + 1))
+                on.update(range(bstart[k], s))
+            x = pair[s]
+            if x == c:
+                return on
+
+    def place(i: int, j: int, c: int) -> None:
+        """Pair i (whose ring predecessor is c) with j."""
+        nonlocal ext
+        link(i, c)
         pair[i] = j
+        link(j, ring_pred(j))
         pair[j] = i
-        for x in (i, j):
-            k = bb[x]
-            if paired_cnt[k] == 0:
-                empties -= 1
-            paired_cnt[k] += 1
-        ring_insert(i)
-        ring_insert(j)
         if bb[i] != bb[j]:
             ext += 1
         placed.append((i, j))
 
-    # The preplaced arcs are the rainbows: alone they have formal genus 0
-    # on one backbone and -1 on two, so they never exceed genus_cap >= 0,
-    # and the arrays are local to this call, so they are never undone.
+    gp = 1 - b  # b arcless backbones: r = b, d = 0
     for i, j in preplaced:
-        place(i, j)
+        c = ring_pred(i)
+        if j not in face(i, c):
+            gp += 1
+        place(i, j, c)
 
-    def rec(lo: int) -> None:
-        nonlocal empties, ext, stamp, count
+    def rec(lo: int, gp: int) -> None:
+        nonlocal ext, count
         i = lo
         while pair[i]:
             i += 1
+        # with (i, j) placed the genus is gp if j's gap is on i's cycle and
+        # gp + 1 if not; test both values against the prunes up front
+        rest = n_arcs - len(placed) - 1  # arcs still to place after (i, j)
+        same_ok = gp <= genus_cap and (
+            genus_exact is None or gp + rest >= genus_exact
+        )
+        other_ok = gp < genus_cap and (
+            genus_exact is None or gp + 1 + rest >= genus_exact
+        )
+        c = ring_pred(i)
+        on = face(i, c)
         bb_i = bb[i]
         left_partner = pair[i - 1]
-        for j in range(i + 1, V + 1):
-            if pair[j]:
+        for j in range(i + 1, V + 1) if other_ok else sorted(on):
+            if pair[j] or j <= i:
                 continue
             if shape_only:
                 if j == i + 1 and bb_i == bb[j]:
                     continue
                 if left_partner == j + 1 or pair[i + 1] == j - 1:
                     continue
+            if j in on:
+                if not same_ok:
+                    continue
+                g = gp
+            else:
+                g = gp + 1
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise InfeasibleError("enumeration node budget exceeded")
 
-            # place (i, j), maintaining the sigma rings and counters
-            bb_j = bb[j]
-            pair[i] = j
-            pair[j] = i
-            if paired_cnt[bb_i] == 0:
-                empties -= 1
-            paired_cnt[bb_i] += 1
-            if paired_cnt[bb_j] == 0:
-                empties -= 1
-            paired_cnt[bb_j] += 1
-            ring_insert(i)
-            ring_insert(j)
-            external = bb_i != bb_j
-            if external:
-                ext += 1
-            placed.append((i, j))
-            d = len(placed)
+            place(i, j, c)
 
-            # formal genus of the partial diagram, by tracing phi = sigma o alpha
-            stamp += 1
-            r = empties
-            for a, c in placed:
-                if seen[a] != stamp:
-                    r += 1
-                    x = a
-                    while seen[x] != stamp:
-                        seen[x] = stamp
-                        x = nxt[pair[x]]
-                if seen[c] != stamp:
-                    r += 1
-                    x = c
-                    while seen[x] != stamp:
-                        seen[x] = stamp
-                        x = nxt[pair[x]]
-            gp = (2 - r - b + d) // 2
-
-            if gp <= genus_cap and (
-                genus_exact is None or gp + (n_arcs - d) >= genus_exact
-            ):
-                if d == n_arcs:
-                    if (genus_exact is None or gp == genus_exact) and (
-                        not connected_only or b == 1 or ext > 0
-                    ):
-                        count += 1
-                        emit(tuple(placed))
-                else:
-                    rec(i + 1)
+            if not rest:
+                if (genus_exact is None or g == genus_exact) and (
+                    not connected_only or b == 1 or ext > 0
+                ):
+                    count += 1
+                    emit(tuple(placed))
+            else:
+                rec(i + 1, g)
 
             # undo
             placed.pop()
-            if external:
+            if bb_i != bb[j]:
                 ext -= 1
-            ring_remove(j)
-            ring_remove(i)
-            paired_cnt[bb_i] -= 1
-            if paired_cnt[bb_i] == 0:
-                empties += 1
-            paired_cnt[bb_j] -= 1
-            if paired_cnt[bb_j] == 0:
-                empties += 1
+            unlink(j)
+            unlink(i)
             pair[i] = 0
             pair[j] = 0
 
-    rec(1)
+    try:
+        rec(1, gp)
+    finally:
+        # rec refers to itself, a cycle that would keep the arrays and
+        # emit's results alive until the next full garbage collection
+        del rec
     return count
 
 

@@ -232,6 +232,22 @@ def test_bad_input_exit_code_3(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "input"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter puts no limit on integer digits",
+)
+def test_out_of_range_past_digit_limit_exit_code_3(tmp_path, capsys):
+    # the vertex total is too long for str(), which the message used to call
+    nines = "9" * sys.get_int_max_str_digits()
+    f = tmp_path / "huge.txt"
+    f.write_text(f"{nines} {nines}\n0-1\n")
+    code, _, err = run(capsys, "genus", "-i", str(f))
+    assert code == 3
+    error = json.loads(err)["error"]
+    assert error["type"] == "input"
+    assert "out of range" in error["message"]
+
+
 def test_missing_file_exit_code_3(capsys):
     code, _, err = run(capsys, "genus", "-i", "/nonexistent/nowhere.txt")
     assert code == 3

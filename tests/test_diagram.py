@@ -87,6 +87,18 @@ class TestParse:
             parse_diagram("4\n1-3 2-" + nines)
         assert (e.value.line, e.value.column) == (2, 5)
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter puts no limit on integer digits",
+    )
+    def test_out_of_range_past_digit_limit(self):
+        # each length parses, but their sum has more digits than str()
+        # may print; the message must still be a ParseError
+        nines = "9" * sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match="out of range") as e:
+            parse_diagram(f"{nines} {nines}\n0-1\n")
+        assert (e.value.line, e.value.column) == (2, 1)
+
     def test_extra_line_rejected(self):
         with pytest.raises(ParseError, match="extra line"):
             parse_diagram("4\n1-2\n3-4")
@@ -105,6 +117,17 @@ class TestValidation:
     def test_arc_out_of_range(self):
         with pytest.raises(DiagramError):
             Diagram((2,), frozenset({(1, 3)}))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter puts no limit on integer digits",
+    )
+    def test_arc_out_of_range_past_digit_limit(self):
+        huge = 10 ** (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(DiagramError, match="out of range"):
+            Diagram((huge,), frozenset({(0, 1)}))
+        with pytest.raises(DiagramError, match="out of range"):
+            Diagram((4,), frozenset({(1, huge)}))
 
     def test_shared_endpoint(self):
         with pytest.raises(DiagramError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from chordshapes import (
@@ -119,6 +121,55 @@ class TestMatchings:
         with pytest.raises(DiagramError):
             EnumSpec(backbones=1, arcs_min=2, arcs_max=1, genus_cap=0)
 
+    @pytest.mark.parametrize(
+        "splits",
+        [((4,),), ((2, -2, 4),), ((-2, 6),), ((2, 2), (0, 4))],
+        ids=["too-few-parts", "too-many-parts", "negative", "zero"],
+    )
+    def test_split_shape_validated(self, splits):
+        # each split needs one positive length per backbone; a one-part
+        # split on two backbones used to enumerate one-backbone matchings
+        with pytest.raises(DiagramError, match="split"):
+            EnumSpec(
+                backbones=2, arcs_min=2, arcs_max=2, genus_cap=0, splits=splits
+            )
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_genus_prune_is_sound(self, b, connected):
+        # the capped search must yield exactly the uncapped enumeration
+        # filtered by the independent fat-graph tracer, in the same order
+        for n in range(1, 6):
+            every = []
+            enumerate_matchings(
+                EnumSpec(
+                    backbones=b,
+                    arcs_min=n,
+                    arcs_max=n,
+                    genus_cap=10 ** 6,
+                    connected_only=connected,
+                ),
+                every.append,
+            )
+            if connected:
+                assert all(is_connected(d) for d in every)
+            for g in range(3):
+                capped = []
+                enumerate_matchings(
+                    EnumSpec(
+                        backbones=b,
+                        arcs_min=n,
+                        arcs_max=n,
+                        genus_cap=g,
+                        genus_exact=g,
+                        connected_only=connected,
+                    ),
+                    lambda d: capped.append(canonical_code(d)),
+                )
+                assert capped == [
+                    canonical_code(d) for d in every if genus(d) == g
+                ], (b, n, g, connected)
+
 
 class TestShapes:
     def test_genus_one_profile(self, shape_sets):
@@ -166,6 +217,44 @@ class TestShapes:
     def test_connected_shapes_are_connected(self, shape_sets):
         for s in shape_sets(2, 0):
             assert is_connected(s.diagram)
+
+
+def _code_digest(shapes) -> str:
+    codes = "\n".join(canonical_code(s.diagram) for s in shapes)
+    return hashlib.sha256(codes.encode()).hexdigest()
+
+
+# SHA-256 of the newline-joined canonical codes of enumerate_shapes(b, g,
+# connected=...), in the order returned, as computed by the kernel that
+# re-traced every boundary cycle of the partial diagram at every node;
+# the connectivity filter changes nothing at (1, 1) and (2, 0)
+ORDER_PINS = {
+    (1, 1): "515848a47c084c81d7945fa213f8c5a4024c8d37c60508c4ec5cdad87badae56",
+    (2, 0): "50bb949d077b09640c19ee0b05953ddc4f3abba5af47deeaceb92d46d4b45d5b",
+    (2, 1, True): "e3628291c7e00b1677c6032ddf97b3586ce03dc12e418ade2e7718eb66b19adf",
+    (2, 1, False): "eaac6964143d3b14b070ffb87c14230e63bdc478b77fde62af3a0df7a0d24e58",
+    (1, 2): "7bffdfbb5da06d4340acecd6ae6458a9129d1fbb98226b5a30adea883752ea3b",
+}
+
+
+class TestOrderPins:
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("b, g", [(1, 1), (2, 0)])
+    def test_small_orders(self, b, g, connected):
+        assert _code_digest(enumerate_shapes(b, g, connected=connected)) == (
+            ORDER_PINS[(b, g)]
+        )
+
+    def test_two_backbone_genus_one_orders(self, shape_sets):
+        # shape_sets(2, 1) is the connected list the acceptance tests use
+        assert _code_digest(shape_sets(2, 1)) == ORDER_PINS[(2, 1, True)]
+        assert _code_digest(enumerate_shapes(2, 1, connected=False)) == (
+            ORDER_PINS[(2, 1, False)]
+        )
+
+    def test_one_backbone_genus_two_order(self, shape_sets):
+        # through the shared fixture, so no extra enumeration runs
+        assert _code_digest(shape_sets(1, 2)) == ORDER_PINS[(1, 2)]
 
 
 class TestFibers:
