@@ -36,7 +36,9 @@ class EnumSpec:
     filters leaves (and tightens pruning from below).  Both prunes are
     decided before an arc is placed.  ``splits`` restricts the
     backbone-length compositions (default: all of them); each split
-    holds one positive length per backbone.  ``node_budget`` caps the
+    holds one positive length per backbone, and applies to the arc count
+    n with ``sum(split) == 2 * n``, which must lie in
+    ``[arcs_min, arcs_max]``.  ``node_budget`` caps the
     number of arcs the search places (an arc the prunes reject is never
     placed and not counted).
     """
@@ -64,6 +66,11 @@ class EnumSpec:
             raise DiagramError(
                 "every split needs one positive length per backbone"
             )
+        if self.splits is not None and any(
+            sum(split) % 2 or not self.arcs_min <= sum(split) // 2 <= self.arcs_max
+            for split in self.splits
+        ):
+            raise DiagramError("every split must cover 2n vertices for an arc count n")
 
 
 def _search_split(
@@ -270,11 +277,11 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     budget = [spec.node_budget] if spec.node_budget is not None else None
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
-        splits = spec.splits or _all_splits(spec.backbones, 2 * n)
+        if spec.splits is None:
+            splits = _all_splits(spec.backbones, 2 * n)
+        else:
+            splits = [s for s in spec.splits if sum(s) == 2 * n]
         for lengths in splits:
-            if sum(lengths) != 2 * n:
-                raise DiagramError("split does not match the arc count")
-
             if visit is None:
                 emit = lambda arcs: None
             else:

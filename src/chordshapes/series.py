@@ -13,10 +13,15 @@ and the two-backbone polynomial is obtained by exact division,
 where a non-zero division remainder is an internal-consistency failure.
 The fiber generating function of a shape with l non-rainbow arcs is
 
-    C(z)^(2l+2) z^(l+2) / (1 - z C(z)^2)^(l+2)
+    F_l = C(z)^(2l+2) z^(l+2) / (1 - z C(z)^2)^(l+2) = z^2 (C D)^2 X^l,
+
+    D = 1 / (1 - z C^2),    X = z C^2 D,
 
 with C the Catalan series; the variable counts the arcs of the planted
-matching (the shape's two rainbows included).
+matching (the shape's two rainbows included).  Because every F_l is the
+same series times X^l, the genus-g sum over shapes, sum_l q_g(l+2) F_l,
+is z^2 (C D)^2 times the polynomial sum_l q_g(l+2) X^l, which Horner's
+rule evaluates with one product per arc count.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import ConsistencyError, DiagramError
 
@@ -194,6 +200,11 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
 # -- truncated power series ---------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise DiagramError("order must be >= 0")
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Power series truncated at ``order``; coefficients are exact integers."""
@@ -202,8 +213,7 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 0:
-            raise DiagramError("order must be >= 0")
+        _check_order(self.order)
         cs = tuple(int(c) for c in self.coeffs)
         if len(cs) < self.order + 1:
             cs = cs + (0,) * (self.order + 1 - len(cs))
@@ -242,15 +252,13 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
+        a, rb = self.coeffs, other.coeffs[::-1]
         n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(n, tuple(out))
+        # [z^k] = sum_i a_i b_(k-i); rb[n-k:] is b_k, b_(k-1), ..., b_0,
+        # and map stops with it at a_k
+        return PowerSeries(
+            n, tuple(sum(map(mul, a, rb[n - k :])) for k in range(n + 1))
+        )
 
     def scale(self, c: int) -> "PowerSeries":
         return PowerSeries(self.order, tuple(c * a for a in self.coeffs))
@@ -279,9 +287,10 @@ class PowerSeries:
         n = self.order
         inv = [0] * (n + 1)
         inv[0] = c0
+        a = self.coeffs[1:]
         for k in range(1, n + 1):
-            s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
-            inv[k] = -c0 * s
+            # sum_(i=1..k) a_i inv_(k-i); map stops with inv_0 at a_k
+            inv[k] = -c0 * sum(map(mul, a, inv[k - 1 :: -1]))
         return PowerSeries(n, tuple(inv))
 
     @staticmethod
@@ -292,35 +301,54 @@ class PowerSeries:
 @lru_cache(maxsize=8)
 def catalan_series(order: int) -> PowerSeries:
     """The series C with C = 1 + z C^2, computed by iterating the equation."""
+    _check_order(order)
     c = [0] * (order + 1)
     c[0] = 1
     for n in range(order):
-        c[n + 1] = sum(c[i] * c[n - i] for i in range(n + 1))
+        c[n + 1] = sum(map(mul, c, c[n::-1]))
     return PowerSeries(order, tuple(c))
+
+
+def _fiber_basis(order: int) -> tuple[PowerSeries, PowerSeries]:
+    """``((C D)^2, X)`` with D = 1/(1 - z C^2) and X = z C^2 D, so that
+    the fiber series of l non-rainbow arcs is z^2 (C D)^2 X^l."""
+    c = catalan_series(order)
+    zc2 = (c * c).shift(1)
+    d = (PowerSeries.one(order) - zc2).inverse()
+    cd = c * d
+    return cd * cd, zc2 * d
 
 
 def fiber_gf(l: int, order: int) -> PowerSeries:
     """Generating function of matchings reducing to a fixed shape with l
     non-rainbow arcs; depends only on l.  First non-zero coefficient is
-    1 at degree l+2."""
+    1 at degree l+2.
+
+    Computed as z^2 (C D)^2 X^l, which equals the paper's
+    C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the module docstring)."""
     if l < 1:
         raise DiagramError("fiber_gf requires l >= 1")
-    c = catalan_series(order)
-    zc2 = (c * c).shift(1)
-    denom_inv = (PowerSeries.one(order) - zc2).inverse()
-    return (c.pow(2 * l + 2) * denom_inv.pow(l + 2)).shift(l + 2)
+    _check_order(order)
+    cd2, x = _fiber_basis(order)
+    return (cd2 * x.pow(l)).shift(2)
 
 
 def w_gf(g: int, order: int) -> PowerSeries:
     """Generating function of connected two-backbone matchings of genus g,
-    summed over shapes: sum_l q_g(l) fiber_gf(l)."""
+    summed over shapes: sum_l q_g(l+2) fiber_gf(l).
+
+    With fiber_gf(l) = z^2 (C D)^2 X^l this is z^2 (C D)^2 P(X), where
+    P(X) = sum_l q_g(l+2) X^l is evaluated by Horner's rule from the top
+    degree of Q_g down to l = 1: one series product per arc count."""
+    _check_order(order)
     q = shape_poly_2bb(g)
-    total = PowerSeries(order, ())
-    for degree in range(len(q.coeffs)):
-        coeff = q[degree]
-        if coeff:
-            total = total + fiber_gf(degree - 2, order).scale(coeff)
-    return total
+    cd2, x = _fiber_basis(order)
+    # every connected two-backbone shape has at least three arcs, so
+    # q_g(l+2) vanishes for l < 1 and P(X) = X (q_g(3) + X (q_g(4) + ...))
+    p = PowerSeries(order, ())
+    for coeff in reversed(q.coeffs[3:]):
+        p = (p + PowerSeries(order, (coeff,))) * x
+    return (cd2 * p).shift(2)
 
 
 def growth_ratio(series: PowerSeries, n: int) -> Fraction:

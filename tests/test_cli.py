@@ -143,6 +143,18 @@ def test_series_w(capsys):
     assert json.loads(out) == {"3": "1", "4": "8", "5": "48"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("fiber", "--l", "1", "--order", "-3"), ("w", "--genus", "1", "--order", "-1")],
+    ids=["fiber", "w"],
+)
+def test_series_negative_order_exit_code_3(capsys, argv):
+    # a negative order made the Catalan series raise IndexError (exit 1)
+    code, out, err = run(capsys, "series", *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"type": "input", "message": "order must be >= 0"}
+
+
 def test_enumerate_profile(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--backbones", "1", "--genus", "1", "--profile"

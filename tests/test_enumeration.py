@@ -103,6 +103,23 @@ class TestMatchings:
         )
         assert only_even == 2
 
+    def test_split_applies_to_its_own_arc_count(self):
+        # a (2, 2) split over arc counts 2..3 used to visit the 2-arc
+        # matchings and then raise on arc count 3
+        spec = EnumSpec(
+            backbones=2, arcs_min=2, arcs_max=3, genus_cap=0, splits=((2, 2),)
+        )
+        seen = []
+        assert enumerate_matchings(spec, seen.append) == 3
+        assert {d.backbone_lengths for d in seen} == {(2, 2)}
+
+    @pytest.mark.parametrize("splits", [((2, 3),), ((1, 1),), ((4, 4),)])
+    def test_split_sum_outside_arc_range_rejected(self, splits):
+        with pytest.raises(DiagramError, match="split"):
+            EnumSpec(
+                backbones=2, arcs_min=2, arcs_max=3, genus_cap=0, splits=splits
+            )
+
     def test_node_budget_enforced(self):
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_matchings(

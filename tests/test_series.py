@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from hashlib import sha256
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordshapes import (
     DiagramError,
@@ -71,8 +74,52 @@ Q2 = {
 }
 
 
+# SHA-256 of ",".join(map(str, w_gf(g, 400).coeffs)), computed by adding
+# one fiber series per shape arc count, independently of Horner's rule
+W_400_SHA256 = {
+    0: "cec06172567adc90be3df48b6ecae462c7b949e40581284305af39cf4614d7cc",
+    1: "16abd98d9c35a141389f371fa9d9bf05695e5e6b603b36ccdb18a547736bf8f4",
+    2: "c172f27bcf71a8e527f72805b8476e122df2a44f51f0e314acfe69eecf63d422",
+}
+
+
 def poly_dict(p: IntPolynomial) -> dict[int, int]:
     return {k: c for k, c in enumerate(p.coeffs) if c}
+
+
+def literal_fiber(l: int, order: int) -> PowerSeries:
+    """The paper's C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2), term by term."""
+    c = catalan_series(order)
+    denom = PowerSeries.one(order) - (c * c).shift(1)
+    return (c.pow(2 * l + 2) * denom.inverse().pow(l + 2)).shift(l + 2)
+
+
+def schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Truncated product of two equal-length coefficient tuples."""
+    out = [0] * len(a)
+    for i in range(len(a)):
+        for j in range(len(a) - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+@st.composite
+def series_pair(draw, unit: bool = False):
+    """Two series of one order (0-12) with signed, big and zero-run
+    coefficients behind independently drawn runs of leading zeros; with
+    ``unit`` the first has constant term +-1 instead."""
+    order = draw(st.integers(0, 12))
+    coeff = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**40), 10**40))
+
+    def one() -> PowerSeries:
+        lead = (0,) * draw(st.integers(0, order + 1))
+        return PowerSeries(order, lead + tuple(draw(st.lists(coeff, max_size=order + 1))))
+
+    first = one()
+    if unit:
+        c0 = draw(st.sampled_from((1, -1)))
+        first = PowerSeries(order, (c0,) + first.coeffs[1:])
+    return first, one()
 
 
 def rational_series(num: IntPolynomial, denom: IntPolynomial, order: int) -> PowerSeries:
@@ -184,6 +231,10 @@ class TestCatalan:
     def test_first_values(self):
         assert catalan_series(5).coeffs == (1, 1, 2, 5, 14, 42)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(DiagramError, match="order"):
+            catalan_series(-3)
+
     def test_closed_form_oracle(self):
         c = catalan_series(40)
         for n in range(41):
@@ -223,6 +274,27 @@ class TestPowerSeriesArithmetic:
         s = PowerSeries.from_coeffs(6, (1, 1))
         assert s.pow(3).coeffs[:4] == (1, 3, 3, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(series_pair())
+    def test_mul_matches_schoolbook(self, pair):
+        a, b = pair
+        assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
+        assert (b * a).coeffs == schoolbook_mul(b.coeffs, a.coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_pair(unit=True))
+    def test_inverse_matches_schoolbook(self, pair):
+        # the inverse of a unit is unique, so the schoolbook product with
+        # it must be exactly 1
+        a, _ = pair
+        one = PowerSeries.one(a.order).coeffs
+        assert schoolbook_mul(a.coeffs, a.inverse().coeffs) == one
+
+    def test_order_zero(self):
+        a = PowerSeries(0, (-3,))
+        assert (a * PowerSeries(0, (5,))).coeffs == (-15,)
+        assert PowerSeries(0, (-1,)).inverse().coeffs == (-1,)
+
 
 class TestFiberSeries:
     def test_l1_low_coefficients(self):
@@ -241,6 +313,14 @@ class TestFiberSeries:
 
     def test_z4_contributions_sum_to_eight(self):
         assert fiber_gf(1, 4)[4] + fiber_gf(2, 4)[4] == 8
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DiagramError, match="order"):
+            fiber_gf(1, -3)
+
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_matches_literal_formula(self, l):
+        assert fiber_gf(l, 80) == literal_fiber(l, 80)
 
 
 class TestWSeries:
@@ -274,6 +354,26 @@ class TestWSeries:
             denom = denom * IntPolynomial((1, -4))
         num = IntPolynomial((1485, 6096, 1696)).shift(7)
         assert w_gf(2, order) == rational_series(num, denom, order)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DiagramError, match="order"):
+            w_gf(1, -1)
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_matches_literal_sum_over_shapes(self, g):
+        # sum_l q_g(l+2) C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2)
+        order = 80
+        q = shape_poly_2bb(g)
+        total = PowerSeries(order, ())
+        for degree, coeff in enumerate(q.coeffs):
+            if coeff:
+                total = total + literal_fiber(degree - 2, order).scale(coeff)
+        assert w_gf(g, order) == total
+
+    @pytest.mark.parametrize("g", sorted(W_400_SHA256))
+    def test_full_order_pinned(self, g):
+        text = ",".join(map(str, w_gf(g, 400).coeffs))
+        assert sha256(text.encode()).hexdigest() == W_400_SHA256[g]
 
 
 class TestGrowthRatio:
