@@ -10,14 +10,11 @@ from .bijections import eta, eta_inv, theta, theta_inv
 from .diagram import (
     Arc,
     Diagram,
-    IntervalKind,
     canonical_code,
     components,
     diagram_from_code,
     disjoint_union,
-    interval_kinds,
     is_connected,
-    maximal_stacks,
     parse_diagram,
     plant,
     serialize_diagram,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 
 from .errors import DiagramError, ParseError
@@ -34,14 +33,6 @@ def _decimal(n: int) -> str:
         return str(n)
     except ValueError:
         return f"<{n.bit_length()}-bit number>"
-
-
-class IntervalKind(Enum):
-    """Kind of a length-1 interval [i, i+1] between consecutive vertices."""
-
-    GAP = "gap"        # i is the last vertex of a backbone
-    P = "P"            # strictly inside a stack, between two of its arcs
-    SIGMA = "sigma"    # everything else
 
 
 @dataclass(frozen=True)
@@ -362,45 +353,3 @@ def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
         planted=a.planted and b.planted,
     )
 
-
-# -- stacks and intervals ------------------------------------------------
-
-
-def maximal_stacks(d: Diagram) -> list[list[Arc]]:
-    """Maximal runs of parallel arcs (i,j),(i+1,j-1),... in the purely
-    linear sense, regardless of backbone membership.  Single arcs count
-    as stacks of length 1.  Listed outermost arc first, sorted by head.
-    """
-    arcset = d.arcs
-    stacks = []
-    for i, j in sorted(arcset):
-        if (i - 1, j + 1) in arcset:
-            continue  # not the outermost arc of its run
-        run = []
-        t = 0
-        while (i + t, j - t) in arcset and i + t < j - t:
-            run.append((i + t, j - t))
-            t += 1
-        stacks.append(run)
-    return stacks
-
-
-def interval_kinds(d: Diagram) -> list[IntervalKind]:
-    """Classify the n-1 intervals [i, i+1]; gap takes precedence over P."""
-    gaps = {e for _, e in d.bounds[:-1]}
-    p_left: set[int] = set()
-    for run in maximal_stacks(d):
-        k = len(run)
-        i0, j0 = run[0]
-        for l in range(k - 1):
-            p_left.add(i0 + l)
-            p_left.add(j0 - l - 1)
-    kinds = []
-    for x in range(1, d.n_vertices):
-        if x in gaps:
-            kinds.append(IntervalKind.GAP)
-        elif x in p_left:
-            kinds.append(IntervalKind.P)
-        else:
-            kinds.append(IntervalKind.SIGMA)
-    return kinds

@@ -7,8 +7,15 @@ changes the boundary count by one, so the genus stays or grows by one),
 which makes pruning on the partial genus sound.  Which of the two it is
 follows from one walk of the boundary cycle through the first unpaired
 vertex's gap, so the genus prune is decided before an arc is placed.
-Shape mode additionally rejects 1-arcs within a backbone and
-parallel-adjacent arc pairs the moment both arcs exist.
+The kernel also keeps, for every unpaired vertex, the boundary cycle
+its gap lies on and, for every cycle, how many unpaired vertices it
+holds.  A complete matching leaves no cycle with an odd count, and only
+an arc that merges two cycles, raising the genus, can remove two of
+them, so a partial diagram with more than twice the remaining genus
+budget of odd cycles has no completion; that prune, too, is decided
+before the arc is placed.  Shape mode additionally rejects 1-arcs
+within a backbone and parallel-adjacent arc pairs the moment both arcs
+exist.
 
 The search is deterministic: splits ascending, partners ascending, so
 two runs yield identical sequences.  An optional node budget, counted in
@@ -73,6 +80,17 @@ class EnumSpec:
             raise DiagramError("every split must cover 2n vertices for an arc count n")
 
 
+def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The count of odd faces once an arc leaves a face of ``n_f`` unpaired
+    vertices (its own two ends among them): on a split, indexed by the
+    parity of p, the vertices between the ends; on a merge, by the parity
+    of the other face's size.  These are ``odd - n_f&1 + p&1 +
+    (n_f-2-p)&1`` and ``odd - n_f&1 - n_g&1 + (n_f+n_g)&1``."""
+    if n_f & 1:
+        return (odd, odd), (odd, odd - 2)
+    return (odd, odd + 2), (odd, odd)
+
+
 def _search_split(
     lengths: tuple[int, ...],
     genus_cap: int,
@@ -88,21 +106,39 @@ def _search_split(
 
     The partial diagram is a fat graph with one vertex per backbone, so
     its formal genus is ``gp = (2 - b + d - r) / 2`` for ``d`` arcs and
-    ``r`` boundary cycles, an arcless backbone counting as one cycle.  A
-    new arc joins two gaps (the positions where ``i`` and ``j`` go in):
-    if both lie on the same boundary cycle it splits that cycle (r + 1,
-    gp unchanged), otherwise it merges two cycles into one (r - 1,
-    gp + 1).  The gap of ``i``, the first unpaired vertex, does not depend
-    on the partner, so each call walks the cycle through it once and
-    takes every candidate's genus from whether ``j``'s gap is on it.
-    This is the exact genus of the diagram with the arc placed, so
-    testing ``genus_cap`` and the ``genus_exact`` floor before placing
-    the arc prunes the same subtrees as tracing after placing it.  Both
-    tests are sound: gp never decreases as arcs are added, and each of
-    the ``n_arcs - d`` arcs still to come raises it by at most one.  When
-    gp + 1 is pruned, only the partners on the cycle are tried, which
-    skips exactly the candidates the test would reject.  The rainbows go
-    in through the same rule.
+    ``r`` boundary cycles (faces), an arcless backbone counting as one
+    face.  Every unpaired vertex's gap (where it would go in) lies on
+    exactly one face; ``flab`` labels it and ``fsize`` counts the
+    unpaired vertices on each face.  A new arc joins the gaps of ``i``
+    and ``j``: if both lie on the same face it splits that face in two
+    (r + 1, gp unchanged), with the vertices strictly between ``i`` and
+    ``j`` in cycle order on one side and the rest on the other;
+    otherwise it merges the two faces into one (r - 1, gp + 1).  Each
+    call walks the face of ``i``, the first unpaired vertex, once, in
+    cycle order from ``i``, and takes every candidate's genus from
+    whether ``j`` carries the same label.  This is the exact genus of
+    the diagram with the arc placed, so testing ``genus_cap`` and the
+    ``genus_exact`` floor before placing the arc prunes the same
+    subtrees as tracing after placing it.  Both tests are sound: gp
+    never decreases as arcs are added, and each of the ``n_arcs - d``
+    arcs still to come raises it by at most one.
+
+    Parity prune: let ``odd`` count the faces with an odd number of
+    unpaired vertices.  A split of a face of size s into p and s - 2 - p
+    cannot lower ``odd`` (for odd s exactly one side is odd; for even s
+    both sides are even or both odd).  A merge lowers ``odd`` by at
+    most 2 (two odd faces into one even face) and raises gp by one.  A
+    complete matching has every face empty, so ``odd == 0``; any
+    completion therefore needs at least ``odd / 2`` more merges and ends
+    at genus at least ``gp + odd / 2``.  A candidate whose placement
+    leaves ``odd > 2 * (genus_cap - gp)`` is skipped before it is
+    placed; the shape rules only narrow the completions further.  When
+    every merge is pruned, only the partners on the face are tried,
+    which skips exactly the candidates the tests would reject.
+
+    On placing, a split gives the smaller side a new label and a merge
+    relabels the walked face with ``j``'s label; the undo relabels the
+    same vertices back.  The rainbows go in through the same rule.
     """
     V = sum(lengths)
     if V % 2:
@@ -124,6 +160,11 @@ def _search_split(
     prv = [0] * (V + 2)
     bstart = [sum(lengths[:k]) + 1 for k in range(b)]
     bend = [sum(lengths[: k + 1]) for k in range(b)]
+    # flab: the face of each unpaired vertex's gap (backbone k starts as
+    # face k; the split placing arc number d opens face b + d);
+    # fsize: the unpaired vertices on each face
+    flab = bb[:]
+    fsize = list(lengths) + [0] * n_arcs
 
     ext = 0
     count = 0
@@ -160,29 +201,34 @@ def _search_split(
         nxt[p] = s
         prv[s] = p
 
-    def face(i: int, c: int) -> set[int] | range:
-        """The unpaired vertices whose gaps lie on the boundary cycle
-        through the gap of unpaired vertex i, which follows paired vertex
-        c (0: i's backbone has no arc, and that backbone is the cycle)."""
+    def walk(i: int, c: int) -> list[int]:
+        """The other unpaired vertices on the face through the gap of
+        unpaired vertex i, in cycle order starting right after i; that gap
+        follows paired vertex c (0: i's backbone has no arc, and that
+        backbone is the face)."""
         if not c:
             k = bb[i]
-            return range(bstart[k], bend[k] + 1)
-        on: set[int] = set()
+            return [*range(i + 1, bend[k] + 1), *range(bstart[k], i)]
+        on: list[int] = []
         x = c
         while True:
             s = nxt[x]
-            if s > x + 1:
-                on.update(range(x + 1, s))
-            elif s <= x:
+            if s > x:
+                on.extend(range(x + 1, s))
+            else:
                 k = bb[x]
-                on.update(range(x + 1, bend[k] + 1))
-                on.update(range(bstart[k], s))
+                on.extend(range(x + 1, bend[k] + 1))
+                on.extend(range(bstart[k], s))
             x = pair[s]
             if x == c:
-                return on
+                break
+        t = on.index(i)
+        return on[t + 1 :] + on[:t]
 
-    def place(i: int, j: int, c: int) -> None:
-        """Pair i (whose ring predecessor is c) with j."""
+    def place(i: int, j: int, c: int, on: list[int], p: int) -> list[int]:
+        """Pair i (whose ring predecessor is c) with j, which is on[p] for
+        on = walk(i, c), or lies on another face if p < 0.  Returns the
+        vertices whose face label changed."""
         nonlocal ext
         link(i, c)
         pair[i] = j
@@ -190,53 +236,88 @@ def _search_split(
         pair[j] = i
         if bb[i] != bb[j]:
             ext += 1
+        if p < 0:
+            moved = on
+            f = flab[j]
+            fsize[f] += len(on) - 1
+        else:
+            a, z = on[:p], on[p + 1 :]
+            moved, kept = (a, z) if len(a) <= len(z) else (z, a)
+            f = b + len(placed)
+            fsize[flab[i]] = len(kept)
+            fsize[f] = len(moved)
+        for u in moved:
+            flab[u] = f
         placed.append((i, j))
+        return moved
 
     gp = 1 - b  # b arcless backbones: r = b, d = 0
+    odd = sum(l & 1 for l in lengths)
     for i, j in preplaced:
         c = ring_pred(i)
-        if j not in face(i, c):
+        on = walk(i, c)
+        split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
+        if flab[j] == flab[i]:
+            p = on.index(j)
+            odd = split_odd[p & 1]
+        else:
+            p = -1
+            odd = merge_odd[fsize[flab[j]] & 1]
             gp += 1
-        place(i, j, c)
+        place(i, j, c, on, p)
 
-    def rec(lo: int, gp: int) -> None:
+    def rec(lo: int, gp: int, odd: int) -> None:
         nonlocal ext, count
         i = lo
         while pair[i]:
             i += 1
-        # with (i, j) placed the genus is gp if j's gap is on i's cycle and
-        # gp + 1 if not; test both values against the prunes up front
+        f = flab[i]
+        n_f = fsize[f]
+        # with (i, j) placed the genus is gp on a split (j on i's face) and
+        # gp + 1 on a merge; decide both prunes for both cases up front,
+        # the parity of the face sizes left behind being all that varies
         rest = n_arcs - len(placed) - 1  # arcs still to place after (i, j)
+        slack = 2 * (genus_cap - gp)
         same_ok = gp <= genus_cap and (
             genus_exact is None or gp + rest >= genus_exact
         )
         other_ok = gp < genus_cap and (
             genus_exact is None or gp + 1 + rest >= genus_exact
         )
+        split_odd, merge_odd = _odd_steps(odd, n_f)
+        split_ok = [same_ok and o <= slack for o in split_odd]
+        merge_ok = [other_ok and o <= slack - 2 for o in merge_odd]
+        if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
+            return
         c = ring_pred(i)
-        on = face(i, c)
+        on = walk(i, c)
         bb_i = bb[i]
         left_partner = pair[i - 1]
-        for j in range(i + 1, V + 1) if other_ok else sorted(on):
-            if pair[j] or j <= i:
+        for j in range(i + 1, V + 1) if merge_ok[0] or merge_ok[1] else sorted(on):
+            if pair[j]:
                 continue
             if shape_only:
                 if j == i + 1 and bb_i == bb[j]:
                     continue
                 if left_partner == j + 1 or pair[i + 1] == j - 1:
                     continue
-            if j in on:
-                if not same_ok:
+            if flab[j] == f:
+                p = on.index(j)
+                if not split_ok[p & 1]:
                     continue
-                g = gp
+                g, o = gp, split_odd[p & 1]
             else:
-                g = gp + 1
+                g_odd = fsize[flab[j]] & 1
+                if not merge_ok[g_odd]:
+                    continue
+                p = -1
+                g, o = gp + 1, merge_odd[g_odd]
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise InfeasibleError("enumeration node budget exceeded")
 
-            place(i, j, c)
+            moved = place(i, j, c, on, p)
 
             if not rest:
                 if (genus_exact is None or g == genus_exact) and (
@@ -245,10 +326,15 @@ def _search_split(
                     count += 1
                     emit(tuple(placed))
             else:
-                rec(i + 1, g)
+                rec(i + 1, g, o)
 
             # undo
             placed.pop()
+            for u in moved:
+                flab[u] = f
+            if p < 0:
+                fsize[flab[j]] -= len(on) - 1
+            fsize[f] = n_f
             if bb_i != bb[j]:
                 ext -= 1
             unlink(j)
@@ -257,7 +343,7 @@ def _search_split(
             pair[j] = 0
 
     try:
-        rec(1, gp)
+        rec(1, gp, odd)
     finally:
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection

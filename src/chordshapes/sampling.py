@@ -322,6 +322,8 @@ def sample_stats(
     """Draw ``n`` connected two-backbone shapes of genus ``g`` and report
     loop statistics, arc-count and loop-length histograms and the
     acceptance fraction of the rejection step."""
+    if n < 0:
+        raise DiagramError("sample count must be >= 0")
     sampler = BishapeSampler(
         g, rng, table=table, cache_dir=cache_dir, arc_filter=arc_filter
     )

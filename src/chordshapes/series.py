@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from operator import mul
+from operator import add, mul
 
 from .errors import ConsistencyError, DiagramError
 
@@ -117,34 +116,39 @@ class IntPolynomial:
         return IntPolynomial(tuple(q[: len(self.coeffs) - 1] or ())), remainder
 
 
-def _one_plus_z_pow(k: int) -> IntPolynomial:
-    return IntPolynomial(tuple(comb(k, i) for i in range(k + 1)))
-
-
 # -- kappa recursion --------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _kappa(g: int, t: int) -> int:
-    if t < 1 or t > g:
-        return 0
-    if g == 1:
-        return 1  # kappa_1^(1)
-    m = 2 * g + t
-    rhs = (2 * m - 3) * (2 * m - 5) * (
-        (m - 2) * _kappa(g - 1, t) + 2 * (2 * m - 7) * _kappa(g - 1, t - 1)
-    )
-    q, r = divmod(rhs, m)
-    if r:
-        raise ConsistencyError(f"kappa recursion not divisible at g={g}, t={t}")
-    return q
+def _kappa_row(g: int) -> tuple[int, ...]:
+    """kappa_t^(g) for t = 0..g (kappa_0 = 0), built bottom-up over the
+    genus from kappa_1^(1) = 1; only the rows asked for are kept."""
+    row: tuple[int, ...] = (0, 1)
+    for h in range(2, g + 1):
+        up = [0]
+        for t in range(1, h + 1):
+            m = 2 * h + t
+            same_t = row[t] if t < h else 0
+            rhs = (2 * m - 3) * (2 * m - 5) * (
+                (m - 2) * same_t + 2 * (2 * m - 7) * row[t - 1]
+            )
+            q, r = divmod(rhs, m)
+            if r:
+                raise ConsistencyError(
+                    f"kappa recursion not divisible at g={h}, t={t}"
+                )
+            up.append(q)
+        row = tuple(up)
+    return row
 
 
 def kappa(g: int, t: int) -> int:
     """Exact kappa_t^(g); zero outside 1 <= t <= g."""
     if g < 1:
         raise DiagramError("kappa requires g >= 1")
-    return _kappa(g, t)
+    if t < 1 or t > g:
+        return 0
+    return _kappa_row(g)[t]
 
 
 def kappa_table(max_g: int) -> dict[tuple[int, int], int]:
@@ -158,14 +162,21 @@ def kappa_table(max_g: int) -> dict[tuple[int, int], int]:
 
 
 def shape_poly_1bb(g: int) -> IntPolynomial:
-    """Generating polynomial of one-backbone shapes of genus g by arc count."""
+    """Generating polynomial of one-backbone shapes of genus g by arc count.
+
+    S_g(z) = z^(2g+1) (1+z)^(2g) sum_t kappa_t^(g) (z(1+z))^(t-1): the sum
+    is evaluated by Horner's rule in z(1+z), so every step, like each of
+    the 2g factors 1+z, is a shift and an add of integer coefficients.
+    """
     if g < 1:
         raise DiagramError("shape_poly_1bb requires g >= 1")
-    total = IntPolynomial.zero()
-    for t in range(1, g + 1):
-        term = _one_plus_z_pow(2 * g + t - 1).scale(kappa(g, t)).shift(2 * g + t)
-        total = total + term
-    return total
+    row = _kappa_row(g)
+    acc = [row[g]]
+    for t in range(g - 1, 0, -1):
+        acc = [row[t], *map(add, acc + [0], [0] + acc)]
+    for _ in range(2 * g):
+        acc = list(map(add, acc + [0], [0] + acc))
+    return IntPolynomial((0,) * (2 * g + 1) + tuple(acc))
 
 
 def a_shape_poly(g: int) -> IntPolynomial:

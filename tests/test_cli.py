@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordshapes import kappa
 from chordshapes.cli import main
 
 from conftest import fuzz_text
@@ -129,6 +130,18 @@ def test_poly_q1(capsys):
         "9": "416",
         "10": "104",
     }
+
+
+def test_poly_deep_genus(capsys):
+    # the kappa recursion used to recurse once per genus and ended in a
+    # RecursionError traceback (exit 1) from genus 500 on
+    code, out, _ = run(capsys, "poly", "--backbones", "1", "--genus", "500")
+    assert code == 0
+    coeffs = json.loads(out)
+    # S_g runs from kappa_1 z^(2g+1) to kappa_g z^(6g-1)
+    assert min(map(int, coeffs)) == 1001 and max(map(int, coeffs)) == 2999
+    assert coeffs["1001"] == str(kappa(500, 1))
+    assert coeffs["2999"] == str(kappa(500, 500))
 
 
 def test_series_fiber(capsys):
@@ -315,6 +328,20 @@ def test_sample_arcs_outside_support_exit_code_3(capsys, monkeypatch, make_table
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"]["type"] == "input"
+
+
+def test_sample_negative_count_exit_code_3(capsys, monkeypatch, make_table):
+    # a negative count used to print zero samples and exit 0
+    monkeypatch.setattr(
+        "chordshapes.sampling.build_table", lambda b, g, cache_dir=None: make_table(b, g)
+    )
+    code, out, err = run(capsys, "sample", "--genus", "0", "--count", "-5")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": "sample count must be >= 0",
+    }
 
 
 @pytest.mark.parametrize("text", ['{"digest": "0", "codes": ["3 3|1-', "[1, 2]"])

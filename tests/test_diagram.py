@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from chordshapes import (
     Diagram,
     DiagramError,
-    IntervalKind,
     ParseError,
     canonical_code,
     components,
     diagram_from_code,
     disjoint_union,
     genus,
-    interval_kinds,
     is_connected,
-    maximal_stacks,
     parse_diagram,
     plant,
     serialize_diagram,
@@ -25,8 +22,6 @@ from chordshapes import (
 )
 
 from conftest import diagram_strategy, fuzz_text
-
-G, P, S = IntervalKind.GAP, IntervalKind.P, IntervalKind.SIGMA
 
 
 class TestParse:
@@ -233,31 +228,6 @@ class TestCanonicalCode:
         assert canonical_code(d) == "4|1-3 2-4"
 
 
-class TestIntervals:
-    def test_stacked_duplex(self):
-        d = Diagram((2, 2), frozenset({(1, 4), (2, 3)}))
-        assert interval_kinds(d) == [P, G, P]
-
-    def test_crossing_no_stacks(self):
-        d = Diagram((4,), frozenset({(1, 3), (2, 4)}))
-        assert interval_kinds(d) == [S, S, S]
-
-    def test_shape_sigma_count(self):
-        # a shape with l non-rainbow arcs exposes exactly 2l+2 sigma intervals
-        d = Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
-        kinds = interval_kinds(d)
-        assert kinds.count(S) == 4
-        assert kinds.count(G) == 1
-
-    def test_longer_stack_p_intervals(self):
-        d = Diagram((6,), frozenset({(1, 6), (2, 5), (3, 4)}))
-        assert interval_kinds(d) == [P, P, S, P, P]
-
-    def test_maximal_stacks(self):
-        d = Diagram((6,), frozenset({(1, 6), (2, 5), (3, 4)}))
-        assert maximal_stacks(d) == [[(1, 6), (2, 5), (3, 4)]]
-
-
 @settings(max_examples=150)
 @given(diagram_strategy())
 def test_parse_serialize_identity(d):
@@ -271,12 +241,6 @@ def test_plant_strip_identity(d):
     assert p.n_arcs == d.n_arcs + d.b
     assert p.n_vertices == d.n_vertices + 2 * d.b
     assert strip_plants(p) == d
-
-
-@settings(max_examples=150)
-@given(diagram_strategy())
-def test_interval_gap_count(d):
-    assert interval_kinds(d).count(G) == d.b - 1
 
 
 @settings(max_examples=150)

@@ -132,6 +132,13 @@ class TestMatchings:
                 )
             )
 
+    def test_placed_arcs_pinned(self):
+        # node_budget counts placed arcs, so it pins how many the prunes
+        # let through: 74 with the genus prune alone, 53 with face parity
+        enumerate_shapes(1, 1, node_budget=53)
+        with pytest.raises(InfeasibleError, match="budget"):
+            enumerate_shapes(1, 1, node_budget=52)
+
     def test_spec_validation(self):
         with pytest.raises(DiagramError):
             EnumSpec(backbones=3, arcs_min=1, arcs_max=1, genus_cap=0)
@@ -186,6 +193,22 @@ class TestMatchings:
                 assert capped == [
                     canonical_code(d) for d in every if genus(d) == g
                 ], (b, n, g, connected)
+                # the cap alone keeps every genus up to it, so the parity
+                # prune must not cut a completion below the cap either
+                capped = []
+                enumerate_matchings(
+                    EnumSpec(
+                        backbones=b,
+                        arcs_min=n,
+                        arcs_max=n,
+                        genus_cap=g,
+                        connected_only=connected,
+                    ),
+                    lambda d: capped.append(canonical_code(d)),
+                )
+                assert capped == [
+                    canonical_code(d) for d in every if genus(d) <= g
+                ], (b, n, g, connected, "cap only")
 
 
 class TestShapes:

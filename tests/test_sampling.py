@@ -213,6 +213,11 @@ class TestStats:
                 == classify_loops(s.diagram).multi + 1
             )
 
+    def test_negative_count_rejected(self, make_table):
+        # a negative count used to return zero samples (CLI exit 0)
+        with pytest.raises(DiagramError, match="count"):
+            sample_stats(0, -5, random.Random(1), table=make_table(1, 1))
+
     def test_csv_emission(self, make_table):
         stats = sample_stats(0, 50, random.Random(4), table=make_table(1, 1))
         csv = stats.to_csv()

@@ -147,6 +147,31 @@ class TestKappa:
         assert len(t) == 6
         assert t[(3, 3)] == 50050
 
+    def test_genus_six_row(self):
+        # as computed by the earlier top-down recursion
+        assert [kappa(6, t) for t in range(1, 7)] == [
+            24325703325,
+            991857862125,
+            14540747080860,
+            98695170223650,
+            315882771954750,
+            386078943500250,
+        ]
+
+    def test_deep_genus_returns(self):
+        # the recursion used to take one Python frame per genus, so
+        # kappa(600, 1) raised RecursionError
+        top = [kappa(600, t) for t in (1, 300, 600)]
+        assert all(v > 0 for v in top)
+        # with the row below, built on its own, the values satisfy
+        # m kappa_t^(g) = (2m-3)(2m-5)((m-2) kappa_t^(g-1)
+        #                 + 2(2m-7) kappa_{t-1}^(g-1)), m = 2g+t
+        for t, v in zip((1, 300, 600), top):
+            m = 1200 + t
+            assert m * v == (2 * m - 3) * (2 * m - 5) * (
+                (m - 2) * kappa(599, t) + 2 * (2 * m - 7) * kappa(599, t - 1)
+            )
+
     def test_log_concavity_up_to_genus_eight(self):
         for g in range(1, 9):
             row = [kappa(g, t) for t in range(1, g + 1)]
@@ -163,6 +188,16 @@ class TestShapePolynomials:
 
     def test_s3(self):
         assert poly_dict(shape_poly_1bb(3)) == S3
+
+    def test_matches_literal_kappa_sum(self):
+        # S_g = sum_t kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1), term by term
+        for g in range(1, 9):
+            literal = [0] * (6 * g)
+            for t in range(1, g + 1):
+                k = 2 * g + t - 1
+                for i in range(k + 1):
+                    literal[2 * g + t + i] += kappa(g, t) * comb(k, i)
+            assert shape_poly_1bb(g).coeffs == tuple(literal), g
 
     def test_degree_bounds(self):
         for g in range(1, 7):
