@@ -35,6 +35,7 @@ from .fatgraph import (
     LoopProfile,
     boundary_components,
     classify_loops,
+    component_genera,
     genus,
 )
 from .sampling import (

@@ -4,7 +4,13 @@ Every subcommand is a thin adapter over the library modules; no
 combinatorial logic lives here.  Diagrams are read from a file or stdin
 in the two-line text format (``|`` may replace the newline); inputs may
 contain several diagrams separated by blank lines and are then processed
-in order ("batch mode").  Exact integers are emitted as decimal strings.
+in order ("batch mode").  Exact integers are emitted as decimal strings,
+also past the interpreter's integer-digit limit.
+
+A request costs the work on its diagrams, not the set-up: the argument
+parser is built once per process, on the first :func:`main` call, and
+``genus``, ``loops`` and ``shape`` trace each diagram's fat graph once
+(``genus`` reads the component genera off that same trace).
 
 Exit codes: 0 ok, 2 usage, 3 bad input, 4 infeasible bound, 5 internal
 consistency failure.
@@ -13,6 +19,7 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -21,13 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bijections import eta, eta_inv, theta, theta_inv
-from .diagram import (
-    Diagram,
-    canonical_code,
-    components,
-    parse_diagram,
-    serialize_diagram,
-)
+from .diagram import Diagram, canonical_code, parse_diagram, serialize_diagram
 from .enumeration import EnumSpec, count_fiber, enumerate_matchings, enumerate_shapes
 from .errors import (
     ChordShapesError,
@@ -35,7 +36,7 @@ from .errors import (
     DiagramError,
     InfeasibleError,
 )
-from .fatgraph import boundary_components, classify_loops, genus
+from .fatgraph import boundary_components, classify_loops, component_genera
 from .sampling import sample_stats
 from .series import fiber_gf, shape_poly_1bb, shape_poly_2bb, w_gf
 from .shapes import Shape, as_shape, project_shape, shape_class
@@ -66,8 +67,26 @@ def _read_diagrams(path: str) -> list[Diagram]:
     return [parse_diagram(p) for p in paragraphs]
 
 
+def _exact_decimal(n: int) -> str:
+    """``str(n)``, also past the interpreter's integer-digit limit.
+
+    A number too long for ``str`` is split by a power of ten into two
+    halves of about equal length, which are converted the same way; the
+    interpreter-wide limit is left as it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _exact_decimal(-n)
+    k = n.bit_length() * 3 // 20  # half the digits: log10(2) ~ 0.30103
+    hi, lo = divmod(n, 10**k)
+    return _exact_decimal(hi) + _exact_decimal(lo).zfill(k)
+
+
 def _coeffs_json(p) -> dict[str, str]:
-    return {str(k): str(c) for k, c in enumerate(p.coeffs) if c}
+    return {str(k): _exact_decimal(c) for k, c in enumerate(p.coeffs) if c}
 
 
 def _emit(obj) -> None:
@@ -82,7 +101,7 @@ def _cmd_genus(args) -> int:
                 "genus": dec.genus,
                 "r": dec.r,
                 "cycles": [list(c) for c in dec.cycles],
-                "component_genera": [genus(c) for c in components(d)],
+                "component_genera": component_genera(d, dec),
             }
         )
     return EXIT_OK
@@ -242,7 +261,9 @@ def _cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="chordshapes",
         description="Genus, shapes, shape polynomials and uniform sampling "

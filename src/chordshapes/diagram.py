@@ -136,6 +136,17 @@ class Diagram:
         return tuple((s, e) for s, e in self.bounds)
 
 
+def _starts(d: Diagram) -> list[int]:
+    """First vertex of each backbone, ascending.
+
+    ``bisect_right(_starts(d), v)`` counts the backbone starts up to
+    vertex v, which is one more than v's backbone index: one plain
+    bisect per vertex, with none of :meth:`Diagram.backbone_of`'s range
+    check, for callers that look up many vertices of one diagram.
+    """
+    return [s for s, _ in d.bounds]
+
+
 # -- text format ---------------------------------------------------------
 
 
@@ -249,9 +260,8 @@ def plant(d: Diagram) -> Diagram:
     """
     if d.planted:
         raise DiagramError("diagram is already planted")
-    # vertex v of backbone k (0-based) shifts by 2k + 1, and k + 1 is
-    # the number of backbone starts up to v
-    starts = [s for s, _ in d.bounds]
+    # vertex v of backbone k (0-based) shifts by 2k + 1
+    starts = _starts(d)
     new_lengths = tuple(l + 2 for l in d.backbone_lengths)
     new_arcs = {
         (i + 2 * bisect_right(starts, i) - 1, j + 2 * bisect_right(starts, j) - 1)
@@ -273,7 +283,7 @@ def strip_plants(d: Diagram) -> Diagram:
             "cannot strip a rainbow-only backbone (nothing underneath)"
         )
     rainbows = set(d.rainbow_arcs)
-    starts = [s for s, _ in d.bounds]
+    starts = _starts(d)
     new_lengths = tuple(l - 2 for l in d.backbone_lengths)
     new_arcs = {
         (i - 2 * bisect_right(starts, i) + 1, j - 2 * bisect_right(starts, j) + 1)
@@ -293,6 +303,7 @@ def _backbone_roots(d: Diagram) -> list[int]:
     connectivity is a relation on backbones joined by exterior arcs.
     """
     parent = list(range(d.b))
+    starts = _starts(d)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -301,10 +312,11 @@ def _backbone_roots(d: Diagram) -> list[int]:
         return x
 
     for i, j in d.arcs:
-        a, b = d.backbone_of(i), d.backbone_of(j)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        ki, kj = bisect_right(starts, i) - 1, bisect_right(starts, j) - 1
+        if ki != kj:
+            ra, rb = find(ki), find(kj)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
     return [find(k) for k in range(d.b)]
 
 
@@ -318,7 +330,7 @@ def components(d: Diagram) -> list[Diagram]:
     """Split into connected components, preserving backbone order and
     relative vertex order within each component."""
     roots = _backbone_roots(d)
-    starts = [s for s, _ in d.bounds]
+    starts = _starts(d)
     groups: dict[int, list[int]] = {}
     for k, r in enumerate(roots):
         groups.setdefault(r, []).append(k)

@@ -17,9 +17,11 @@ integral on degenerate inputs (an odd count raises ConsistencyError).
 
 A trace walks the paired vertices only, so it costs O(n log n) in the
 arc count n plus O(b log n) for the backbones, however long the
-backbones are.  Each public function traces phi once.  The genus of
-each connected component is ``genus`` applied to
-``diagram.components``, which only callers that need it pay for.
+backbones are.  Each public function traces phi once.  A boundary
+cycle never leaves its connected component, so ``component_genera``
+reads the genus of every component off that one trace: it assigns each
+cycle to the component of its first vertex and applies the Euler
+relation per component, without splitting the diagram.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .diagram import Diagram
+from .diagram import Diagram, _backbone_roots, _starts
 from .errors import ConsistencyError
 
 Cycle = tuple[int, ...]
@@ -101,6 +103,36 @@ def boundary_components(d: Diagram) -> BoundaryDecomposition:
     """Full boundary decomposition and genus, from one trace."""
     cycles, r = _trace(d)
     return BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
+
+
+def component_genera(d: Diagram, dec: BoundaryDecomposition) -> list[int]:
+    """Genus of each connected component of ``d``, in the order of
+    ``components(d)``, read off ``dec = boundary_components(d)``.
+
+    A boundary cycle never leaves its component, so each component's
+    Euler count takes its backbones, its non-empty cycles and half the
+    arc-sides on them (every arc has two).  An arcless backbone is a
+    component of its own, bounded by one empty cycle: genus 0.
+    """
+    roots = _backbone_roots(d)
+    starts = _starts(d)
+    b = [0] * d.b
+    r = [0] * d.b
+    sides = [0] * d.b
+    for k in roots:
+        b[k] += 1
+    for cyc in dec.cycles:
+        if cyc:
+            k = roots[bisect_right(starts, cyc[0]) - 1]
+            r[k] += 1
+            sides[k] += len(cyc)
+    # a component with arcs has a non-empty cycle; one without has only
+    # its empty cycle
+    return [
+        _formal_genus(r[k] or 1, b[k], sides[k] // 2)
+        for k in range(d.b)
+        if roots[k] == k
+    ]
 
 
 @dataclass(frozen=True)
@@ -186,9 +218,12 @@ def classify_loops(d: Diagram) -> LoopProfile:
     """
     dec = boundary_components(d)
     pair = d.pairing()
-    plant_heads = (
-        {s for s, _ in d.bounds} if d.planted else set()
-    )
+    starts = _starts(d)
+    exterior: set[int] = set()
+    for i, j in d.arcs:
+        if bisect_right(starts, i) != bisect_right(starts, j):
+            exterior.update((i, j))
+    plant_heads = set(starts) if d.planted else set()
 
     kinds: list[str] = []
     alphas: list[bool] = []
@@ -199,8 +234,6 @@ def classify_loops(d: Diagram) -> LoopProfile:
             alphas.append(True)
             pks.append(False)
             continue
-        arcs = sorted({(min(v, pair[v]), max(v, pair[v])) for v in cyc})
-        alpha = all(d.backbone_of(i) == d.backbone_of(j) for i, j in arcs)
         if len(cyc) == 1:
             kinds.append("plant" if cyc[0] in plant_heads else "hairpin")
             pks.append(False)
@@ -209,6 +242,7 @@ def classify_loops(d: Diagram) -> LoopProfile:
             pks.append(False)
         else:
             kinds.append("multi")
+            arcs = sorted({(min(v, pair[v]), max(v, pair[v])) for v in cyc})
             pks.append(_has_crossing(arcs))
-        alphas.append(alpha)
+        alphas.append(exterior.isdisjoint(cyc))
     return LoopProfile(dec, tuple(kinds), tuple(alphas), tuple(pks))

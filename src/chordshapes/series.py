@@ -350,8 +350,18 @@ def w_gf(g: int, order: int) -> PowerSeries:
 
     With fiber_gf(l) = z^2 (C D)^2 X^l this is z^2 (C D)^2 P(X), where
     P(X) = sum_l q_g(l+2) X^l is evaluated by Horner's rule from the top
-    degree of Q_g down to l = 1: one series product per arc count."""
+    degree of Q_g down to l = 1: one series product per arc count.
+
+    Below degree 2g + 3 every coefficient is zero, so an order under it
+    returns the zero series without building Q_g.  A connected genus-g
+    two-backbone shape with n arcs (rainbows included) and r boundary
+    cycles has 2 - 2g - r = 2 - n, so n = 2g + r, and r >= 3: each
+    rainbow (s, e) closes the one-sided cycle (s) along its outside, and
+    the exterior arc that connects the backbones lies on neither.  Since
+    X = O(z), the fiber of an n-arc shape starts at z^n."""
     _check_order(order)
+    if 0 <= g and order < 2 * g + 3:  # a negative g fails in shape_poly_2bb
+        return PowerSeries(order, ())
     q = shape_poly_2bb(g)
     cd2, x = _fiber_basis(order)
     # every connected two-backbone shape has at least three arcs, so

@@ -77,7 +77,9 @@ def is_shape(d: Diagram) -> bool:
     for i, j in arcs:
         if (i + 1, j - 1) in arcs and i + 1 < j - 1:
             return False
-        if j == i + 1 and d.backbone_of(i) == d.backbone_of(j):
+        # every backbone's last vertex is paired with its first by the
+        # rainbow, so an arc (i, i+1) never spans two backbones
+        if j == i + 1:
             return False
     return True
 

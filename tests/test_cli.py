@@ -3,9 +3,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from hashlib import sha256
 from pathlib import Path
 from unittest import mock
 
@@ -13,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordshapes import kappa
-from chordshapes.cli import main
+from chordshapes import components, disjoint_union, genus, kappa, serialize_diagram
+from chordshapes.cli import _exact_decimal, build_parser, main
 
-from conftest import fuzz_text
+from conftest import diagram_strategy, fuzz_text
 
 CROSSING = "4\n1-3 2-4\n"
 SHAPE_Q3 = "3 3\n1-3 2-5 4-6\n"
@@ -26,6 +28,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+def fresh_main(argv: list[str], text: str) -> tuple[int, str]:
+    """Exit code and stdout of ``main(argv)`` in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordshapes.cli", *argv],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_genus_subcommand(tmp_path, capsys):
@@ -144,6 +167,51 @@ def test_poly_deep_genus(capsys):
     assert coeffs["2999"] == str(kappa(500, 500))
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter puts no limit on integer digits",
+)
+def test_poly_past_digit_limit(capsys):
+    # kappa(700, 700) has more digits than str() converts: printing it
+    # ended in a ValueError traceback (exit 1)
+    code, out, _ = run(capsys, "poly", "--backbones", "1", "--genus", "700")
+    assert code == 0
+    coeffs = json.loads(out)
+    assert min(map(int, coeffs)) == 1401 and max(map(int, coeffs)) == 4199
+    top = kappa(700, 700)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert len(str(top)) > limit
+        assert coeffs["4199"] == str(top)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter puts no limit on integer digits",
+)
+def test_exact_decimal_matches_str():
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(11)
+    cases = [
+        10**k + d
+        for k in (limit - 1, limit, limit + 1, 2 * limit + 3, 5 * limit)
+        for d in (-1, 0, 1)
+    ]
+    cases += [rng.getrandbits(rng.randint(1, 60_000)) for _ in range(40)]
+    cases += [10 ** (2 * limit) * rng.getrandbits(64) + 7, 0, 1, 9]
+    cases += [-n for n in cases[:6]]
+    got = [_exact_decimal(n) for n in cases]
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+
+
 def test_series_fiber(capsys):
     code, out, _ = run(capsys, "series", "fiber", "--l", "1", "--order", "4")
     assert code == 0
@@ -154,6 +222,15 @@ def test_series_w(capsys):
     code, out, _ = run(capsys, "series", "w", "--genus", "0", "--order", "5")
     assert code == 0
     assert json.loads(out) == {"3": "1", "4": "8", "5": "48"}
+
+
+def test_series_w_below_first_degree_returns_at_once():
+    # every coefficient below z^(2g+3) is zero; building Q_150 to find
+    # that out took over half a minute
+    assert fresh_main(["series", "w", "--genus", "150", "--order", "10"], "") == (
+        0,
+        "{}\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -362,6 +439,112 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["genus"] == 1
 
 
+def test_parser_built_once_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # one process, one parser: each call must still print what a fresh
+    # interpreter prints for it
+    assert build_parser() is build_parser()
+    f = tmp_path / "d.txt"
+    f.write_text(CROSSING)
+    planted = "6\n1-6 2-4 3-5\n"
+    calls = [
+        (["loops", "--planted"], planted),
+        (["loops"], planted),
+        (["genus", "-i", str(f)], SHAPE_Q3),
+        (["genus"], SHAPE_Q3),
+        (["poly", "--backbones", "7", "--genus", "1"], ""),
+        (["shape"], SHAPE_Q3),
+        (["series", "w", "--order", "5"], ""),
+    ]
+    for argv, text in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == fresh_main(argv, text), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.one_of(
+        diagram_strategy(max_backbones=4),
+        st.builds(
+            disjoint_union,
+            diagram_strategy(max_backbones=2),
+            diagram_strategy(max_backbones=2),
+        ),
+    )
+)
+def test_component_genera_match_components(d):
+    with mock.patch("sys.stdin", io.StringIO(serialize_diagram(d))), redirect_stdout(
+        io.StringIO()
+    ) as out:
+        assert main(["genus"]) == 0
+    assert json.loads(out.getvalue())["component_genera"] == [
+        genus(c) for c in components(d)
+    ]
+
+
+def _helices(rng: random.Random, a: int, b: int, arcs: list) -> None:
+    """Nested stacked helices on the vertices a..b of one backbone."""
+    i = a
+    while i <= b - 8:
+        if rng.random() < 0.5:
+            j = rng.randint(i + 8, min(b, i + 40))
+            stem = rng.randint(2, min(6, (j - i - 3) // 2))
+            arcs += [(i + k, j - k) for k in range(stem)]
+            _helices(rng, i + stem, j - stem, arcs)
+            i = j + 1
+        else:
+            i += 1
+
+
+def rna_like(rng: random.Random) -> str:
+    """Text of an RNA-like diagram on 1-3 backbones: nested helices on
+    each backbone, then up to four helices of 1-3 arcs between free
+    vertices, which may join backbones or cross other helices."""
+    lengths = [rng.randint(30, 90) for _ in range(rng.choice((1, 2, 2, 2, 3)))]
+    arcs: list = []
+    start = 1
+    for n in lengths:
+        _helices(rng, start, start + n - 1, arcs)
+        start += n
+    free = sorted(set(range(1, start)) - {v for a in arcs for v in a})
+    for _ in range(rng.randint(0, 4)):
+        if len(free) < 2:
+            break
+        i, j = sorted(rng.sample(free, 2))
+        for k in range(rng.randint(1, 3)):
+            if i + k >= j - k or i + k not in free or j - k not in free:
+                break
+            arcs.append((i + k, j - k))
+            free.remove(i + k)
+            free.remove(j - k)
+    return (
+        " ".join(map(str, lengths))
+        + "\n"
+        + " ".join(f"{i}-{j}" for i, j in sorted(arcs))
+        + "\n"
+    )
+
+
+def test_diagram_commands_output_pinned(monkeypatch):
+    # stdout of genus, loops and shape on one batch of 24 RNA-like
+    # diagrams (connected, disconnected, 1-3 backbones), as printed by
+    # the implementation that split and re-traced every component
+    rng = random.Random(2024)
+    text = "\n".join(rna_like(rng) for _ in range(24))
+    digest = sha256()
+    for cmd in ("genus", "loops", "shape"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        with redirect_stdout(io.StringIO()) as out:
+            assert main([cmd]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == (
+        "80ca29dc50ed82c8b6c9f870ec59ca9d3d19b576883d38167ac629d902af29e1"
+    )
+
+
 # Every per-diagram call must cost arcs, not backbone length or count.
 # A child process runs the calls under a timeout and with its address
 # space capped a little above what it holds after the imports, so a
@@ -385,16 +568,12 @@ d = parse_diagram(text := sys.stdin.read())
 
 def run_capped(body: str, text: str, headroom_mib: int = 64) -> list[str]:
     """Stdout lines of ``body`` run in a capped child on the diagram ``text``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_PRELUDE + body, str(headroom_mib)],
         input=text,
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

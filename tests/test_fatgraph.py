@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
@@ -184,9 +185,43 @@ def test_unpaired_vertices_do_not_change_genus(d):
     assert boundary_components(stripped).r == boundary_components(d).r
 
 
+def reference_loop_classes(d: Diagram):
+    """``kinds``, ``is_alpha`` and ``is_pseudoknot`` of ``classify_loops``,
+    arc by arc over each cycle of the decomposition, with
+    ``Diagram.backbone_of`` for every endpoint."""
+    pair = d.pairing()
+    heads = {s for s, _ in d.bounds} if d.planted else set()
+    kinds, alphas, pks = [], [], []
+    for cyc in boundary_components(d).cycles:
+        arcs = {(min(v, pair[v]), max(v, pair[v])) for v in cyc}
+        alphas.append(all(d.backbone_of(i) == d.backbone_of(j) for i, j in arcs))
+        if not cyc:
+            kind = "empty"
+        elif len(cyc) == 1:
+            kind = "plant" if cyc[0] in heads else "hairpin"
+        else:
+            kind = "interior" if len(cyc) == 2 else "multi"
+        kinds.append(kind)
+        crossing = any(i < r < j < s for i, j in arcs for r, s in arcs)
+        pks.append(kind == "multi" and crossing)
+    return tuple(kinds), tuple(alphas), tuple(pks)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        diagram_strategy(max_backbones=4),
+        diagram_strategy(max_backbones=4).map(plant),
+    )
+)
+def test_loop_classes_match_per_arc_reference(d):
+    prof = classify_loops(d)
+    assert (prof.kinds, prof.is_alpha, prof.is_pseudoknot) == reference_loop_classes(d)
+
+
 class TestTraceOnce:
-    """Each diagram is traced once per call; only ``genus`` traces the
-    components again, to report their genera."""
+    """Each diagram is traced once per call, also by CLI ``genus``, which
+    reports the genus of every component."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
@@ -222,9 +257,13 @@ class TestTraceOnce:
         d = disjoint_union(one, one)
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(d)))
         assert main(["genus"]) == 0
-        # the whole diagram once, then each of its two components once
-        assert traced.count(d) == 1
-        assert len(traced) == 3
+        # the component genera come from the same trace
+        assert traced == [d]
+
+    def test_cli_shape(self, traced, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 3\n1-3 2-5 4-6\n"))
+        assert main(["shape"]) == 0
+        assert len(traced) == 1
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

@@ -206,6 +206,12 @@ class TestShapePolynomials:
             lowest = next(k for k, c in enumerate(p.coeffs) if c)
             assert lowest == 2 * g + 1
 
+    def test_two_backbone_shapes_have_2g_plus_3_arcs(self):
+        # r >= 3 boundary cycles and n = 2g + r: the bound w_gf relies on
+        for g in range(9):
+            q = shape_poly_2bb(g)
+            assert min(k for k, c in enumerate(q.coeffs) if c) == 2 * g + 3
+
     def test_one_plus_z_divides(self):
         for g in range(1, 7):
             _, r = shape_poly_1bb(g).divide_by_one_plus_z()
@@ -394,16 +400,23 @@ class TestWSeries:
         with pytest.raises(DiagramError, match="order"):
             w_gf(1, -1)
 
+    def test_negative_genus_rejected(self):
+        # also at an order below 2g + 3, where w_gf skips Q_g
+        for order in (0, 5):
+            with pytest.raises(DiagramError, match="g >= 0"):
+                w_gf(-1, order)
+
     @pytest.mark.parametrize("g", range(4))
     def test_matches_literal_sum_over_shapes(self, g):
-        # sum_l q_g(l+2) C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2)
-        order = 80
+        # sum_l q_g(l+2) C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2), at every
+        # order below 2g + 3 (where w_gf skips Q_g) and at order 80
         q = shape_poly_2bb(g)
-        total = PowerSeries(order, ())
-        for degree, coeff in enumerate(q.coeffs):
-            if coeff:
-                total = total + literal_fiber(degree - 2, order).scale(coeff)
-        assert w_gf(g, order) == total
+        for order in (*range(2 * g + 3), 80):
+            total = PowerSeries(order, ())
+            for degree, coeff in enumerate(q.coeffs):
+                if coeff:
+                    total = total + literal_fiber(degree - 2, order).scale(coeff)
+            assert w_gf(g, order) == total
 
     @pytest.mark.parametrize("g", sorted(W_400_SHA256))
     def test_full_order_pinned(self, g):

@@ -112,6 +112,32 @@ class TestPredicate:
         assert s.empty_pure_preshape
 
 
+def reference_is_shape(d: Diagram) -> bool:
+    """The shape predicate rule by rule, with ``backbone_of`` deciding
+    whether an arc (i, i+1) lies within one backbone."""
+    if any((s, e) not in d.arcs for s, e in d.bounds) or not d.is_matching:
+        return False
+    for i, j in d.arcs:
+        if (i + 1, j - 1) in d.arcs and i + 1 < j - 1:
+            return False
+        if j == i + 1 and d.backbone_of(i) == d.backbone_of(j):
+            return False
+    return True
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        diagram_strategy(max_backbones=4),
+        diagram_strategy(max_backbones=4).map(plant),
+        matching_strategy().map(plant),
+        diagram_strategy(max_backbones=4).map(lambda d: project_shape(d).diagram),
+    )
+)
+def test_predicate_matches_rule_by_rule_reference(d):
+    assert is_shape(d) == reference_is_shape(d)
+
+
 class TestShapeClass:
     def test_known_classes(self):
         assert shape_class(as_shape(SHAPE_3B)) is ShapeClass.B
