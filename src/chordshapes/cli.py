@@ -226,7 +226,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sample(args) -> int:
     def show(s: Shape) -> None:
-        print(canonical_code(s.diagram))
+        print(s.code)
 
     stats = sample_stats(
         args.genus,

@@ -11,6 +11,13 @@ rejection does not depend on which connected shape would be produced,
 so the output is exactly uniform; the chi-square checks in the test
 suite are regression guards, not the correctness argument.
 
+A sampler can only return the finite set of its precomputed images
+(at genus 1, 3664 connected ones holding the 1832 shapes twice each),
+and a long run draws each of them many times.  So an image's loop
+summary and canonical code are computed once per ``Shape`` object, on
+first read, and kept on it (``Shape.loop_summary``, ``Shape.code``);
+:meth:`SampleStats.record` only updates integers and dicts.
+
 Randomness comes from ``random.Random``: seedable, with unbiased
 integer draws (rejection sampling below the largest multiple is built
 into ``randrange``).  Parallel experiments should use independent
@@ -40,7 +47,6 @@ from .bijections import eta_inv, theta_inv
 from .diagram import canonical_code, diagram_from_code, is_connected
 from .enumeration import enumerate_shapes
 from .errors import DiagramError, TableCacheError
-from .fatgraph import classify_loops
 from .series import shape_poly_1bb, shape_poly_2bb
 from .shapes import Shape, ShapeClass, as_shape, shape_class
 
@@ -174,7 +180,14 @@ class BishapeSampler:
 
     The pullback of each one-backbone table entry is precomputed, so a
     draw is an unbiased index draw plus a rejection test.  ``attempts``
-    and ``connected_hits`` expose the acceptance measurement.
+    and ``connected_hits`` expose the acceptance measurement;
+    ``filter_rejects`` counts the connected draws that ``arc_filter``
+    turned away, so ``connected_hits`` is the number of draws returned
+    plus ``filter_rejects``.
+
+    A draw returns the same image object every time it lands on it, so
+    an image's loop summary and code are computed once per image, on
+    first read, not once per draw.
     """
 
     def __init__(
@@ -187,6 +200,10 @@ class BishapeSampler:
         cache_dir: Optional[Path | str] = None,
         arc_filter: Optional[int] = None,
     ):
+        if genus < 0:
+            raise DiagramError(
+                f"cannot sample shapes of genus {genus}: the genus must be >= 0"
+            )
         if rng is None:
             rng = random.Random(seed)
         self.genus = genus
@@ -195,6 +212,7 @@ class BishapeSampler:
         self.table = table if table is not None else build_table(1, genus + 1, cache_dir)
         self.attempts = 0
         self.connected_hits = 0
+        self.filter_rejects = 0
         self._images: list[Optional[Shape]] = [
             _pullback(s) for s in self.table.shapes
         ]
@@ -214,6 +232,7 @@ class BishapeSampler:
                 continue  # disconnected pullback: reject, genus-independent
             self.connected_hits += 1
             if self.arc_filter is not None and image.n_arcs != self.arc_filter:
+                self.filter_rejects += 1
                 continue
             return image
 
@@ -278,14 +297,11 @@ class SampleStats:
         return self.beta_sq_sum / self.n_samples - m * m
 
     def record(self, s: Shape) -> None:
+        arcs, lengths, a, b = s.loop_summary
         self.n_samples += 1
-        self.arc_hist[s.n_arcs] = self.arc_hist.get(s.n_arcs, 0) + 1
-        profile = classify_loops(s.diagram)
-        for kind, cyc in zip(profile.kinds, profile.boundary.cycles):
-            if kind not in ("plant", "empty"):
-                l = len(cyc)
-                self.loop_length_hist[l] = self.loop_length_hist.get(l, 0) + 1
-        a, b = profile.alpha, profile.beta
+        self.arc_hist[arcs] = self.arc_hist.get(arcs, 0) + 1
+        for l in lengths:
+            self.loop_length_hist[l] = self.loop_length_hist.get(l, 0) + 1
         self.alpha_sum += a
         self.alpha_sq_sum += a * a
         self.beta_sum += b

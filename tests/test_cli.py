@@ -421,6 +421,54 @@ def test_sample_negative_count_exit_code_3(capsys, monkeypatch, make_table):
     }
 
 
+def test_sample_negative_genus_exit_code_3(tmp_path, capsys):
+    # a negative genus used to look up a genus-0 one-backbone table and
+    # fail in shape_poly_1bb, naming an internal function and genus 0
+    code, out, err = run(
+        capsys, "sample", "--genus", "-1", "--count", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": "cannot sample shapes of genus -1: the genus must be >= 0",
+    }
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--genus", "0", "--count", "2000", "--seed", "11"],
+            "e97ba105a32a4eb2b00e56a459a22411b48e8ef49573ef135ef3396eaa28ca09",
+        ),
+        (
+            ["--genus", "1", "--count", "3000", "--seed", "12"],
+            "78a0880754eec7bb67144d3f8f7376881a95e1605615f0a617cb9644ca0c4f27",
+        ),
+        (
+            ["--genus", "1", "--count", "3000", "--seed", "13",
+             "--stats-only", "--format", "json"],
+            "f998f10b0bb5dee735e5d06f39d8fe8a21c17f3fc09d09101668eb47887a1e5e",
+        ),
+        (
+            ["--genus", "1", "--count", "2000", "--seed", "14", "--arcs", "7"],
+            "6666df0cdc933bfa8a47ecd9c7542dcc0c45bb7bb1f90e5658c646c638c9e20f",
+        ),
+    ],
+)
+def test_sample_output_pinned(capsys, monkeypatch, make_table, args, digest):
+    # stdout of sample as printed when every draw re-traced its shape and
+    # re-built its code; the values each Shape keeps must print the same
+    monkeypatch.setattr(
+        "chordshapes.sampling.build_table", lambda b, g, cache_dir=None: make_table(b, g)
+    )
+    code, out, _ = run(capsys, "sample", *args)
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text", ['{"digest": "0", "codes": ["3 3|1-', "[1, 2]"])
 def test_undecodable_cache_exit_code_5(tmp_path, capsys, text):
     (tmp_path / "shapes_1bb_g1.json").write_text(text)

@@ -244,8 +244,13 @@ class TestTraceOnce:
     def test_sample_stats_record(self, traced):
         s = as_shape(self.SHAPE)
         traced.clear()
-        SampleStats(genus=0).record(s)
+        stats = SampleStats(genus=0)
+        stats.record(s)
         assert traced == [self.SHAPE]
+        # the loop summary stays on the Shape: a second record re-traces nothing
+        stats.record(s)
+        assert traced == [self.SHAPE]
+        assert stats.n_samples == 2
 
     def test_cli_loops(self, traced, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(self.SHAPE)))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
 
 from chordshapes import (
     BishapeSampler,
+    Diagram,
     DiagramError,
+    Shape,
     TableCacheError,
     build_table,
     canonical_code,
@@ -17,6 +20,7 @@ from chordshapes import (
     sample_stats,
     uniform_shape_1bb,
 )
+from chordshapes import sampling
 from chordshapes.sampling import _digest
 
 
@@ -161,6 +165,34 @@ class TestBishape:
         with pytest.raises(DiagramError, match="99 arcs"):
             BishapeSampler(0, seed=5, table=make_table(1, 1), arc_filter=99)
 
+    def test_filter_rejects_counted_apart(self, make_table):
+        t = make_table(1, 2)
+        sampler = BishapeSampler(1, seed=17, table=t, arc_filter=7)
+        for _ in range(500):
+            sampler.draw()
+        assert sampler.filter_rejects > 0
+        assert sampler.connected_hits == 500 + sampler.filter_rejects
+        # disconnection rejections stay out of it
+        assert sampler.attempts > sampler.connected_hits
+        unfiltered = BishapeSampler(1, seed=17, table=t)
+        for _ in range(500):
+            unfiltered.draw()
+        assert unfiltered.filter_rejects == 0
+        assert unfiltered.connected_hits == 500
+
+    def test_negative_genus_rejected_up_front(self, monkeypatch):
+        # a negative genus used to look up a genus-0 one-backbone table and
+        # fail in shape_poly_1bb, naming an internal function and genus 0
+        def no_table(*args, **kwargs):
+            raise AssertionError("table looked up")
+
+        monkeypatch.setattr(sampling, "build_table", no_table)
+        message = "cannot sample shapes of genus -1: the genus must be >= 0"
+        with pytest.raises(DiagramError, match=message):
+            BishapeSampler(-1, seed=1)
+        with pytest.raises(DiagramError, match="genus -3"):
+            sample_stats(-3, 10, random.Random(1))
+
     def test_genus1_sampler_draws_genus1_shapes(self, make_table):
         sampler = BishapeSampler(1, seed=11, table=make_table(1, 2))
         q1_codes = set(make_table(2, 1).index_of())
@@ -184,6 +216,54 @@ class TestBishape:
             seen.add(canonical_code(s.diagram))
         # 479 seven-arc shapes exist; a short run should already hit many
         assert len(seen) > 400
+
+
+def _fresh_summary(s: Shape) -> tuple:
+    """The loop summary, from classify_loops on a newly built copy."""
+    d = Diagram(s.diagram.backbone_lengths, frozenset(s.diagram.arcs), planted=True)
+    prof = classify_loops(d)
+    lengths = tuple(
+        len(cyc)
+        for kind, cyc in zip(prof.kinds, prof.boundary.cycles)
+        if kind not in ("plant", "empty")
+    )
+    return (d.n_arcs, lengths, prof.alpha, prof.beta)
+
+
+class TestStoredValues:
+    """Every image's stored loop summary and code equal a fresh
+    computation and leave the Shape's value semantics alone."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_every_image(self, make_table, genus):
+        sampler = BishapeSampler(genus, seed=1, table=make_table(1, genus + 1))
+        images = [s for s in sampler._images if s is not None]
+        assert images
+        for s in images:
+            twin = Shape(s.diagram, s.genus)
+            before = (hash(s), repr(s))
+            assert s.loop_summary == _fresh_summary(s)
+            assert s.code == canonical_code(s.diagram)
+            assert (hash(s), repr(s)) == before
+            assert s == twin and twin == s
+            assert hash(twin) == hash(s)
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s
+            assert (back.code, back.loop_summary) == (s.code, s.loop_summary)
+
+    def test_stats_match_per_draw_classification(self, make_table):
+        stats = sample_stats(1, 400, random.Random(5), table=make_table(1, 2))
+        sampler = BishapeSampler(1, random.Random(5), table=make_table(1, 2))
+        loops: dict[int, int] = {}
+        alpha = beta = 0
+        for _ in range(400):
+            arcs, lengths, a, b = _fresh_summary(sampler.draw())
+            for l in lengths:
+                loops[l] = loops.get(l, 0) + 1
+            alpha += a
+            beta += b
+        assert stats.loop_length_hist == loops
+        assert (stats.alpha_sum, stats.beta_sum) == (alpha, beta)
 
 
 class TestStats:
