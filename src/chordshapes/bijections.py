@@ -8,14 +8,21 @@ adds a fresh rainbow and lands on a one-backbone A-shape with one more
 arc and genus raised by one; eta_inv cuts it apart again.
 
 All maps are pure relabelings: outputs carry no memory of old labels,
-and every output is re-validated against the shape predicate.
+and every output is checked once against the shape predicate and, on
+one backbone, its A/B class.  The public maps check their input first
+and raise ``BijectionDomainError`` outside their domain.  The private
+diagram-level surgeries ``_theta_inv`` and ``_eta_inv`` skip that input
+check only because their caller has validated the input already: the
+sampler's pullback hands them the entries of a shape table, each
+checked to be a shape when the table was built.
 """
 
 from __future__ import annotations
 
 from .diagram import Diagram
 from .errors import BijectionDomainError, ConsistencyError
-from .shapes import Shape, ShapeClass, as_shape, is_shape, shape_class
+from .fatgraph import genus
+from .shapes import Shape, ShapeClass, _class_of, is_shape
 
 
 def _as_planted_diagram(x: Shape | Diagram) -> Diagram:
@@ -29,9 +36,16 @@ def _require_1bb_shape(x: Shape | Diagram, want: ShapeClass) -> Diagram:
     d = _as_planted_diagram(x)
     if d.b != 1 or not is_shape(d):
         raise BijectionDomainError("input is not a proper one-backbone shape")
-    if shape_class(as_shape(d)) is not want:
+    if _class_of(d) is not want:
         raise BijectionDomainError(f"input is not a {want.value}-shape")
     return d
+
+
+def _in_family(out: Diagram, want: ShapeClass) -> Diagram:
+    """``out``, once checked to be a one-backbone shape of class ``want``."""
+    if not is_shape(out) or _class_of(out) is not want:
+        raise ConsistencyError(f"surgery left the {want.value}-shape family")
+    return out
 
 
 def theta(a: Shape | Diagram) -> Shape:
@@ -52,10 +66,8 @@ def theta(a: Shape | Diagram) -> Shape:
     arcs = frozenset(
         (relabel(i), relabel(j)) for i, j in d.arcs if (i, j) != gone
     )
-    out = as_shape(Diagram((m - 2,), arcs, planted=True))
-    if shape_class(out) is not ShapeClass.B:
-        raise ConsistencyError("surgery left the B-shape family")
-    return out
+    out = _in_family(Diagram((m - 2,), arcs, planted=True), ShapeClass.B)
+    return Shape(out, genus(out))
 
 
 def theta_inv(b: Shape | Diagram) -> Shape:
@@ -64,7 +76,13 @@ def theta_inv(b: Shape | Diagram) -> Shape:
     Inserts a new arc with one endpoint just after vertex 2's partner
     and the other just before the right plant.
     """
-    d = _require_1bb_shape(b, ShapeClass.B)
+    out = _theta_inv(_require_1bb_shape(b, ShapeClass.B))
+    return Shape(out, genus(out))
+
+
+def _theta_inv(d: Diagram) -> Diagram:
+    """:func:`theta_inv` on a planted B-shape diagram the caller has
+    validated; returns the A-shape diagram."""
     m = d.n_vertices
     pair = d.pairing()
     v = pair[2]
@@ -74,10 +92,8 @@ def theta_inv(b: Shape | Diagram) -> Shape:
 
     arcs = {(relabel(i), relabel(j)) for i, j in d.arcs}
     arcs.add((v + 1, m + 1))
-    out = as_shape(Diagram((m + 2,), frozenset(arcs), planted=True))
-    if shape_class(out) is not ShapeClass.A:
-        raise ConsistencyError("surgery left the A-shape family")
-    return out
+    out = Diagram((m + 2,), frozenset(arcs), planted=True)
+    return _in_family(out, ShapeClass.A)
 
 
 def eta(q: Shape | Diagram) -> Shape:
@@ -96,10 +112,8 @@ def eta(q: Shape | Diagram) -> Shape:
     big = d.n_vertices
     arcs = {(i + 1, j + 1) for i, j in d.arcs}
     arcs.add((1, big + 2))
-    out = as_shape(Diagram((big + 2,), frozenset(arcs), planted=True))
-    if shape_class(out) is not ShapeClass.A:
-        raise ConsistencyError("surgery left the A-shape family")
-    return out
+    out = _in_family(Diagram((big + 2,), frozenset(arcs), planted=True), ShapeClass.A)
+    return Shape(out, genus(out))
 
 
 def eta_inv(a: Shape | Diagram) -> Diagram:
@@ -110,7 +124,12 @@ def eta_inv(a: Shape | Diagram) -> Diagram:
     become the rainbows of the new backbones.  The result may be
     disconnected; it always satisfies the shape predicate.
     """
-    d = _require_1bb_shape(a, ShapeClass.A)
+    return _eta_inv(_require_1bb_shape(a, ShapeClass.A))
+
+
+def _eta_inv(d: Diagram) -> Diagram:
+    """:func:`eta_inv` on a planted A-shape diagram the caller has
+    validated."""
     m = d.n_vertices
     pair = d.pairing()
     v = pair[2]

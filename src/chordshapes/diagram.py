@@ -22,7 +22,6 @@ from .errors import DiagramError, ParseError
 
 Arc = tuple[int, int]
 
-_ARC_RE = re.compile(r"^(\d+)-(\d+)$")
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -54,22 +53,22 @@ class Diagram:
     )
 
     def __post_init__(self):
-        lengths = tuple(int(x) for x in self.backbone_lengths)
-        arcs = frozenset((int(i), int(j)) for i, j in self.arcs)
+        lengths = tuple(map(int, self.backbone_lengths))
+        arcs = frozenset([(int(i), int(j)) for i, j in self.arcs])
         object.__setattr__(self, "backbone_lengths", lengths)
         object.__setattr__(self, "arcs", arcs)
 
         if not lengths:
             raise DiagramError("a diagram needs at least one backbone")
-        if any(l < 1 for l in lengths):
+        if min(lengths) < 1:
             raise DiagramError("backbone lengths must be positive")
 
-        n = sum(lengths)
         bounds = []
         start = 1
         for l in lengths:
             bounds.append((start, start + l - 1))
             start += l
+        n = start - 1
         object.__setattr__(self, "bounds", tuple(bounds))
 
         seen: set[int] = set()
@@ -168,6 +167,11 @@ def parse_diagram(text: str) -> Diagram:
     arc line means no arcs, and ``|`` may replace the newline so that a
     whole diagram fits on one line.
     """
+    return Diagram(*_parse(text))
+
+
+def _parse(text: str) -> tuple[tuple[int, ...], frozenset[Arc]]:
+    """The backbone lengths and arcs of :func:`parse_diagram`'s format."""
     lines = text.replace("|", "\n").split("\n")
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -196,35 +200,47 @@ def parse_diagram(text: str) -> Diagram:
     n = sum(lengths)
 
     arcs: set[Arc] = set()
-    used: dict[int, int] = {}
+    used: set[int] = set()
     if len(significant) == 2:
         lineno, arc_line = significant[1]
         for m in _TOKEN_RE.finditer(arc_line):
-            tok, col = m.group(0), m.start() + 1
-            am = _ARC_RE.match(tok)
-            if am is None:
-                raise ParseError(f"malformed arc token {tok!r}", lineno, col)
-            i = _number(am.group(1), lineno, col)
-            j = _number(am.group(2), lineno, col)
+            tok = m.group(0)
+            # str.isdecimal accepts exactly the Unicode decimal digits
+            # that int() reads, and rejects the empty string
+            a, dash, b = tok.partition("-")
+            if not (dash and a.isdecimal() and b.isdecimal()):
+                raise ParseError(
+                    f"malformed arc token {tok!r}", lineno, m.start() + 1
+                )
+            try:
+                i, j = int(a), int(b)
+            except ValueError:  # past the digit limit: name the long side
+                col = m.start() + 1
+                _number(a, lineno, col)
+                _number(b, lineno, col)
+                raise
             if i == j:
-                raise ParseError(f"self-pairing {tok!r}", lineno, col)
+                raise ParseError(f"self-pairing {tok!r}", lineno, m.start() + 1)
             if i > j:
                 i, j = j, i
             if not (1 <= i and j <= n):
                 raise ParseError(
                     f"arc endpoint out of range 1..{_decimal(n)} in {tok!r}",
                     lineno,
-                    col,
+                    m.start() + 1,
                 )
-            for v in (i, j):
-                if v in used:
-                    raise ParseError(
-                        f"vertex {v} already paired (arc token {tok!r})", lineno, col
-                    )
-                used[v] = lineno
+            if i in used or j in used:
+                raise ParseError(
+                    f"vertex {i if i in used else j} already paired"
+                    f" (arc token {tok!r})",
+                    lineno,
+                    m.start() + 1,
+                )
+            used.add(i)
+            used.add(j)
             arcs.add((i, j))
 
-    return Diagram(tuple(lengths), frozenset(arcs))
+    return tuple(lengths), frozenset(arcs)
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -243,10 +259,7 @@ def canonical_code(d: Diagram) -> str:
 
 def diagram_from_code(code: str, *, planted: bool = False) -> Diagram:
     """Rebuild a diagram from its :func:`canonical_code`."""
-    d = parse_diagram(code)
-    if planted:
-        d = Diagram(d.backbone_lengths, d.arcs, planted=True)
-    return d
+    return Diagram(*_parse(code), planted=planted)
 
 
 # -- planting ------------------------------------------------------------

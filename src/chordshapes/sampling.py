@@ -12,11 +12,21 @@ so the output is exactly uniform; the chi-square checks in the test
 suite are regression guards, not the correctness argument.
 
 A sampler can only return the finite set of its precomputed images
-(at genus 1, 3664 connected ones holding the 1832 shapes twice each),
-and a long run draws each of them many times.  So an image's loop
-summary and canonical code are computed once per ``Shape`` object, on
-first read, and kept on it (``Shape.loop_summary``, ``Shape.code``);
+(at genus 1, the 3696 table entries pull back to 3664 connected images,
+which hold each of the 1832 shapes twice), and a long run draws each of
+them many times.  The sampler keeps one ``Shape`` object per distinct
+image, and an image's loop summary and canonical code are computed once,
+on first read, and kept on it (``Shape.loop_summary``, ``Shape.code``);
 :meth:`SampleStats.record` only updates integers and dicts.
+
+Set-up checks each diagram once.  A table reload builds one planted
+diagram per entry, checks it once against the shape predicate and
+traces its fat graph once for the genus check.  The pullback of an
+entry reads its A/B class without checking the entry again, and the
+surgeries it runs (theta_inv for a B-entry, then eta_inv) check their
+own output once each.  Each distinct connected image is traced once for
+its genus.  At genus 1 that is 3696 + 1832 traces and 3696 + 3696 +
+1848 shape checks in all.
 
 Randomness comes from ``random.Random``: seedable, with unbiased
 integer draws (rejection sampling below the largest multiple is built
@@ -27,9 +37,12 @@ Table caches are written to a unique temporary file in the cache
 directory and renamed into place, so concurrent builds never see a
 partial file.  A reload that cannot be decoded, or whose digest,
 cardinality or shapes disagree with the requested table, raises
-``TableCacheError``.  An arc filter that no connected shape of the
-genus meets raises ``DiagramError`` up front instead of rejecting
-forever.
+``TableCacheError``.  So does a ``ShapeTable`` built with a non-shape
+or a shape of another (b, genus), and a shape list of the wrong
+cardinality handed to :func:`table_from_shapes`.  A sampler given the
+table of another (b, genus), and an arc filter that no connected shape
+of the genus meets, raise ``DiagramError`` up front instead of sampling
+the wrong family or rejecting forever.
 """
 
 from __future__ import annotations
@@ -43,12 +56,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .bijections import eta_inv, theta_inv
-from .diagram import canonical_code, diagram_from_code, is_connected
+from .bijections import _eta_inv, _theta_inv
+from .diagram import Diagram, diagram_from_code, is_connected
 from .enumeration import enumerate_shapes
 from .errors import DiagramError, TableCacheError
+from .fatgraph import genus
 from .series import shape_poly_1bb, shape_poly_2bb
-from .shapes import Shape, ShapeClass, as_shape, shape_class
+from .shapes import Shape, ShapeClass, _class_of, is_shape
 
 CACHE_ENV = "CHORDSHAPES_CACHE"
 
@@ -72,21 +86,33 @@ def _digest(codes: list[str]) -> str:
 
 @dataclass(frozen=True)
 class ShapeTable:
-    """The complete, canonically ordered list of shapes of one (b, genus)."""
+    """The complete, canonically ordered list of shapes of one (b, genus).
+
+    Construction checks once that every entry is a shape of
+    ``backbones`` backbones and genus ``genus``: the sampler's pullback
+    relies on it and checks no entry again.
+    """
 
     backbones: int
     genus: int
     shapes: tuple[Shape, ...]
     digest: str
 
+    def __post_init__(self):
+        b, g = self.backbones, self.genus
+        if not all(is_shape(s.diagram) for s in self.shapes):
+            raise TableCacheError(f"the b={b}, g={g} table holds a non-shape")
+        if any(s.b != b or s.genus != g for s in self.shapes):
+            raise TableCacheError(
+                f"the b={b}, g={g} table holds a shape outside b={b}, g={g}"
+            )
+
     def __len__(self) -> int:
         return len(self.shapes)
 
     def index_of(self) -> dict[str, int]:
         """Canonical code -> position, for histogramming draws."""
-        return {
-            canonical_code(s.diagram): k for k, s in enumerate(self.shapes)
-        }
+        return {s.code: k for k, s in enumerate(self.shapes)}
 
 
 def table_from_shapes(b: int, g: int, shapes) -> ShapeTable:
@@ -98,8 +124,7 @@ def table_from_shapes(b: int, g: int, shapes) -> ShapeTable:
             f"{len(shapes)} shapes for b={b}, g={g}, polynomial predicts "
             f"{_expected_count(b, g)}"
         )
-    codes = [canonical_code(s.diagram) for s in shapes]
-    return ShapeTable(b, g, shapes, _digest(codes))
+    return ShapeTable(b, g, shapes, _digest([s.code for s in shapes]))
 
 
 def build_table(
@@ -131,17 +156,17 @@ def build_table(
                 f"{_expected_count(b, g)}"
             )
         try:
-            shapes = tuple(
-                as_shape(diagram_from_code(c, planted=True)) for c in codes
-            )
+            diagrams = [diagram_from_code(c, planted=True) for c in codes]
         except DiagramError as exc:
             raise TableCacheError(f"{path} holds a non-shape: {exc}") from exc
-        if any(s.b != b or s.genus != g for s in shapes):
-            raise TableCacheError(f"{path} holds a shape outside b={b}, g={g}")
-        return ShapeTable(b, g, shapes, payload["digest"])
+        shapes = tuple(Shape(d, genus(d)) for d in diagrams)
+        try:
+            return ShapeTable(b, g, shapes, payload["digest"])
+        except TableCacheError as exc:
+            raise TableCacheError(f"{path}: {exc}") from exc
 
     table = table_from_shapes(b, g, enumerate_shapes(b, g, connected=(b == 2)))
-    codes = [canonical_code(s.diagram) for s in table.shapes]
+    codes = [s.code for s in table.shapes]
     cache.mkdir(parents=True, exist_ok=True)
     text = json.dumps(
         {
@@ -185,9 +210,13 @@ class BishapeSampler:
     turned away, so ``connected_hits`` is the number of draws returned
     plus ``filter_rejects``.
 
-    A draw returns the same image object every time it lands on it, so
-    an image's loop summary and code are computed once per image, on
-    first read, not once per draw.
+    Set-up costs, per table entry, one A/B class read, one or two
+    surgeries with one output check each and a connectivity test, and
+    one genus trace per distinct connected image.  The two entries that
+    pull back to the same shape share one image object, and a draw
+    returns that object every time it lands on it, so an image's loop
+    summary and code are computed once per shape, on first read, not
+    once per draw.
     """
 
     def __init__(
@@ -210,12 +239,16 @@ class BishapeSampler:
         self.rng = rng
         self.arc_filter = arc_filter
         self.table = table if table is not None else build_table(1, genus + 1, cache_dir)
+        if (self.table.backbones, self.table.genus) != (1, genus + 1):
+            raise DiagramError(
+                f"a genus-{genus} sampler pulls back the one-backbone genus-"
+                f"{genus + 1} table, not the b={self.table.backbones}, "
+                f"g={self.table.genus} one"
+            )
         self.attempts = 0
         self.connected_hits = 0
         self.filter_rejects = 0
-        self._images: list[Optional[Shape]] = [
-            _pullback(s) for s in self.table.shapes
-        ]
+        self._images = _pullbacks(self.table.shapes)
         if arc_filter is not None and not any(
             s is not None and s.n_arcs == arc_filter for s in self._images
         ):
@@ -243,16 +276,33 @@ class BishapeSampler:
         return self.connected_hits / self.attempts
 
 
-def _pullback(s1: Shape) -> Optional[Shape]:
-    """Map a one-backbone shape of genus g+1 to its connected two-backbone
-    preimage of genus g, or None when the preimage is disconnected."""
-    if shape_class(s1) is ShapeClass.A:
-        q = eta_inv(s1)
-    else:
-        q = eta_inv(theta_inv(s1))
-    if not is_connected(q):
-        return None
-    return as_shape(q)
+def _pullbacks(shapes) -> list[Optional[Shape]]:
+    """The pullback of every table entry, in table order: one ``Shape``
+    object per distinct connected image, which two entries share, and
+    None for a disconnected one."""
+    interned: dict[Diagram, Shape] = {}
+    images: list[Optional[Shape]] = []
+    for s in shapes:
+        q = _pullback(s.diagram)
+        if q is None:
+            images.append(None)
+            continue
+        image = interned.get(q)
+        if image is None:
+            image = interned[q] = Shape(q, genus(q))
+        images.append(image)
+    return images
+
+
+def _pullback(d: Diagram) -> Optional[Diagram]:
+    """Map the diagram of a one-backbone shape of genus g+1 to its
+    connected two-backbone preimage of genus g, or None when the preimage
+    is disconnected.  ``d`` is a table entry, checked to be a shape when
+    its table was built, so only the surgeries' output checks run here."""
+    if _class_of(d) is ShapeClass.B:
+        d = _theta_inv(d)
+    q = _eta_inv(d)
+    return q if is_connected(q) else None
 
 
 @dataclass

@@ -236,6 +236,12 @@ def shape_class(s: Shape | Diagram) -> ShapeClass:
         raise BijectionDomainError("rainbow-only shape has no class")
     if not is_shape(d):
         raise BijectionDomainError("not a proper one-backbone shape")
+    return _class_of(d)
+
+
+def _class_of(d: Diagram) -> ShapeClass:
+    """:func:`shape_class` of a diagram that already passed its checks:
+    a planted one-backbone diagram that satisfies :func:`is_shape`."""
     pair = d.pairing()
     m = d.n_vertices
     v = pair[2]

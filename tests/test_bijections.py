@@ -5,6 +5,7 @@ import pytest
 from chordshapes import (
     BijectionDomainError,
     Diagram,
+    Shape,
     ShapeClass,
     as_shape,
     canonical_code,
@@ -13,6 +14,7 @@ from chordshapes import (
     eta,
     eta_inv,
     is_connected,
+    is_shape,
     shape_class,
     theta,
     theta_inv,
@@ -22,6 +24,53 @@ from test_shapes import SHAPE_3B, SHAPE_4A, SHAPE_4B, SHAPE_5A
 
 Q3 = Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
 Q4 = Diagram((4, 4), frozenset({(1, 4), (5, 8), (2, 6), (3, 7)}), planted=True)
+
+# planted perfect matchings whose only flaw is a stacked pair: (2, 6) over
+# (3, 5) on one backbone, (2, 9) over (3, 8) across two
+STACKED_1BB = Diagram(
+    (8,), frozenset({(1, 8), (2, 6), (3, 5), (4, 7)}), planted=True
+)
+STACKED_2BB = Diagram(
+    (4, 8),
+    frozenset({(1, 4), (5, 12), (2, 9), (3, 8), (6, 10), (7, 11)}),
+    planted=True,
+)
+
+
+class TestDomain:
+    """The public surgeries check their input, also when it comes wrapped
+    in a hand-built Shape that was never validated."""
+
+    def test_fixtures_are_non_shapes(self):
+        assert not is_shape(STACKED_1BB)
+        assert not is_shape(STACKED_2BB)
+
+    @pytest.mark.parametrize(
+        "fn, diagram",
+        [
+            (theta, STACKED_1BB),
+            (theta_inv, STACKED_1BB),
+            (eta_inv, STACKED_1BB),
+            (eta, STACKED_2BB),
+        ],
+    )
+    def test_hand_built_non_shape(self, fn, diagram):
+        with pytest.raises(BijectionDomainError):
+            fn(Shape(diagram=diagram, genus=1))
+
+    @pytest.mark.parametrize(
+        "fn, diagram",
+        [
+            (theta, SHAPE_4B),
+            (theta_inv, SHAPE_5A),
+            (eta_inv, SHAPE_3B),
+            (eta, SHAPE_4A),  # one backbone where eta needs two
+        ],
+    )
+    def test_wrong_class_as_unplanted_diagram(self, fn, diagram):
+        # a plain Diagram is planted by the surgery, then checked
+        with pytest.raises(BijectionDomainError):
+            fn(Diagram(diagram.backbone_lengths, diagram.arcs))
 
 
 class TestTheta:

@@ -94,6 +94,74 @@ class TestParse:
             parse_diagram(f"{nines} {nines}\n0-1\n")
         assert (e.value.line, e.value.column) == (2, 1)
 
+    # str(ParseError) for malformed arc lines, as the regex-based scan of
+    # earlier versions produced it
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4\n1-2-3", "line 2, column 1: malformed arc token '1-2-3'"),
+            ("4\n-1-2", "line 2, column 1: malformed arc token '-1-2'"),
+            ("4\n1-", "line 2, column 1: malformed arc token '1-'"),
+            ("4\na-2", "line 2, column 1: malformed arc token 'a-2'"),
+            ("4\n1--2", "line 2, column 1: malformed arc token '1--2'"),
+            ("4\n1-2 3-", "line 2, column 5: malformed arc token '3-'"),
+            # a superscript two is a digit but not a decimal digit
+            ("4\n1-\u00b2", "line 2, column 1: malformed arc token '1-\u00b2'"),
+            # Arabic-Indic one and five are decimal digits: they parse
+            (
+                "4\n\u0661-\u0665",
+                "line 2, column 1: arc endpoint out of range 1..4"
+                " in '\u0661-\u0665'",
+            ),
+            ("4\n2-2", "line 2, column 1: self-pairing '2-2'"),
+            ("4\n1-5", "line 2, column 1: arc endpoint out of range 1..4 in '1-5'"),
+            ("4\n0-1", "line 2, column 1: arc endpoint out of range 1..4 in '0-1'"),
+            (
+                "6\n1-3 1-5",
+                "line 2, column 5: vertex 1 already paired (arc token '1-5')",
+            ),
+            (
+                "6\n1-3 5-3",
+                "line 2, column 5: vertex 3 already paired (arc token '5-3')",
+            ),
+            (
+                "6\n1-3 2-3",
+                "line 2, column 5: vertex 3 already paired (arc token '2-3')",
+            ),
+            (
+                "2 2\n1-4   4-2",
+                "line 2, column 7: vertex 4 already paired (arc token '4-2')",
+            ),
+        ],
+    )
+    def test_arc_error_messages(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text)
+        assert str(e.value) == message
+
+    def test_non_ascii_decimal_digits_parse(self):
+        d = parse_diagram("4 \u0663\n\uff11-\uff12 \u0663-\u0665")
+        assert d == Diagram((4, 3), frozenset({(1, 2), (3, 5)}))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter puts no limit on integer digits",
+    )
+    def test_arc_digit_limit_messages(self):
+        # the first side past the limit is the one named
+        limit = sys.get_int_max_str_digits()
+        long1, long2 = "9" * (limit + 1), "9" * (limit + 2)
+        for text, message in [
+            (f"4\n1-{long2}", f"line 2, column 1: number of {limit + 2} digits"),
+            (f"4\n{long1}-1", f"line 2, column 1: number of {limit + 1} digits"),
+            (f"4\n{long1}-{long2}", f"line 2, column 1: number of {limit + 1} digits"),
+            (f"4\n{long2}-{long1}", f"line 2, column 1: number of {limit + 2} digits"),
+            (f"4\n1-3 2-{long1}", f"line 2, column 5: number of {limit + 1} digits"),
+        ]:
+            with pytest.raises(ParseError) as e:
+                parse_diagram(text)
+            assert str(e.value) == message + " is too long"
+
     def test_extra_line_rejected(self):
         with pytest.raises(ParseError, match="extra line"):
             parse_diagram("4\n1-2\n3-4")

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordshapes import (
+    BishapeSampler,
     Diagram,
     SampleStats,
     as_shape,
     boundary_components,
+    build_table,
     classify_loops,
     components,
     disjoint_union,
@@ -251,6 +253,22 @@ class TestTraceOnce:
         stats.record(s)
         assert traced == [self.SHAPE]
         assert stats.n_samples == 2
+
+    def test_table_reload(self, traced, tmp_path):
+        build_table(1, 1, tmp_path)
+        traced.clear()
+        table = build_table(1, 1, tmp_path)
+        # the genus check of each entry is the only trace
+        assert traced == [s.diagram for s in table.shapes]
+
+    def test_sampler_images(self, traced, make_table):
+        table = make_table(1, 1)
+        traced.clear()
+        sampler = BishapeSampler(0, seed=1, table=table)
+        images = [s.diagram for s in sampler._images if s is not None]
+        # one trace per distinct image, for its genus
+        assert len(traced) == len(set(traced)) == len(set(images))
+        assert set(traced) == set(images)
 
     def test_cli_loops(self, traced, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_diagram(self.SHAPE)))

@@ -11,6 +11,7 @@ from chordshapes import (
     Diagram,
     DiagramError,
     Shape,
+    ShapeTable,
     TableCacheError,
     build_table,
     canonical_code,
@@ -18,6 +19,7 @@ from chordshapes import (
     eta,
     is_shape,
     sample_stats,
+    table_from_shapes,
     uniform_shape_1bb,
 )
 from chordshapes import sampling
@@ -82,6 +84,55 @@ class TestTables:
         (tmp_path / "shapes_1bb_g1.json").write_text(json.dumps(payload))
         with pytest.raises(TableCacheError, match="outside"):
             build_table(1, 1, tmp_path)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "8|1-8 2-6 3-5 4-7",  # (2, 6) and (3, 5) are stacked
+            "4|1-3 2-4",  # no rainbow (1, 4) to plant
+        ],
+    )
+    def test_cache_with_non_shape_detected(self, tmp_path, code):
+        build_table(1, 1, tmp_path)
+        path = tmp_path / "shapes_1bb_g1.json"
+        payload = json.loads(path.read_text())
+        payload["codes"][0] = code
+        payload["digest"] = _digest(payload["codes"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TableCacheError, match="non-shape"):
+            build_table(1, 1, tmp_path)
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            # a planted perfect matching with the stacked pair (2, 6), (3, 5)
+            (
+                Shape(
+                    Diagram(
+                        (8,), frozenset({(1, 8), (2, 6), (3, 5), (4, 7)}), planted=True
+                    ),
+                    1,
+                ),
+                "non-shape",
+            ),
+            # a genus-0 two-backbone shape
+            (
+                Shape(
+                    Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True),
+                    0,
+                ),
+                "outside",
+            ),
+        ],
+    )
+    def test_table_checks_entries(self, shape_sets, entry, match):
+        # the sampler's pullback trusts every entry of a table
+        shapes = list(shape_sets(1, 1))
+        shapes[0] = entry
+        with pytest.raises(TableCacheError, match=match):
+            table_from_shapes(1, 1, shapes)
+        with pytest.raises(TableCacheError, match=match):
+            ShapeTable(1, 1, tuple(shapes), "")
 
     def test_cache_write_leaves_no_temp_file(self, tmp_path):
         build_table(1, 1, tmp_path)
@@ -180,6 +231,13 @@ class TestBishape:
         assert unfiltered.filter_rejects == 0
         assert unfiltered.connected_hits == 500
 
+    @pytest.mark.parametrize("genus, table", [(1, (1, 1)), (0, (2, 0))])
+    def test_table_of_another_family_rejected(self, make_table, genus, table):
+        # the pullback trusts its table's entries to be one-backbone
+        # shapes of genus + 1
+        with pytest.raises(DiagramError, match=f"genus-{genus + 1} table"):
+            BishapeSampler(genus, seed=1, table=make_table(*table))
+
     def test_negative_genus_rejected_up_front(self, monkeypatch):
         # a negative genus used to look up a genus-0 one-backbone table and
         # fail in shape_poly_1bb, naming an internal function and genus 0
@@ -250,6 +308,18 @@ class TestStoredValues:
             back = pickle.loads(pickle.dumps(s))
             assert back == s
             assert (back.code, back.loop_summary) == (s.code, s.loop_summary)
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_images_interned(self, make_table, genus):
+        # every connected shape is the pullback of two table entries, and
+        # both hold the same Shape object, in table order
+        table = make_table(1, genus + 1)
+        sampler = BishapeSampler(genus, seed=1, table=table)
+        assert len(sampler._images) == len(table)
+        images = [s for s in sampler._images if s is not None]
+        distinct = {id(s): s for s in images}
+        assert len(distinct) == len(set(images)) == len(make_table(2, genus))
+        assert len(images) == 2 * len(distinct)
 
     def test_stats_match_per_draw_classification(self, make_table):
         stats = sample_stats(1, 400, random.Random(5), table=make_table(1, 2))
