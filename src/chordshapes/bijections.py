@@ -10,7 +10,9 @@ arc and genus raised by one; eta_inv cuts it apart again.
 All maps are pure relabelings: outputs carry no memory of old labels,
 and every output is checked once against the shape predicate and, on
 one backbone, its A/B class.  The public maps check their input first
-and raise ``BijectionDomainError`` outside their domain.  The private
+and raise ``BijectionDomainError`` outside their domain: on one
+backbone through :func:`shapes.shape_class`, which reads an unplanted
+diagram with its outermost arc as the rainbow.  The private
 diagram-level surgeries ``_theta_inv`` and ``_eta_inv`` skip that input
 check only because their caller has validated the input already: the
 sampler's pullback hands them the entries of a shape table, each
@@ -22,23 +24,7 @@ from __future__ import annotations
 from .diagram import Diagram
 from .errors import BijectionDomainError, ConsistencyError
 from .fatgraph import genus
-from .shapes import Shape, ShapeClass, _class_of, is_shape
-
-
-def _as_planted_diagram(x: Shape | Diagram) -> Diagram:
-    d = x.diagram if isinstance(x, Shape) else x
-    if not d.planted:
-        d = Diagram(d.backbone_lengths, d.arcs, planted=True)
-    return d
-
-
-def _require_1bb_shape(x: Shape | Diagram, want: ShapeClass) -> Diagram:
-    d = _as_planted_diagram(x)
-    if d.b != 1 or not is_shape(d):
-        raise BijectionDomainError("input is not a proper one-backbone shape")
-    if _class_of(d) is not want:
-        raise BijectionDomainError(f"input is not a {want.value}-shape")
-    return d
+from .shapes import Shape, ShapeClass, _class_of, _planted, is_shape, shape_class
 
 
 def _in_family(out: Diagram, want: ShapeClass) -> Diagram:
@@ -54,7 +40,9 @@ def theta(a: Shape | Diagram) -> Shape:
     Removes the arc joining the successor of vertex 2's partner to the
     last vertex before the right plant, drops its endpoints, relabels.
     """
-    d = _require_1bb_shape(a, ShapeClass.A)
+    d = _planted(a)
+    if shape_class(d) is not ShapeClass.A:
+        raise BijectionDomainError("input is not an A-shape")
     m = d.n_vertices
     pair = d.pairing()
     v = pair[2]
@@ -76,7 +64,10 @@ def theta_inv(b: Shape | Diagram) -> Shape:
     Inserts a new arc with one endpoint just after vertex 2's partner
     and the other just before the right plant.
     """
-    out = _theta_inv(_require_1bb_shape(b, ShapeClass.B))
+    d = _planted(b)
+    if shape_class(d) is not ShapeClass.B:
+        raise BijectionDomainError("input is not a B-shape")
+    out = _theta_inv(d)
     return Shape(out, genus(out))
 
 
@@ -104,7 +95,7 @@ def eta(q: Shape | Diagram) -> Shape:
     inputs (pairs of one-backbone shapes laid on two backbones) are part
     of the domain; their formal genus feeds the same bookkeeping.
     """
-    d = _as_planted_diagram(q)
+    d = _planted(q)
     if d.b != 2 or not is_shape(d):
         raise BijectionDomainError(
             "input is not a (possibly disconnected) two-backbone shape"
@@ -124,7 +115,10 @@ def eta_inv(a: Shape | Diagram) -> Diagram:
     become the rainbows of the new backbones.  The result may be
     disconnected; it always satisfies the shape predicate.
     """
-    return _eta_inv(_require_1bb_shape(a, ShapeClass.A))
+    d = _planted(a)
+    if shape_class(d) is not ShapeClass.A:
+        raise BijectionDomainError("input is not an A-shape")
+    return _eta_inv(d)
 
 
 def _eta_inv(d: Diagram) -> Diagram:

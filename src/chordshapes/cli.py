@@ -49,9 +49,12 @@ EXIT_INCONSISTENT = 5
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"input is not valid text: {exc}") from exc
 
 
 _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
@@ -157,7 +160,7 @@ def _cmd_bij(args) -> int:
     fn = mapping[args.direction]
     blocks = []
     for d in _read_diagrams(args.input):
-        out = fn(as_shape(d))
+        out = fn(d)
         diagram = out.diagram if isinstance(out, Shape) else out
         blocks.append(serialize_diagram(diagram))
     sys.stdout.write("\n".join(blocks))  # blank line between batch outputs

@@ -127,13 +127,6 @@ class Diagram:
             p[j] = i
         return p
 
-    @property
-    def rainbow_arcs(self) -> tuple[Arc, ...]:
-        """The per-backbone rainbows of a planted diagram."""
-        if not self.planted:
-            raise DiagramError("diagram is not planted")
-        return tuple((s, e) for s, e in self.bounds)
-
 
 def _starts(d: Diagram) -> list[int]:
     """First vertex of each backbone, ascending.
@@ -295,7 +288,7 @@ def strip_plants(d: Diagram) -> Diagram:
         raise DiagramError(
             "cannot strip a rainbow-only backbone (nothing underneath)"
         )
-    rainbows = set(d.rainbow_arcs)
+    rainbows = set(d.bounds)
     starts = _starts(d)
     new_lengths = tuple(l - 2 for l in d.backbone_lengths)
     new_arcs = {

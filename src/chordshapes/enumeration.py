@@ -41,13 +41,9 @@ class EnumSpec:
 
     ``genus_cap`` prunes partial diagrams; ``genus_exact`` additionally
     filters leaves (and tightens pruning from below).  Both prunes are
-    decided before an arc is placed.  ``splits`` restricts the
-    backbone-length compositions (default: all of them); each split
-    holds one positive length per backbone, and applies to the arc count
-    n with ``sum(split) == 2 * n``, which must lie in
-    ``[arcs_min, arcs_max]``.  ``node_budget`` caps the
-    number of arcs the search places (an arc the prunes reject is never
-    placed and not counted).
+    decided before an arc is placed.  ``node_budget`` caps the number of
+    arcs the search places (an arc the prunes reject is never placed and
+    not counted).
     """
 
     backbones: int
@@ -56,7 +52,6 @@ class EnumSpec:
     genus_cap: int
     genus_exact: Optional[int] = None
     connected_only: bool = False
-    splits: Optional[tuple[tuple[int, ...], ...]] = None
     node_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -66,18 +61,6 @@ class EnumSpec:
             raise DiagramError("need 0 < arcs_min <= arcs_max")
         if self.genus_cap < 0:
             raise DiagramError("genus cap must be >= 0")
-        if self.splits is not None and any(
-            len(split) != self.backbones or min(split) < 1
-            for split in self.splits
-        ):
-            raise DiagramError(
-                "every split needs one positive length per backbone"
-            )
-        if self.splits is not None and any(
-            sum(split) % 2 or not self.arcs_min <= sum(split) // 2 <= self.arcs_max
-            for split in self.splits
-        ):
-            raise DiagramError("every split must cover 2n vertices for an arc count n")
 
 
 def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -363,11 +346,7 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     budget = [spec.node_budget] if spec.node_budget is not None else None
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
-        if spec.splits is None:
-            splits = _all_splits(spec.backbones, 2 * n)
-        else:
-            splits = [s for s in spec.splits if sum(s) == 2 * n]
-        for lengths in splits:
+        for lengths in _all_splits(spec.backbones, 2 * n):
             if visit is None:
                 emit = lambda arcs: None
             else:
@@ -375,7 +354,7 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
                     visit(Diagram(_lengths, frozenset(arcs)))
 
             total += _search_split(
-                tuple(lengths),
+                lengths,
                 spec.genus_cap,
                 spec.genus_exact,
                 False,
@@ -443,7 +422,7 @@ def enumerate_shapes(
                 found[code] = d
 
             _search_split(
-                tuple(lengths),
+                lengths,
                 g,
                 g,
                 True,

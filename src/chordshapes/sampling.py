@@ -131,8 +131,6 @@ def build_table(
     b: int,
     g: int,
     cache_dir: Optional[Path | str] = None,
-    *,
-    force_rebuild: bool = False,
 ) -> ShapeTable:
     """Load the shape table from the cache, enumerating and caching it on a
     miss.  Reloads verify both the digest and the cardinality against the
@@ -140,7 +138,7 @@ def build_table(
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = cache / f"shapes_{b}bb_g{g}.json"
 
-    if path.exists() and not force_rebuild:
+    if path.exists():
         try:
             payload = json.loads(path.read_text())
         except ValueError as exc:  # undecodable bytes or truncated JSON

@@ -54,9 +54,9 @@ class LoopSummary(NamedTuple):
 class Shape:
     """A planted, fully reduced diagram together with its genus.
 
-    ``n_arcs`` counts all arcs including the rainbows; ``l`` counts the
-    non-rainbow arcs.  Proper shapes satisfy :func:`is_shape`; the
-    rainbow-only projection result does not and is flagged instead.
+    ``n_arcs`` counts all arcs including the rainbows.  Proper shapes
+    satisfy :func:`is_shape`; the rainbow-only projection result does
+    not and is flagged instead.
     ``code`` and ``loop_summary`` are computed on first read and kept;
     they take no part in equality, hashing or ``repr``.
     """
@@ -71,10 +71,6 @@ class Shape:
     @property
     def n_arcs(self) -> int:
         return self.diagram.n_arcs
-
-    @property
-    def l(self) -> int:
-        return self.n_arcs - self.b
 
     @property
     def empty_pure_preshape(self) -> bool:
@@ -128,10 +124,17 @@ def as_shape(d: Diagram) -> Shape:
     The rainbow-only projection result is not a proper shape and is
     rejected here; only :func:`project_shape` produces it.
     """
-    planted = d if d.planted else Diagram(d.backbone_lengths, d.arcs, planted=True)
+    planted = _planted(d)
     if not is_shape(planted):
         raise DiagramError("diagram does not satisfy the shape predicate")
     return Shape(diagram=planted, genus=genus(planted))
+
+
+def _planted(x: Shape | Diagram) -> Diagram:
+    """The diagram of ``x``, with the outermost arc of every backbone
+    read as its rainbow."""
+    d = x.diagram if isinstance(x, Shape) else x
+    return d if d.planted else Diagram(d.backbone_lengths, d.arcs, planted=True)
 
 
 # -- projection ----------------------------------------------------------
@@ -221,21 +224,19 @@ def project_shape(d: Diagram) -> Shape:
 
 
 def shape_class(s: Shape | Diagram) -> ShapeClass:
-    """Classify a 1-backbone shape with at least one non-rainbow arc.
+    """Classify a proper one-backbone shape; an unplanted diagram is read
+    with its outermost arc as the rainbow.
+
+    This is the domain check of the surgeries on one backbone: anything
+    else raises ``BijectionDomainError``.  The rainbow-only diagram is
+    outside it, as its rainbow is a 1-arc.
 
     Let v be the partner of the first vertex after the left plant.  The
     shape is of class A iff v+1 exists, is not the right plant, and is
     paired with the last vertex before the right plant; otherwise B.
     """
-    d = s.diagram if isinstance(s, Shape) else s
-    if d.b != 1:
-        raise BijectionDomainError("shape class is defined for one backbone only")
-    if not d.planted:
-        d = Diagram(d.backbone_lengths, d.arcs, planted=True)
-    if d.n_arcs < 2:
-        raise BijectionDomainError("rainbow-only shape has no class")
-    if not is_shape(d):
-        raise BijectionDomainError("not a proper one-backbone shape")
+    if s.b != 1 or not is_shape(d := _planted(s)):
+        raise BijectionDomainError("input is not a proper one-backbone shape")
     return _class_of(d)
 
 

@@ -15,6 +15,7 @@ from chordshapes import (
     eta_inv,
     is_connected,
     is_shape,
+    project_shape,
     shape_class,
     theta,
     theta_inv,
@@ -35,6 +36,8 @@ STACKED_2BB = Diagram(
     frozenset({(1, 4), (5, 12), (2, 9), (3, 8), (6, 10), (7, 11)}),
     planted=True,
 )
+# the one-backbone projection with no arc left but the rainbow, a 1-arc
+RAINBOW_1BB = project_shape(Diagram((1,), frozenset())).diagram
 
 
 class TestDomain:
@@ -44,6 +47,7 @@ class TestDomain:
     def test_fixtures_are_non_shapes(self):
         assert not is_shape(STACKED_1BB)
         assert not is_shape(STACKED_2BB)
+        assert not is_shape(RAINBOW_1BB)
 
     @pytest.mark.parametrize(
         "fn, diagram",
@@ -52,6 +56,10 @@ class TestDomain:
             (theta_inv, STACKED_1BB),
             (eta_inv, STACKED_1BB),
             (eta, STACKED_2BB),
+            (shape_class, RAINBOW_1BB),
+            (theta, RAINBOW_1BB),
+            (theta_inv, RAINBOW_1BB),
+            (eta_inv, RAINBOW_1BB),
         ],
     )
     def test_hand_built_non_shape(self, fn, diagram):
@@ -65,6 +73,10 @@ class TestDomain:
             (theta_inv, SHAPE_5A),
             (eta_inv, SHAPE_3B),
             (eta, SHAPE_4A),  # one backbone where eta needs two
+            (shape_class, RAINBOW_1BB),
+            (theta, RAINBOW_1BB),
+            (theta_inv, RAINBOW_1BB),
+            (eta_inv, RAINBOW_1BB),
         ],
     )
     def test_wrong_class_as_unplanted_diagram(self, fn, diagram):

@@ -15,7 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordshapes import components, disjoint_union, genus, kappa, serialize_diagram
+from chordshapes import (
+    Diagram,
+    components,
+    disjoint_union,
+    eta,
+    genus,
+    kappa,
+    serialize_diagram,
+    strip_plants,
+    theta,
+)
 from chordshapes.cli import _exact_decimal, build_parser, main
 
 from conftest import diagram_strategy, fuzz_text
@@ -350,6 +360,34 @@ def test_out_of_range_past_digit_limit_exit_code_3(tmp_path, capsys):
     assert "out of range" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["genus"], ["loops"], ["shape"], ["bij", "eta"], ["fiber", "--arcs", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_undecodable_file_exit_code_3(tmp_path, capsys, argv):
+    # invalid UTF-8 used to end in a UnicodeDecodeError traceback (exit 1)
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"\xff\xfe3\n1-2\n")
+    code, out, err = run(capsys, argv[0], "-i", str(f), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+def test_undecodable_stdin_exit_code_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordshapes.cli", "genus"],
+        input=b"\xff\n",
+        capture_output=True,
+        env=dict(src_env(), PYTHONIOENCODING="utf-8:strict"),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["type"] == "input"
+
+
 def test_missing_file_exit_code_3(capsys):
     code, _, err = run(capsys, "genus", "-i", "/nonexistent/nowhere.txt")
     assert code == 3
@@ -590,6 +628,51 @@ def test_diagram_commands_output_pinned(monkeypatch):
         digest.update(out.getvalue().encode())
     assert digest.hexdigest() == (
         "80ca29dc50ed82c8b6c9f870ec59ca9d3d19b576883d38167ac629d902af29e1"
+    )
+
+
+def random_diagram_text(rng: random.Random) -> str:
+    """Text of a small random diagram on 1-3 backbones, partly paired."""
+    lengths = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+    free = list(range(1, sum(lengths) + 1))
+    rng.shuffle(free)
+    arcs = sorted(
+        (min(free[k], free[k + 1]), max(free[k], free[k + 1]))
+        for k in range(0, rng.randint(0, len(free) // 2) * 2, 2)
+    )
+    return serialize_diagram(Diagram(tuple(lengths), frozenset(arcs)))
+
+
+def test_bij_output_pinned(monkeypatch, shape_sets):
+    # (direction, stdout, exit code, stderr error type) of one `bij`
+    # request per input: every (1,1), (2,0) and connected (2,1) shape as
+    # planted and as unplanted text, the A- and B-shapes that eta and
+    # theta map the two-backbone ones to, random diagrams and malformed
+    # texts, as printed by the implementation that checked each input twice
+    texts = []
+    for b, g in ((1, 1), (2, 0), (2, 1)):
+        for s in shape_sets(b, g):
+            texts.append(serialize_diagram(s.diagram))
+            texts.append(serialize_diagram(strip_plants(s.diagram)))
+            if b == 2:
+                a = eta(s)
+                texts.append(serialize_diagram(a.diagram))
+                texts.append(serialize_diagram(theta(a).diagram))
+    rng = random.Random(10)
+    texts += [random_diagram_text(rng) for _ in range(300)]
+    texts += ["", "x\n", "2 2\n1-1\n", "3\n1-5\n", "2\n1-2\n", "4\n1-3 2-4\n"]
+    digest = sha256()
+    for direction in ("theta", "theta-inv", "eta", "eta-inv"):
+        for text in texts:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(
+                io.StringIO()
+            ) as err:
+                code = main(["bij", direction])
+            kind = json.loads(err.getvalue())["error"]["type"] if code else None
+            digest.update(repr((direction, out.getvalue(), code, kind)).encode())
+    assert digest.hexdigest() == (
+        "8525bc9bac8af636c038a4f931529e02baf0f2e43f3132ff69c999bce8a9f5ce"
     )
 
 

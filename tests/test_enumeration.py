@@ -88,38 +88,6 @@ class TestMatchings:
         assert matching_count(2, 2, g=1) == 0
         assert matching_count(2, 2, g=0, connected=True) == 8
 
-    def test_explicit_splits(self):
-        # restricting the covered backbone-length compositions
-        only_even = enumerate_matchings(
-            EnumSpec(
-                backbones=2,
-                arcs_min=2,
-                arcs_max=2,
-                genus_cap=0,
-                genus_exact=0,
-                connected_only=True,
-                splits=((2, 2),),
-            )
-        )
-        assert only_even == 2
-
-    def test_split_applies_to_its_own_arc_count(self):
-        # a (2, 2) split over arc counts 2..3 used to visit the 2-arc
-        # matchings and then raise on arc count 3
-        spec = EnumSpec(
-            backbones=2, arcs_min=2, arcs_max=3, genus_cap=0, splits=((2, 2),)
-        )
-        seen = []
-        assert enumerate_matchings(spec, seen.append) == 3
-        assert {d.backbone_lengths for d in seen} == {(2, 2)}
-
-    @pytest.mark.parametrize("splits", [((2, 3),), ((1, 1),), ((4, 4),)])
-    def test_split_sum_outside_arc_range_rejected(self, splits):
-        with pytest.raises(DiagramError, match="split"):
-            EnumSpec(
-                backbones=2, arcs_min=2, arcs_max=3, genus_cap=0, splits=splits
-            )
-
     def test_node_budget_enforced(self):
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_matchings(
@@ -144,19 +112,6 @@ class TestMatchings:
             EnumSpec(backbones=3, arcs_min=1, arcs_max=1, genus_cap=0)
         with pytest.raises(DiagramError):
             EnumSpec(backbones=1, arcs_min=2, arcs_max=1, genus_cap=0)
-
-    @pytest.mark.parametrize(
-        "splits",
-        [((4,),), ((2, -2, 4),), ((-2, 6),), ((2, 2), (0, 4))],
-        ids=["too-few-parts", "too-many-parts", "negative", "zero"],
-    )
-    def test_split_shape_validated(self, splits):
-        # each split needs one positive length per backbone; a one-part
-        # split on two backbones used to enumerate one-backbone matchings
-        with pytest.raises(DiagramError, match="split"):
-            EnumSpec(
-                backbones=2, arcs_min=2, arcs_max=2, genus_cap=0, splits=splits
-            )
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("connected", [False, True])

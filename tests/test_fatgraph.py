@@ -288,6 +288,20 @@ class TestTraceOnce:
         assert main(["shape"]) == 0
         assert len(traced) == 1
 
+    def test_cli_bij(self, traced, capsys, monkeypatch):
+        # the surgery checks its input itself; the one trace left is the
+        # genus of a returned Shape, and eta_inv returns a bare Diagram
+        for direction, text, traces in [
+            ("eta-inv", "8\n1-8 2-4 3-6 5-7\n", 0),
+            ("theta", "8\n1-8 2-4 3-6 5-7\n", 1),
+            ("theta-inv", "6\n1-6 2-4 3-5\n", 1),
+            ("eta", "3 3\n1-3 2-5 4-6\n", 1),
+        ]:
+            traced.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["bij", direction]) == 0
+            assert len(traced) == traces, direction
+
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_internal_check_survives_optimize(flags):
