@@ -319,7 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backbones", type=int, choices=[1, 2], required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--matchings", action="store_true")
-    p.add_argument("--arcs", type=int, default=None)
+    p.add_argument(
+        "--arcs",
+        type=int,
+        default=None,
+        help="arcs per matching (--matchings); more than 500 is exit 4",
+    )
     p.add_argument("--connected", action="store_true")
     p.add_argument("--profile", action="store_true")
     p.add_argument("--list", action="store_true")

@@ -17,6 +17,24 @@ before the arc is placed.  Shape mode additionally rejects 1-arcs
 within a backbone and parallel-adjacent arc pairs the moment both arcs
 exist.
 
+Shape mode also prunes on a face-side budget, decided before an arc is
+placed as well.  A shape has no 1-arc and no stack, so every face but
+the b one-sided plant faces has at least 3 sides.  A shape of genus g
+with n arcs (rainbows included) has r = n - b + 2 - 2g faces and 2n
+sides in all, so its non-plant faces exceed 3 sides by exactly
+2n - b - 3(r - b) = hi - n in all, hi being the largest arc count:
+6g - 1 on one backbone, 6g + 4 on two.  Cut each face of a partial
+diagram at its unpaired vertices into segments.  A segment of q sides
+ends up inside one final face, and a final face built from k segments
+has sum(q) + k sides, as one side of a new arc follows each segment.
+For k = 1 its excess over 3 is q - 2 >= 0; for k >= 2 it is at least
+max(0, q - 2) summed over its segments, since a segment with q > 2 pays
+the 3 and the others add q + 1 >= 0.  So the sum over closed faces of
+max(0, sides - 3) plus the sum over segments of max(0, q - 2) never
+exceeds hi - n, and a candidate that would raise it past that has no
+completion.  On a complete shape the bound is exact, which the kernel
+checks at every leaf it emits.
+
 The search is deterministic: splits ascending, partners ascending, so
 two runs yield identical sequences.  An optional node budget, counted in
 placed arcs, turns oversized searches into an explicit failure instead
@@ -33,6 +51,11 @@ from .errors import ConsistencyError, DiagramError, InfeasibleError
 from .shapes import Shape, project_shape
 
 Visit = Callable[[Diagram], None]
+
+# The search recurses once per arc, and Python allows 1000 nested calls by
+# default, so no search takes diagrams of more arcs than this.  The bound
+# is fixed: no exhaustive search of that size could finish anyway.
+_MAX_ARCS = 500
 
 
 @dataclass(frozen=True)
@@ -74,15 +97,24 @@ def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (odd, odd + 2), (odd, odd)
 
 
+def _seg_rise(x: int, y: int) -> int:
+    """How much the face-side bound grows when segments of x and y arc
+    sides become one across a new arc's side: h(x + 1 + y) - h(x) - h(y)
+    for h(q) = max(0, q - 2), the most a segment of q sides is sure to add
+    to its final face's sides beyond 3."""
+    rise = (x if x < 2 else 2) + (y if y < 2 else 2) - 1
+    return rise if rise > 0 else 0
+
+
 def _search_split(
     lengths: tuple[int, ...],
     genus_cap: int,
     genus_exact: Optional[int],
-    shape_only: bool,
     connected_only: bool,
     preplaced: tuple[Arc, ...],
     emit: Callable[[tuple[Arc, ...]], None],
     budget: Optional[list[int]],
+    spare: Optional[int],
 ) -> int:
     """Backtracking core for one backbone-length split.  Returns the number
     of matchings emitted.
@@ -119,15 +151,36 @@ def _search_split(
     every merge is pruned, only the partners on the face are tried,
     which skips exactly the candidates the tests would reject.
 
+    Face-side prune (shape mode, ``spare`` = hi - n): ``lb`` is the
+    module docstring's lower bound on the final faces' excess over 3
+    sides, and a candidate that would make ``lb > spare`` is skipped
+    before it is placed.  The walk of i's face also counts the arc sides
+    from i's gap to each vertex on it and around the whole face, which
+    gives the length of every segment there.  An arc changes only the
+    segments at its two ends.  A split joins the segment into j with the
+    one out of i across one side of the arc, and the segment out of j
+    with the one into i across the other; a join that leaves no vertex
+    closes into a face of q + 1 sides, which adds max(0, q - 2) as the
+    segment did, so it changes nothing.  A merge joins i's segments with
+    j's the same way; one walk of j's face, made at most once per face
+    and call, gives them.  ``_seg_rise`` is each join's rise in ``lb``,
+    so a candidate costs O(1).  At an emitted leaf ``lb`` must equal
+    ``spare``; anything else raises ``ConsistencyError``.  With
+    ``spare`` None the search enumerates all matchings: no shape rule
+    and no face-side prune.
+
     On placing, a split gives the smaller side a new label and a merge
     relabels the walked face with ``j``'s label; the undo relabels the
-    same vertices back.  The rainbows go in through the same rule.
+    same vertices back.  The rainbows go in through the same rule.  They
+    close their one-sided plant faces and leave segments of at most one
+    side, so ``lb`` starts at 0.
     """
     V = sum(lengths)
     if V % 2:
         return 0
     n_arcs = V // 2
     b = len(lengths)
+    shape = spare is not None
 
     bb = [0] * (V + 2)
     v = 1
@@ -184,15 +237,19 @@ def _search_split(
         nxt[p] = s
         prv[s] = p
 
-    def walk(i: int, c: int) -> list[int]:
+    def walk(i: int, c: int) -> tuple[list[int], list[int], int]:
         """The other unpaired vertices on the face through the gap of
-        unpaired vertex i, in cycle order starting right after i; that gap
-        follows paired vertex c (0: i's backbone has no arc, and that
-        backbone is the face)."""
+        unpaired vertex i, in cycle order starting right after i, the arc
+        sides from i's gap to each (in shape mode only) and the face's
+        side count; that gap follows paired vertex c (0: i's backbone has
+        no arc, and that backbone is the face, with no side)."""
         if not c:
             k = bb[i]
-            return [*range(i + 1, bend[k] + 1), *range(bstart[k], i)]
+            gap = [*range(i + 1, bend[k] + 1), *range(bstart[k], i)]
+            return gap, [0] * len(gap), 0
         on: list[int] = []
+        at: list[int] = []
+        sides = 0
         x = c
         while True:
             s = nxt[x]
@@ -202,11 +259,27 @@ def _search_split(
                 k = bb[x]
                 on.extend(range(x + 1, bend[k] + 1))
                 on.extend(range(bstart[k], s))
+            if shape:
+                at.extend([sides] * (len(on) - len(at)))
+            sides += 1
             x = pair[s]
             if x == c:
                 break
+        # the gap after c holds i; the vertices before i in it come last,
+        # a whole turn of the face later
         t = on.index(i)
-        return on[t + 1 :] + on[:t]
+        return on[t + 1 :] + on[:t], at[t + 1 :] + [sides] * t, sides
+
+    def face_segments(u: int) -> dict[int, tuple[int, int]]:
+        """For each unpaired vertex v on the face through u's gap, the arc
+        sides of the segment that ends at v and of the one that starts at
+        v; a vertex alone on its face has one segment, the whole face."""
+        on, at, sides = walk(u, ring_pred(u))
+        pos = [0, *at, sides]
+        return {
+            v: (pos[k] - pos[k - 1] if k else sides - pos[-2], pos[k + 1] - pos[k])
+            for k, v in enumerate([u, *on])
+        }
 
     def place(i: int, j: int, c: int, on: list[int], p: int) -> list[int]:
         """Pair i (whose ring predecessor is c) with j, which is on[p] for
@@ -238,7 +311,7 @@ def _search_split(
     odd = sum(l & 1 for l in lengths)
     for i, j in preplaced:
         c = ring_pred(i)
-        on = walk(i, c)
+        on = walk(i, c)[0]
         split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
         if flab[j] == flab[i]:
             p = on.index(j)
@@ -249,7 +322,7 @@ def _search_split(
             gp += 1
         place(i, j, c, on, p)
 
-    def rec(lo: int, gp: int, odd: int) -> None:
+    def rec(lo: int, gp: int, odd: int, lb: int) -> None:
         nonlocal ext, count
         i = lo
         while pair[i]:
@@ -273,13 +346,19 @@ def _search_split(
         if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
             return
         c = ring_pred(i)
-        on = walk(i, c)
+        on, at, sides = walk(i, c)
+        if shape:
+            last = len(on) - 1
+            # the segments that end and start at i (one if i is alone)
+            pre_i = sides - at[-1] if on else sides
+            post_i = at[0] if on else sides
+            far: dict[int, tuple[int, int]] = {}  # other faces' segments
         bb_i = bb[i]
         left_partner = pair[i - 1]
         for j in range(i + 1, V + 1) if merge_ok[0] or merge_ok[1] else sorted(on):
             if pair[j]:
                 continue
-            if shape_only:
+            if shape:
                 if j == i + 1 and bb_i == bb[j]:
                     continue
                 if left_partner == j + 1 or pair[i + 1] == j - 1:
@@ -289,12 +368,43 @@ def _search_split(
                 if not split_ok[p & 1]:
                     continue
                 g, o = gp, split_odd[p & 1]
+                if shape:
+                    # the side i..j joins the segment into j with the one
+                    # out of i, and j..i the one out of j with the one into
+                    # i; a side with no other vertex closes its segment
+                    e = lb
+                    if p:
+                        e += _seg_rise(at[p] - at[p - 1], post_i)
+                    if p < last:
+                        e += _seg_rise(pre_i, at[p + 1] - at[p])
+                    if e > spare:
+                        continue
             else:
                 g_odd = fsize[flab[j]] & 1
                 if not merge_ok[g_odd]:
                     continue
                 p = -1
                 g, o = gp + 1, merge_odd[g_odd]
+                if shape:
+                    if j not in far:
+                        far.update(face_segments(j))
+                    pre_j, post_j = far[j]
+                    # the side i..j joins the segment into i with the one
+                    # out of j, and j..i the one into j with the one out of
+                    # i; a face with one vertex has one segment, so it goes
+                    # whole between the other face's two (or closes)
+                    if fsize[flab[j]] == 1:
+                        e = lb + _seg_rise(pre_i, pre_j)
+                        if on:
+                            e += _seg_rise(pre_i + 1 + pre_j, post_i)
+                    elif on:
+                        e = lb + _seg_rise(pre_i, post_j) + _seg_rise(pre_j, post_i)
+                    else:
+                        e = lb + _seg_rise(pre_j, sides) + _seg_rise(
+                            pre_j + 1 + sides, post_j
+                        )
+                    if e > spare:
+                        continue
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
@@ -306,10 +416,15 @@ def _search_split(
                 if (genus_exact is None or g == genus_exact) and (
                     not connected_only or b == 1 or ext > 0
                 ):
+                    if shape and e != spare:
+                        raise ConsistencyError(
+                            f"face sides exceed 3 by {e} in all, "
+                            f"not the {spare} the Euler count gives"
+                        )
                     count += 1
                     emit(tuple(placed))
             else:
-                rec(i + 1, g, o)
+                rec(i + 1, g, o, e if shape else 0)
 
             # undo
             placed.pop()
@@ -326,7 +441,7 @@ def _search_split(
             pair[j] = 0
 
     try:
-        rec(1, gp, odd)
+        rec(1, gp, odd, 0)
     finally:
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection
@@ -342,7 +457,12 @@ def _all_splits(b: int, total: int) -> list[tuple[int, ...]]:
 
 def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     """Visit every perfect-matching diagram meeting ``spec`` exactly once,
-    in deterministic order; returns how many were visited."""
+    in deterministic order; returns how many were visited.  More than 500
+    arcs is refused up front with ``InfeasibleError``."""
+    if spec.arcs_max > _MAX_ARCS:
+        raise InfeasibleError(
+            f"{spec.arcs_max} arcs: the search takes at most {_MAX_ARCS}"
+        )
     budget = [spec.node_budget] if spec.node_budget is not None else None
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
@@ -357,11 +477,11 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
                 lengths,
                 spec.genus_cap,
                 spec.genus_exact,
-                False,
                 spec.connected_only,
                 (),
                 emit,
                 budget,
+                None,
             )
     return total
 
@@ -386,7 +506,8 @@ def enumerate_shapes(
     For b = 2 only connected shapes are returned unless ``connected`` is
     False, in which case the disconnected pairs of one-backbone shapes
     of complementary genus are included as well.  Guaranteed feasible
-    for b = 1, g <= 2 and b = 2, g <= 1; larger searches need ``force``.
+    for b = 1, g <= 2 and b = 2, g <= 1; larger searches need ``force``,
+    and none may reach past 500 arcs.
     """
     if b not in (1, 2):
         raise DiagramError("shapes are tabulated over 1 or 2 backbones")
@@ -395,6 +516,10 @@ def enumerate_shapes(
     if b == 1 and g == 0:
         return []  # no proper one-backbone shape has genus 0
     lo, hi = _shape_arc_range(b, g)
+    if hi > _MAX_ARCS:
+        raise InfeasibleError(
+            f"up to {hi} arcs: the search takes at most {_MAX_ARCS}"
+        )
     if hi > 11 and not force:
         raise InfeasibleError(
             f"up to {hi} arcs: exhaustive search needs force=True"
@@ -422,14 +547,7 @@ def enumerate_shapes(
                 found[code] = d
 
             _search_split(
-                lengths,
-                g,
-                g,
-                True,
-                connected,
-                preplaced,
-                emit,
-                budget,
+                lengths, g, g, connected, preplaced, emit, budget, hi - n
             )
 
     diagrams = sorted(

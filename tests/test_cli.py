@@ -781,6 +781,17 @@ def test_many_backbones_cost_arcs():
     assert run_capped(body, text, headroom_mib=256) == [expected]
 
 
+def test_matchings_past_arc_bound_exit_4():
+    # this search once listed all 2 * 10**20 - 1 backbone splits up front
+    # and ended in a MemoryError traceback (exit 1); the capped child must
+    # refuse it from the argument alone
+    body = (
+        'print("exit", main(["enumerate", "--backbones", "2", "--genus", "1",'
+        ' "--matchings", "--arcs", "99999999999999999999"]))\n'
+    )
+    assert run_capped(body, "2\n1-2\n") == ["exit 4"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=fuzz_text, cmd=st.sampled_from(["genus", "loops", "shape"]))
 def test_cli_fuzz_exits_with_documented_code(text, cmd):

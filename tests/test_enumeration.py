@@ -5,10 +5,12 @@ import hashlib
 import pytest
 
 from chordshapes import (
+    ConsistencyError,
     Diagram,
     DiagramError,
     EnumSpec,
     InfeasibleError,
+    boundary_components,
     canonical_code,
     count_fiber,
     enumerate_matchings,
@@ -18,7 +20,9 @@ from chordshapes import (
     is_shape,
     w_gf,
 )
+from chordshapes.enumeration import _search_split
 from chordshapes.shapes import as_shape
+from conftest import all_matchings
 
 Q3 = as_shape(Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True))
 Q4 = as_shape(
@@ -102,10 +106,29 @@ class TestMatchings:
 
     def test_placed_arcs_pinned(self):
         # node_budget counts placed arcs, so it pins how many the prunes
-        # let through: 74 with the genus prune alone, 53 with face parity
-        enumerate_shapes(1, 1, node_budget=53)
+        # let through: 74 with the genus prune alone, 53 with face parity,
+        # 22 with the face-side budget
+        enumerate_shapes(1, 1, node_budget=22)
         with pytest.raises(InfeasibleError, match="budget"):
-            enumerate_shapes(1, 1, node_budget=52)
+            enumerate_shapes(1, 1, node_budget=21)
+
+    def test_arc_bound(self):
+        # the search recurses once per arc: past 500 arcs it is refused from
+        # the arguments alone, and at 500 it runs into the node budget
+        with pytest.raises(InfeasibleError, match="at most 500"):
+            matching_count(2, 501)
+        with pytest.raises(InfeasibleError, match="at most 500"):
+            enumerate_shapes(1, 84, force=True)  # up to 503 arcs
+        with pytest.raises(InfeasibleError, match="budget"):
+            enumerate_matchings(
+                EnumSpec(
+                    backbones=1,
+                    arcs_min=500,
+                    arcs_max=500,
+                    genus_cap=0,
+                    node_budget=1000,
+                )
+            )
 
     def test_spec_validation(self):
         with pytest.raises(DiagramError):
@@ -212,6 +235,56 @@ class TestShapes:
     def test_connected_shapes_are_connected(self, shape_sets):
         for s in shape_sets(2, 0):
             assert is_connected(s.diagram)
+
+    def test_equal_to_filtered_matchings(self, shape_sets):
+        # an oracle without the kernel's shape mode: every matching of up
+        # to 6 arcs, kept when it is a shape (its outermost arcs being the
+        # rainbows), sorted by its fat-graph genus; two-backbone shapes are
+        # connected
+        found: dict[tuple[int, int], list[str]] = {}
+        for b in (1, 2):
+            for n in range(1, 7):
+                for d in all_matchings(b, n):
+                    if is_shape(d) and (b == 1 or is_connected(d)):
+                        found.setdefault((b, genus(d)), []).append(
+                            canonical_code(d)
+                        )
+        # every (1, 1) and (2, 0) shape has at most 5 arcs, the (2, 1) and
+        # (1, 2) shapes at least 5
+        assert set(found) == {(1, 1), (1, 2), (2, 0), (2, 1)}
+        for (b, g), codes in found.items():
+            want = [
+                canonical_code(s.diagram) for s in shape_sets(b, g) if s.n_arcs <= 6
+            ]
+            assert sorted(codes) == sorted(want), (b, g)
+
+    @pytest.mark.parametrize("b, g", [(1, 1), (2, 0), (2, 1), (1, 2)])
+    def test_face_side_identity(self, shape_sets, b, g):
+        # the face-side budget: every face but the b one-sided plant faces
+        # has at least 3 sides, and the Euler count fixes their excess
+        # over 3 at hi - n for hi the largest arc count of the family
+        hi = 6 * g - 1 if b == 1 else 6 * g + 4
+        for s in shape_sets(b, g):
+            d = s.diagram
+            cycles = boundary_components(d).cycles
+            assert sum(len(c) - 3 for c in cycles) == hi - s.n_arcs - 2 * b
+            plant = {(start,) for start, _ in d.bounds}
+            assert {c for c in cycles if len(c) < 3} == plant, canonical_code(d)
+
+    def test_leaf_check_raises(self):
+        # a leaf whose face sides disagree with the Euler count raises,
+        # under python -O too: the 3-arc (2, 0) shape has hi - n = 1 spare
+        # side, and the kernel is told 2
+        def search(spare):
+            emitted = []
+            _search_split(
+                (3, 3), 0, 0, True, ((1, 3), (4, 6)), emitted.append, None, spare
+            )
+            return emitted
+
+        assert search(1) == [((1, 3), (4, 6), (2, 5))]
+        with pytest.raises(ConsistencyError, match="face sides"):
+            search(2)
 
 
 def _code_digest(shapes) -> str:
