@@ -212,7 +212,6 @@ def _cmd_enumerate(args) -> int:
         args.backbones,
         args.genus,
         connected=args.connected,
-        force=args.force,
         node_budget=args.node_budget,
     )
     if args.profile:
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--profile", action="store_true")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--force", action="store_true")
     p.add_argument(
         "--node-budget",
         type=int,

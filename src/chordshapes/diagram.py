@@ -53,19 +53,22 @@ class Diagram:
     )
 
     def __post_init__(self):
-        lengths = tuple(map(int, self.backbone_lengths))
-        arcs = frozenset([(int(i), int(j)) for i, j in self.arcs])
+        # a tuple or frozenset is taken as it is, not copied; every length
+        # and endpoint must be an int (a float is refused, not truncated)
+        lengths = tuple(self.backbone_lengths)
+        arcs = frozenset(self.arcs)
         object.__setattr__(self, "backbone_lengths", lengths)
         object.__setattr__(self, "arcs", arcs)
 
         if not lengths:
             raise DiagramError("a diagram needs at least one backbone")
-        if min(lengths) < 1:
-            raise DiagramError("backbone lengths must be positive")
-
         bounds = []
         start = 1
         for l in lengths:
+            if type(l) is not int:
+                raise DiagramError("backbone lengths must be integers")
+            if l < 1:
+                raise DiagramError("backbone lengths must be positive")
             bounds.append((start, start + l - 1))
             start += l
         n = start - 1
@@ -73,6 +76,8 @@ class Diagram:
 
         seen: set[int] = set()
         for i, j in arcs:
+            if type(i) is not int or type(j) is not int:
+                raise DiagramError("arc endpoints must be integers")
             if not (1 <= i < j <= n):
                 raise DiagramError(
                     f"arc ({_decimal(i)},{_decimal(j)}) out of range"

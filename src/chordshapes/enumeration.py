@@ -7,15 +7,20 @@ changes the boundary count by one, so the genus stays or grows by one),
 which makes pruning on the partial genus sound.  Which of the two it is
 follows from one walk of the boundary cycle through the first unpaired
 vertex's gap, so the genus prune is decided before an arc is placed.
-The kernel also keeps, for every unpaired vertex, the boundary cycle
-its gap lies on and, for every cycle, how many unpaired vertices it
-holds.  A complete matching leaves no cycle with an odd count, and only
-an arc that merges two cycles, raising the genus, can remove two of
-them, so a partial diagram with more than twice the remaining genus
-budget of odd cycles has no completion; that prune, too, is decided
-before the arc is placed.  Shape mode additionally rejects 1-arcs
-within a backbone and parallel-adjacent arc pairs the moment both arcs
-exist.
+The walk needs nothing beyond the pairing alpha and the fixed backbone
+order sigma, each vertex's successor on its backbone (the last one
+wrapping to the first): the boundary cycles are the cycles of sigma
+after alpha, so a walk steps from vertex to successor and jumps across
+every arc it meets.  Placing an arc and undoing it therefore touch the
+pairing and the face bookkeeping below, and nothing else.  The kernel
+also keeps, for every unpaired vertex, the boundary cycle its gap lies
+on and, for every cycle, how many unpaired vertices it holds.  A
+complete matching leaves no cycle with an odd count, and only an arc
+that merges two cycles, raising the genus, can remove two of them, so a
+partial diagram with more than twice the remaining genus budget of odd
+cycles has no completion; that prune, too, is decided before the arc is
+placed.  Shape mode additionally rejects 1-arcs within a backbone and
+parallel-adjacent arc pairs the moment both arcs exist.
 
 Shape mode also prunes on a face-side budget, decided before an arc is
 placed as well.  A shape has no 1-arc and no stack, so every face but
@@ -56,6 +61,10 @@ Visit = Callable[[Diagram], None]
 # default, so no search takes diagrams of more arcs than this.  The bound
 # is fixed: no exhaustive search of that size could finish anyway.
 _MAX_ARCS = 500
+# Shape families are searched up to this many arcs: (1, 2) and (2, 1)
+# reach 11 and 10, and the next ones, (1, 3) and (2, 2), hold 15,214,144
+# and 7,577,504 shapes, which no exhaustive search could list.
+_MAX_SHAPE_ARCS = 11
 
 
 @dataclass(frozen=True)
@@ -122,21 +131,33 @@ def _search_split(
     The partial diagram is a fat graph with one vertex per backbone, so
     its formal genus is ``gp = (2 - b + d - r) / 2`` for ``d`` arcs and
     ``r`` boundary cycles (faces), an arcless backbone counting as one
-    face.  Every unpaired vertex's gap (where it would go in) lies on
-    exactly one face; ``flab`` labels it and ``fsize`` counts the
-    unpaired vertices on each face.  A new arc joins the gaps of ``i``
-    and ``j``: if both lie on the same face it splits that face in two
-    (r + 1, gp unchanged), with the vertices strictly between ``i`` and
-    ``j`` in cycle order on one side and the rest on the other;
-    otherwise it merges the two faces into one (r - 1, gp + 1).  Each
-    call walks the face of ``i``, the first unpaired vertex, once, in
-    cycle order from ``i``, and takes every candidate's genus from
-    whether ``j`` carries the same label.  This is the exact genus of
-    the diagram with the arc placed, so testing ``genus_cap`` and the
-    ``genus_exact`` floor before placing the arc prunes the same
-    subtrees as tracing after placing it.  Both tests are sound: gp
-    never decreases as arcs are added, and each of the ``n_arcs - d``
-    arcs still to come raises it by at most one.
+    face.  The kernel keeps the diagram in two arrays: ``pair``, each
+    vertex's partner or 0 (the pairing alpha, an unpaired vertex fixed),
+    and ``succ``, the next vertex on the same backbone, wrapping at its
+    end (the backbone order sigma).  ``succ`` is built once per split
+    and never changes.  A face is a cycle of ``succ`` after ``pair``:
+    ``walk(i)`` starts at ``succ[i]`` and runs until it is back at
+    ``i``; at a paired vertex ``y`` it counts one arc side and goes on
+    from ``succ[pair[y]]``, and at an unpaired vertex it records the
+    vertex and the sides counted so far, then goes on from its ``succ``.
+    So it lists the face's other unpaired vertices in cycle order after
+    ``i``, in time linear in the face's vertices and sides, and on an
+    arcless backbone it lists the backbone with no side.  Every unpaired
+    vertex's gap (where it would go in) lies on exactly one face;
+    ``flab`` labels it and ``fsize`` counts the unpaired vertices on
+    each face.  A new arc joins the gaps of ``i`` and ``j``: if both lie
+    on the same face it splits that face in two (r + 1, gp unchanged),
+    with the vertices strictly between ``i`` and ``j`` in cycle order on
+    one side and the rest on the other; otherwise it merges the two
+    faces into one (r - 1, gp + 1).  Each call walks the face of ``i``,
+    the first unpaired vertex, once, in cycle order from ``i``, and
+    takes every candidate's genus from whether ``j`` carries the same
+    label.  This is the exact genus of the diagram with the arc placed,
+    so testing ``genus_cap`` and the ``genus_exact`` floor before
+    placing the arc prunes the same subtrees as tracing after placing
+    it.  Both tests are sound: gp never decreases as arcs are added, and
+    each of the ``n_arcs - d`` arcs still to come raises it by at most
+    one.
 
     Parity prune: let ``odd`` count the faces with an odd number of
     unpaired vertices.  A split of a face of size s into p and s - 2 - p
@@ -169,11 +190,13 @@ def _search_split(
     ``spare`` None the search enumerates all matchings: no shape rule
     and no face-side prune.
 
-    On placing, a split gives the smaller side a new label and a merge
-    relabels the walked face with ``j``'s label; the undo relabels the
-    same vertices back.  The rainbows go in through the same rule.  They
-    close their one-sided plant faces and leave segments of at most one
-    side, so ``lb`` starts at 0.
+    Placing an arc sets ``pair`` at both ends; a split gives the smaller
+    side a new label and a merge relabels the walked face with ``j``'s
+    label.  The undo clears ``pair`` and relabels the same vertices
+    back, so ``pair``, ``flab``, ``fsize``, ``ext`` (the arcs between
+    backbones) and ``placed`` are the whole search state.  The rainbows
+    go in through the same rule.  They close their one-sided plant
+    faces and leave segments of at most one side, so ``lb`` starts at 0.
     """
     V = sum(lengths)
     if V % 2:
@@ -182,20 +205,16 @@ def _search_split(
     b = len(lengths)
     shape = spare is not None
 
+    # bb: the backbone of each vertex; succ: the next vertex on the same
+    # backbone, wrapping at its end (sigma); pair: partner or 0
     bb = [0] * (V + 2)
-    v = 1
+    succ = list(range(1, V + 2))
+    v = 0
     for k, l in enumerate(lengths):
-        for _ in range(l):
-            bb[v] = k
-            v += 1
-
-    # pair: partner or 0; nxt/prv: the paired vertices of each backbone
-    # as a ring in left-to-right order (the rotation sigma)
+        bb[v + 1 : v + l + 1] = [k] * l
+        succ[v + l] = v + 1
+        v += l
     pair = [0] * (V + 2)
-    nxt = [0] * (V + 2)
-    prv = [0] * (V + 2)
-    bstart = [sum(lengths[:k]) + 1 for k in range(b)]
-    bend = [sum(lengths[: k + 1]) for k in range(b)]
     # flab: the face of each unpaired vertex's gap (backbone k starts as
     # face k; the split placing arc number d opens face b + d);
     # fsize: the unpaired vertices on each face
@@ -206,89 +225,43 @@ def _search_split(
     count = 0
     placed: list[Arc] = []
 
-    def ring_pred(x: int) -> int:
-        """The paired vertex cyclically before x on its backbone, 0 if none."""
-        k = bb[x]
-        w = x - 1
-        while w >= bstart[k]:
-            if pair[w]:
-                return w
-            w -= 1
-        w = bend[k]
-        while w > x:
-            if pair[w]:
-                return w
-            w -= 1
-        return 0
-
-    def link(x: int, pred: int) -> None:
-        """Insert x into its backbone's ring after pred (alone if pred is 0)."""
-        if pred:
-            s = nxt[pred]
-            nxt[pred] = x
-            prv[x] = pred
-            nxt[x] = s
-            prv[s] = x
-        else:
-            nxt[x] = prv[x] = x
-
-    def unlink(x: int) -> None:
-        p, s = prv[x], nxt[x]
-        nxt[p] = s
-        prv[s] = p
-
-    def walk(i: int, c: int) -> tuple[list[int], list[int], int]:
+    def walk(i: int) -> tuple[list[int], list[int], int]:
         """The other unpaired vertices on the face through the gap of
         unpaired vertex i, in cycle order starting right after i, the arc
-        sides from i's gap to each (in shape mode only) and the face's
-        side count; that gap follows paired vertex c (0: i's backbone has
-        no arc, and that backbone is the face, with no side)."""
-        if not c:
-            k = bb[i]
-            gap = [*range(i + 1, bend[k] + 1), *range(bstart[k], i)]
-            return gap, [0] * len(gap), 0
+        sides from i's gap to each and the face's side count (0 on an
+        arcless backbone)."""
         on: list[int] = []
         at: list[int] = []
         sides = 0
-        x = c
-        while True:
-            s = nxt[x]
-            if s > x:
-                on.extend(range(x + 1, s))
+        y = succ[i]
+        while y != i:
+            x = pair[y]
+            if x:
+                sides += 1
+                y = succ[x]
             else:
-                k = bb[x]
-                on.extend(range(x + 1, bend[k] + 1))
-                on.extend(range(bstart[k], s))
-            if shape:
-                at.extend([sides] * (len(on) - len(at)))
-            sides += 1
-            x = pair[s]
-            if x == c:
-                break
-        # the gap after c holds i; the vertices before i in it come last,
-        # a whole turn of the face later
-        t = on.index(i)
-        return on[t + 1 :] + on[:t], at[t + 1 :] + [sides] * t, sides
+                on.append(y)
+                at.append(sides)
+                y = succ[y]
+        return on, at, sides
 
     def face_segments(u: int) -> dict[int, tuple[int, int]]:
         """For each unpaired vertex v on the face through u's gap, the arc
         sides of the segment that ends at v and of the one that starts at
         v; a vertex alone on its face has one segment, the whole face."""
-        on, at, sides = walk(u, ring_pred(u))
+        on, at, sides = walk(u)
         pos = [0, *at, sides]
         return {
             v: (pos[k] - pos[k - 1] if k else sides - pos[-2], pos[k + 1] - pos[k])
             for k, v in enumerate([u, *on])
         }
 
-    def place(i: int, j: int, c: int, on: list[int], p: int) -> list[int]:
-        """Pair i (whose ring predecessor is c) with j, which is on[p] for
-        on = walk(i, c), or lies on another face if p < 0.  Returns the
-        vertices whose face label changed."""
+    def place(i: int, j: int, on: list[int], p: int) -> list[int]:
+        """Pair i with j, which is on[p] for on = walk(i), or lies on
+        another face if p < 0.  Returns the vertices whose face label
+        changed."""
         nonlocal ext
-        link(i, c)
         pair[i] = j
-        link(j, ring_pred(j))
         pair[j] = i
         if bb[i] != bb[j]:
             ext += 1
@@ -310,8 +283,7 @@ def _search_split(
     gp = 1 - b  # b arcless backbones: r = b, d = 0
     odd = sum(l & 1 for l in lengths)
     for i, j in preplaced:
-        c = ring_pred(i)
-        on = walk(i, c)[0]
+        on = walk(i)[0]
         split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
         if flab[j] == flab[i]:
             p = on.index(j)
@@ -320,7 +292,7 @@ def _search_split(
             p = -1
             odd = merge_odd[fsize[flab[j]] & 1]
             gp += 1
-        place(i, j, c, on, p)
+        place(i, j, on, p)
 
     def rec(lo: int, gp: int, odd: int, lb: int) -> None:
         nonlocal ext, count
@@ -345,8 +317,7 @@ def _search_split(
         merge_ok = [other_ok and o <= slack - 2 for o in merge_odd]
         if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
             return
-        c = ring_pred(i)
-        on, at, sides = walk(i, c)
+        on, at, sides = walk(i)
         if shape:
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
@@ -410,7 +381,7 @@ def _search_split(
                 if budget[0] < 0:
                     raise InfeasibleError("enumeration node budget exceeded")
 
-            moved = place(i, j, c, on, p)
+            moved = place(i, j, on, p)
 
             if not rest:
                 if (genus_exact is None or g == genus_exact) and (
@@ -435,8 +406,6 @@ def _search_split(
             fsize[f] = n_f
             if bb_i != bb[j]:
                 ext -= 1
-            unlink(j)
-            unlink(i)
             pair[i] = 0
             pair[j] = 0
 
@@ -498,16 +467,15 @@ def enumerate_shapes(
     g: int,
     *,
     connected: bool = True,
-    force: bool = False,
     node_budget: Optional[int] = None,
 ) -> list[Shape]:
     """All shapes of genus g over b backbones, canonically ordered.
 
     For b = 2 only connected shapes are returned unless ``connected`` is
     False, in which case the disconnected pairs of one-backbone shapes
-    of complementary genus are included as well.  Guaranteed feasible
-    for b = 1, g <= 2 and b = 2, g <= 1; larger searches need ``force``,
-    and none may reach past 500 arcs.
+    of complementary genus are included as well.  Only b = 1, g <= 2
+    and b = 2, g <= 1 are searched; larger families are refused up front
+    with ``InfeasibleError``.
     """
     if b not in (1, 2):
         raise DiagramError("shapes are tabulated over 1 or 2 backbones")
@@ -516,13 +484,10 @@ def enumerate_shapes(
     if b == 1 and g == 0:
         return []  # no proper one-backbone shape has genus 0
     lo, hi = _shape_arc_range(b, g)
-    if hi > _MAX_ARCS:
+    if hi > _MAX_SHAPE_ARCS:
         raise InfeasibleError(
-            f"up to {hi} arcs: the search takes at most {_MAX_ARCS}"
-        )
-    if hi > 11 and not force:
-        raise InfeasibleError(
-            f"up to {hi} arcs: exhaustive search needs force=True"
+            f"up to {hi} arcs: shapes are enumerated up to {_MAX_SHAPE_ARCS} "
+            f"arcs (b = 1, g <= 2 and b = 2, g <= 1)"
         )
 
     budget = [node_budget] if node_budget is not None else None

@@ -31,10 +31,26 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .errors import ConsistencyError, DiagramError
+from .errors import ConsistencyError, DiagramError, InfeasibleError
+
+# Genera and series orders past this are refused up front with
+# InfeasibleError, with no override.  On a 2-vCPU Xeon VM
+# shape_poly_1bb(1000) takes about 20 s and w_gf(2, 800) about 4 s, and
+# the cost grows with the cube of the size, so nothing much past the
+# bound finishes; an order of 10**9 would not even fit in memory.
+_MAX_SIZE = 1000
 
 
 # -- polynomials -----------------------------------------------------------
+
+
+def _ints(coeffs) -> tuple[int, ...]:
+    """``coeffs`` as a tuple; anything but an int (a float, a bool, a
+    Fraction) is refused rather than truncated."""
+    cs = tuple(coeffs)
+    if not {int}.issuperset(map(type, cs)):
+        raise DiagramError("coefficients must be integers")
+    return cs
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -51,7 +67,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in self.coeffs)))
+        object.__setattr__(self, "coeffs", _trim(_ints(self.coeffs)))
 
     @staticmethod
     def zero() -> "IntPolynomial":
@@ -122,7 +138,11 @@ class IntPolynomial:
 @lru_cache(maxsize=None)
 def _kappa_row(g: int) -> tuple[int, ...]:
     """kappa_t^(g) for t = 0..g (kappa_0 = 0), built bottom-up over the
-    genus from kappa_1^(1) = 1; only the rows asked for are kept."""
+    genus from kappa_1^(1) = 1; only the rows asked for are kept.  Every
+    genus-valued function reads its row here, so a genus past
+    ``_MAX_SIZE`` is refused here, before any work."""
+    if g > _MAX_SIZE:
+        raise InfeasibleError(f"genus above {_MAX_SIZE} is refused")
     row: tuple[int, ...] = (0, 1)
     for h in range(2, g + 1):
         up = [0]
@@ -212,8 +232,12 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
 
 
 def _check_order(order: int) -> None:
+    if type(order) is not int:
+        raise DiagramError("order must be an integer")
     if order < 0:
         raise DiagramError("order must be >= 0")
+    if order > _MAX_SIZE:
+        raise InfeasibleError(f"order above {_MAX_SIZE} is refused")
 
 
 @dataclass(frozen=True)
@@ -225,7 +249,7 @@ class PowerSeries:
 
     def __post_init__(self):
         _check_order(self.order)
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = _ints(self.coeffs)
         if len(cs) < self.order + 1:
             cs = cs + (0,) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs[: self.order + 1])
@@ -340,6 +364,8 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
     if l < 1:
         raise DiagramError("fiber_gf requires l >= 1")
     _check_order(order)
+    if order < l + 2:
+        return PowerSeries(order, ())
     cd2, x = _fiber_basis(order)
     return (cd2 * x.pow(l)).shift(2)
 

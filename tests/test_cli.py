@@ -396,7 +396,19 @@ def test_missing_file_exit_code_3(capsys):
 def test_infeasible_exit_code_4(capsys):
     code, _, err = run(capsys, "enumerate", "--backbones", "1", "--genus", "3")
     assert code == 4
-    assert json.loads(err)["error"]["type"] == "infeasible"
+    assert json.loads(err)["error"] == {
+        "type": "infeasible",
+        "message": "up to 17 arcs: shapes are enumerated up to 11 arcs "
+        "(b = 1, g <= 2 and b = 2, g <= 1)",
+    }
+
+
+def test_enumerate_force_is_a_usage_error():
+    # no flag lifts the shape-family bound: the next families hold
+    # millions of shapes
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--backbones", "1", "--genus", "3", "--force"])
+    assert e.value.code == 2
 
 
 def test_corrupt_cache_exit_code_5(tmp_path, capsys):
@@ -789,6 +801,26 @@ def test_matchings_past_arc_bound_exit_4():
         'print("exit", main(["enumerate", "--backbones", "2", "--genus", "1",'
         ' "--matchings", "--arcs", "99999999999999999999"]))\n'
     )
+    assert run_capped(body, "2\n1-2\n") == ["exit 4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an OverflowError traceback from [0] * (order + 1) (exit 1)
+        ["series", "w", "--genus", "1", "--order", "99999999999999999999"],
+        # MemoryError tracebacks (exit 1)
+        ["series", "w", "--genus", "1", "--order", "1000000000"],
+        ["series", "fiber", "--l", "1", "--order", "1000000000"],
+        # built the kappa rows bottom-up with no end in sight
+        ["poly", "--backbones", "1", "--genus", "100000000000000000000"],
+    ],
+    ids=["order-1e20", "w-order-1e9", "fiber-order-1e9", "poly-genus-1e20"],
+)
+def test_huge_sizes_exit_4(argv):
+    # orders and genera above 1000 are refused from the argument alone,
+    # in a capped child, before any allocation or loop
+    body = f'print("exit", main({argv!r}))\n'
     assert run_capped(body, "2\n1-2\n") == ["exit 4"]
 
 

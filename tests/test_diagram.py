@@ -196,6 +196,15 @@ class TestValidation:
         with pytest.raises(DiagramError):
             Diagram((4,), frozenset({(1, 3), (2, 3)}))
 
+    def test_non_integers_refused(self):
+        # these were once truncated to ((4,), {(1, 3), (2, 4)})
+        with pytest.raises(DiagramError, match="integers"):
+            Diagram((4.7,), frozenset({(1.9, 3.2), (2.5, 4.99)}))
+        with pytest.raises(DiagramError, match="integers"):
+            Diagram((4,), frozenset({(1.0, 3), (2, 4)}))
+        with pytest.raises(DiagramError, match="integers"):
+            Diagram((True, 3), frozenset())
+
     def test_planted_needs_rainbows(self):
         with pytest.raises(DiagramError, match="rainbow"):
             Diagram((4,), frozenset({(1, 3)}), planted=True)

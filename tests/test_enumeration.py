@@ -111,14 +111,36 @@ class TestMatchings:
         enumerate_shapes(1, 1, node_budget=22)
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_shapes(1, 1, node_budget=21)
+        # (2, 1): 428,802 before the face-side budget
+        enumerate_shapes(2, 1, node_budget=29_604)
+        with pytest.raises(InfeasibleError, match="budget"):
+            enumerate_shapes(2, 1, node_budget=29_603)
+        # matchings mode: the genus and parity prunes alone
+        def matchings(budget: int) -> int:
+            return enumerate_matchings(
+                EnumSpec(
+                    backbones=2,
+                    arcs_min=5,
+                    arcs_max=5,
+                    genus_cap=1,
+                    genus_exact=1,
+                    connected_only=True,
+                    node_budget=budget,
+                )
+            )
+
+        matchings(15_888)
+        with pytest.raises(InfeasibleError, match="budget"):
+            matchings(15_887)
 
     def test_arc_bound(self):
         # the search recurses once per arc: past 500 arcs it is refused from
-        # the arguments alone, and at 500 it runs into the node budget
+        # the arguments alone, and at 500 it runs into the node budget;
+        # shape families stop at 11 arcs, far below that
         with pytest.raises(InfeasibleError, match="at most 500"):
             matching_count(2, 501)
-        with pytest.raises(InfeasibleError, match="at most 500"):
-            enumerate_shapes(1, 84, force=True)  # up to 503 arcs
+        with pytest.raises(InfeasibleError, match="up to 503 arcs: .* up to 11"):
+            enumerate_shapes(1, 84)
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_matchings(
                 EnumSpec(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chordshapes import (
     DiagramError,
+    InfeasibleError,
     IntPolynomial,
     PowerSeries,
     a_shape_poly,
@@ -172,6 +173,22 @@ class TestKappa:
                 (m - 2) * kappa(599, t) + 2 * (2 * m - 7) * kappa(599, t - 1)
             )
 
+    def test_sizes_past_bound_refused(self):
+        # genera and orders above 1000 are refused before any work; 1000
+        # itself is accepted
+        for call in (
+            lambda: kappa(1001, 1),
+            lambda: shape_poly_1bb(10**20),
+            lambda: shape_poly_2bb(1000),  # needs S_1001
+            lambda: catalan_series(1001),
+            lambda: w_gf(1, 10**20),
+            lambda: fiber_gf(1, 10**9),
+            lambda: PowerSeries(1001, ()),
+        ):
+            with pytest.raises(InfeasibleError, match="above 1000"):
+                call()
+        assert catalan_series(1000)[1000] == comb(2000, 1000) // 1001
+
     def test_log_concavity_up_to_genus_eight(self):
         for g in range(1, 9):
             row = [kappa(g, t) for t in range(1, g + 1)]
@@ -267,6 +284,13 @@ class TestPolynomialArithmetic:
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert (IntPolynomial((1,)) - IntPolynomial((1,))).coeffs == ()
 
+    def test_non_integer_coefficients_refused(self):
+        # (0.9, 2.5) was once truncated to (0, 2)
+        with pytest.raises(DiagramError, match="integers"):
+            IntPolynomial((0.9, 2.5))
+        with pytest.raises(DiagramError, match="integers"):
+            IntPolynomial((1,)).scale(Fraction(1, 2))
+
 
 class TestCatalan:
     def test_first_values(self):
@@ -331,6 +355,13 @@ class TestPowerSeriesArithmetic:
         one = PowerSeries.one(a.order).coeffs
         assert schoolbook_mul(a.coeffs, a.inverse().coeffs) == one
 
+    def test_non_integer_values_refused(self):
+        # (1.7, 2.2) was once truncated to (1, 2, 0, 0)
+        with pytest.raises(DiagramError, match="integers"):
+            PowerSeries(3, (1.7, 2.2))
+        with pytest.raises(DiagramError, match="order"):
+            PowerSeries(3.0, (1,))
+
     def test_order_zero(self):
         a = PowerSeries(0, (-3,))
         assert (a * PowerSeries(0, (5,))).coeffs == (-15,)
@@ -358,6 +389,13 @@ class TestFiberSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(DiagramError, match="order"):
             fiber_gf(1, -3)
+
+    def test_below_first_degree_is_zero(self):
+        for l in range(1, 5):
+            for order in range(l + 2):
+                assert fiber_gf(l, order) == PowerSeries(order, ())
+        # returned at once, without raising X to that power
+        assert fiber_gf(10**20, 1000) == PowerSeries(1000, ())
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_matches_literal_formula(self, l):
