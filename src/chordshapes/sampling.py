@@ -163,9 +163,10 @@ def build_table(
         except TableCacheError as exc:
             raise TableCacheError(f"{path}: {exc}") from exc
 
+    # made before the build, so an unusable directory fails at once
+    cache.mkdir(parents=True, exist_ok=True)
     table = table_from_shapes(b, g, enumerate_shapes(b, g, connected=(b == 2)))
     codes = [s.code for s in table.shapes]
-    cache.mkdir(parents=True, exist_ok=True)
     text = json.dumps(
         {
             "backbones": b,

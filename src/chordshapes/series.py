@@ -18,10 +18,15 @@ The fiber generating function of a shape with l non-rainbow arcs is
     D = 1 / (1 - z C^2),    X = z C^2 D,
 
 with C the Catalan series; the variable counts the arcs of the planted
-matching (the shape's two rainbows included).  Because every F_l is the
-same series times X^l, the genus-g sum over shapes, sum_l q_g(l+2) F_l,
-is z^2 (C D)^2 times the polynomial sum_l q_g(l+2) X^l, which Horner's
-rule evaluates with one product per arc count.
+matching (the shape's two rainbows included).  Since C = 1 + z C^2 and
+2zC = 1 - s with s = sqrt(1 - 4z),
+
+    1 - z C^2 = 2 - C = s C,    C D = 1/s =: y,    X = (y - 1)/2,
+
+so F_l = z^2 y^2 ((y-1)/2)^l, and every sum of fibers is z^2 times a
+polynomial in y.  Its monomials y^k = (1 - 4z)^(-k/2) have the integer
+coefficients [z^n] y^k = binom(n + k/2 - 1, n) 4^n, which run from 1 by
+the exact term ratio 2(2n+k)/(n+1): no series product is formed.
 """
 
 from __future__ import annotations
@@ -29,15 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add, mul
 
 from .errors import ConsistencyError, DiagramError, InfeasibleError
 
 # Genera and series orders past this are refused up front with
-# InfeasibleError, with no override.  On a 2-vCPU Xeon VM
-# shape_poly_1bb(1000) takes about 20 s and w_gf(2, 800) about 4 s, and
-# the cost grows with the cube of the size, so nothing much past the
-# bound finishes; an order of 10**9 would not even fit in memory.
+# InfeasibleError, with no override.  Measured once each on a 2-vCPU
+# Xeon VM with Python 3.11: shape_poly_1bb(1000) takes 16 s and
+# shape_poly_2bb(100) 2.2 s (both grow with about the cube of the
+# genus), w_gf(2, 1000) 0.01 s, w_gf(50, 1000) 0.7 s and
+# fiber_gf(900, 1000) 2.5 s; an order of 10**9 would not even fit in
+# memory.
 _MAX_SIZE = 1000
 
 
@@ -216,15 +224,19 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
     """Generating polynomial of connected two-backbone shapes of genus g.
 
     Computed as the exact quotient S_{g+1}/(1+z) minus the disconnected
-    pairs sum_{i=1..g} S_i S_{g+1-i}.
+    pairs sum_{i=1..g} S_i S_{g+1-i}, in which the pairs i and g+1-i are
+    equal: each product is formed once, and taken twice when i != g+1-i.
     """
     if g < 0:
         raise DiagramError("shape_poly_2bb requires g >= 0")
     qp, r = shape_poly_1bb(g + 1).divide_by_one_plus_z()
     if r:
         raise ConsistencyError(f"(1+z) does not divide S_{g + 1}")
-    for i in range(1, g + 1):
-        qp = qp - shape_poly_1bb(i) * shape_poly_1bb(g + 1 - i)
+    s = {i: shape_poly_1bb(i) for i in range(1, g + 1)}
+    for i in range(1, g // 2 + 1):
+        qp = qp - (s[i] * s[g + 1 - i]).scale(2)
+    if g % 2:
+        qp = qp - s[(g + 1) // 2] * s[(g + 1) // 2]
     return qp
 
 
@@ -344,14 +356,32 @@ def catalan_series(order: int) -> PowerSeries:
     return PowerSeries(order, tuple(c))
 
 
-def _fiber_basis(order: int) -> tuple[PowerSeries, PowerSeries]:
-    """``((C D)^2, X)`` with D = 1/(1 - z C^2) and X = z C^2 D, so that
-    the fiber series of l non-rainbow arcs is z^2 (C D)^2 X^l."""
-    c = catalan_series(order)
-    zc2 = (c * c).shift(1)
-    d = (PowerSeries.one(order) - zc2).inverse()
-    cd = c * d
-    return cd * cd, zc2 * d
+def _fiber_sum(terms: list[tuple[int, int]], order: int) -> PowerSeries:
+    """z^2 y^2 sum_l q_l ((y-1)/2)^l for the pairs (l, q_l) in ``terms``,
+    truncated at ``order``, with y = (1 - 4z)^(-1/2): the fibers of q_l
+    shapes with l non-rainbow arcs each, summed (see the module
+    docstring)."""
+    top = max(l for l, _ in terms)
+    # 2^top y^2 sum_l q_l ((y-1)/2)^l = sum_k r[k] y^k over the integers
+    r = [0] * (top + 3)
+    for l, q in terms:
+        c = q << (top - l)
+        for j in range(l + 1):
+            t = c * comb(l, j)
+            r[j + 2] += -t if (l - j) & 1 else t
+    out = [0] * (order + 1)
+    for k, rk in enumerate(r):
+        if rk:
+            a = 1  # [z^n] y^k
+            for n in range(order - 1):
+                out[n + 2] += rk * a
+                a = a * 2 * (2 * n + k) // (n + 1)
+    mask = (1 << top) - 1
+    for n, c in enumerate(out):
+        if c & mask:
+            raise ConsistencyError(f"[z^{n}] of a fiber sum is not an integer")
+        out[n] = c >> top
+    return PowerSeries(order, tuple(out))
 
 
 def fiber_gf(l: int, order: int) -> PowerSeries:
@@ -359,24 +389,24 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
     non-rainbow arcs; depends only on l.  First non-zero coefficient is
     1 at degree l+2.
 
-    Computed as z^2 (C D)^2 X^l, which equals the paper's
-    C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the module docstring)."""
+    Computed as z^2 y^2 ((y-1)/2)^l with y = (1 - 4z)^(-1/2), which
+    equals the paper's C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the
+    module docstring)."""
     if l < 1:
         raise DiagramError("fiber_gf requires l >= 1")
     _check_order(order)
     if order < l + 2:
         return PowerSeries(order, ())
-    cd2, x = _fiber_basis(order)
-    return (cd2 * x.pow(l)).shift(2)
+    return _fiber_sum([(l, 1)], order)
 
 
 def w_gf(g: int, order: int) -> PowerSeries:
     """Generating function of connected two-backbone matchings of genus g,
     summed over shapes: sum_l q_g(l+2) fiber_gf(l).
 
-    With fiber_gf(l) = z^2 (C D)^2 X^l this is z^2 (C D)^2 P(X), where
-    P(X) = sum_l q_g(l+2) X^l is evaluated by Horner's rule from the top
-    degree of Q_g down to l = 1: one series product per arc count.
+    All fibers share the form z^2 y^2 ((y-1)/2)^l, so the sum is one
+    polynomial in y = (1 - 4z)^(-1/2), expanded term by term (see the
+    module docstring).
 
     Below degree 2g + 3 every coefficient is zero, so an order under it
     returns the zero series without building Q_g.  A connected genus-g
@@ -384,18 +414,14 @@ def w_gf(g: int, order: int) -> PowerSeries:
     cycles has 2 - 2g - r = 2 - n, so n = 2g + r, and r >= 3: each
     rainbow (s, e) closes the one-sided cycle (s) along its outside, and
     the exterior arc that connects the backbones lies on neither.  Since
-    X = O(z), the fiber of an n-arc shape starts at z^n."""
+    (y-1)/2 = O(z), the fiber of an n-arc shape starts at z^n."""
     _check_order(order)
     if 0 <= g and order < 2 * g + 3:  # a negative g fails in shape_poly_2bb
         return PowerSeries(order, ())
-    q = shape_poly_2bb(g)
-    cd2, x = _fiber_basis(order)
+    q = shape_poly_2bb(g).coeffs
     # every connected two-backbone shape has at least three arcs, so
-    # q_g(l+2) vanishes for l < 1 and P(X) = X (q_g(3) + X (q_g(4) + ...))
-    p = PowerSeries(order, ())
-    for coeff in reversed(q.coeffs[3:]):
-        p = (p + PowerSeries(order, (coeff,))) * x
-    return (cd2 * p).shift(2)
+    # q_g(l+2) vanishes for l < 1
+    return _fiber_sum([(n - 2, c) for n, c in enumerate(q) if c], order)
 
 
 def growth_ratio(series: PowerSeries, n: int) -> Fraction:

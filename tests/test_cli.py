@@ -486,6 +486,26 @@ def test_sample_negative_genus_exit_code_3(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("where", ["file", os.devnull])
+def test_sample_cache_dir_not_a_directory_exit_code_3(tmp_path, capsys, monkeypatch, where):
+    # the cache directory is made before the table is enumerated, so an
+    # unusable one fails at once instead of after the whole build
+    if where == "file":
+        where = tmp_path / "file"
+        where.write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table enumerated before the cache directory was made")
+
+    monkeypatch.setattr("chordshapes.sampling.enumerate_shapes", refuse)
+    code, out, err = run(
+        capsys, "sample", "--genus", "1", "--count", "1", "--cache-dir", str(where)
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [

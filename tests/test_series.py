@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordshapes import (
+    ConsistencyError,
     DiagramError,
     InfeasibleError,
     IntPolynomial,
@@ -76,7 +77,7 @@ Q2 = {
 
 
 # SHA-256 of ",".join(map(str, w_gf(g, 400).coeffs)), computed by adding
-# one fiber series per shape arc count, independently of Horner's rule
+# one fiber series per shape arc count, independently of w_gf
 W_400_SHA256 = {
     0: "cec06172567adc90be3df48b6ecae462c7b949e40581284305af39cf4614d7cc",
     1: "16abd98d9c35a141389f371fa9d9bf05695e5e6b603b36ccdb18a547736bf8f4",
@@ -313,6 +314,18 @@ class TestCatalan:
         # equivalently 1 - z C^2 = 2 - C
         assert one - (c * c).shift(1) == one.scale(2) - c
 
+    def test_fiber_basis_in_y(self):
+        # with D = 1/(1 - z C^2) and X = z C^2 D: (C D)^2 = 1/(1 - 4z),
+        # so C D = y = (1 - 4z)^(-1/2), and X = (y - 1)/2
+        order = 60
+        c = catalan_series(order)
+        one = PowerSeries.one(order)
+        zc2 = (c * c).shift(1)
+        d = (one - zc2).inverse()
+        cd = c * d
+        assert cd * cd == PowerSeries(order, tuple(4**n for n in range(order + 1)))
+        assert (zc2 * d).scale(2) + one == cd
+
     def test_square_root_identity(self):
         # 2zC = 1 - sqrt(1-4z), so (1 - 2zC)^2 = 1 - 4z
         order = 30
@@ -401,6 +414,29 @@ class TestFiberSeries:
     def test_matches_literal_formula(self, l):
         assert fiber_gf(l, 80) == literal_fiber(l, 80)
 
+    @pytest.mark.parametrize("l", (1, 37))
+    def test_matches_literal_formula_at_order_400(self, l):
+        assert fiber_gf(l, 400) == literal_fiber(l, 400)
+
+    def test_no_series_product(self, monkeypatch):
+        # fibers and their sums are expanded in y = (1 - 4z)^(-1/2)
+        # coefficient by coefficient; no truncated product is formed
+        def refuse(self, other):
+            raise AssertionError("series product formed")
+
+        monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+        text = ",".join(map(str, w_gf(2, 400).coeffs))
+        assert sha256(text.encode()).hexdigest() == W_400_SHA256[2]
+        f = fiber_gf(3, 400)
+        assert f[5] == 1 and f[6] == 13
+
+    def test_inexact_expansion_raises(self, monkeypatch):
+        # the integer expansion is divided by 2^l at the end; a wrong
+        # binomial leaves a remainder, which raises (also under python -O)
+        monkeypatch.setattr("chordshapes.series.comb", lambda n, k: comb(n, k) + 1)
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            fiber_gf(3, 10)
+
 
 class TestWSeries:
     def test_w0_low_coefficients(self):
@@ -444,7 +480,7 @@ class TestWSeries:
             with pytest.raises(DiagramError, match="g >= 0"):
                 w_gf(-1, order)
 
-    @pytest.mark.parametrize("g", range(4))
+    @pytest.mark.parametrize("g", range(6))
     def test_matches_literal_sum_over_shapes(self, g):
         # sum_l q_g(l+2) C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2), at every
         # order below 2g + 3 (where w_gf skips Q_g) and at order 80
