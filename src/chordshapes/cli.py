@@ -258,7 +258,7 @@ def _cmd_fiber(args) -> int:
     diagrams = _read_diagrams(args.input)
     for d in diagrams:
         s = as_shape(d)
-        n = count_fiber(s, args.arcs, force=args.force)
+        n = count_fiber(s, args.arcs)
         _emit({"arcs": args.arcs, "count": str(n)})
     return EXIT_OK
 
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="brute-force fiber count of a shape")
     add_input(p)
     p.add_argument("--arcs", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_fiber)
 
     return parser

@@ -65,6 +65,9 @@ _MAX_ARCS = 500
 # reach 11 and 10, and the next ones, (1, 3) and (2, 2), hold 15,214,144
 # and 7,577,504 shapes, which no exhaustive search could list.
 _MAX_SHAPE_ARCS = 11
+# Fibers are counted up to this many arcs, with no override: at genus 0
+# and 8 arcs count_fiber projects 131,072 matchings, in about 10 s.
+_MAX_FIBER_ARCS = 8
 
 
 @dataclass(frozen=True)
@@ -491,7 +494,9 @@ def enumerate_shapes(
         )
 
     budget = [node_budget] if node_budget is not None else None
-    found: dict[str, Diagram] = {}
+    # splits and partners ascend, so the shapes come in canonical order
+    shapes: list[Shape] = []
+    last: tuple = ()
     for n in range(lo, hi + 1):
         V = 2 * n
         if b == 1:
@@ -505,36 +510,32 @@ def enumerate_shapes(
                 preplaced = ((1, lengths[0]), (lengths[0] + 1, V))
 
             def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
+                nonlocal last
+                key = (n, _lengths, tuple(sorted(arcs)))
+                if key <= last:
+                    raise ConsistencyError(
+                        f"shape emitted out of canonical order: {key}"
+                    )
+                last = key
                 d = Diagram(_lengths, frozenset(arcs), planted=True)
-                code = canonical_code(d)
-                if code in found:
-                    raise ConsistencyError(f"duplicate shape emitted: {code}")
-                found[code] = d
+                shapes.append(Shape(diagram=d, genus=g))
 
             _search_split(
                 lengths, g, g, connected, preplaced, emit, budget, hi - n
             )
-
-    diagrams = sorted(
-        found.values(),
-        key=lambda d: (d.n_arcs, d.backbone_lengths, tuple(sorted(d.arcs))),
-    )
-    return [Shape(diagram=d, genus=g) for d in diagrams]
+    return shapes
 
 
-def count_fiber(
-    s: Shape,
-    n_arcs: int,
-    *,
-    force: bool = False,
-    node_budget: Optional[int] = None,
-) -> int:
+def count_fiber(s: Shape, n_arcs: int) -> int:
     """Number of connected two-backbone matchings with ``n_arcs`` arcs whose
-    shape projection equals ``s`` (same genus by construction)."""
+    shape projection equals ``s`` (same genus by construction).  More than
+    8 arcs is refused up front with ``InfeasibleError``."""
     if s.b != 2:
         raise DiagramError("fibers are counted for two-backbone shapes")
-    if n_arcs > 8 and not force:
-        raise InfeasibleError("fiber counting beyond 8 arcs needs force=True")
+    if n_arcs > _MAX_FIBER_ARCS:
+        raise InfeasibleError(
+            f"{n_arcs} arcs: fibers are counted up to {_MAX_FIBER_ARCS} arcs"
+        )
     target = canonical_code(s.diagram)
     hits = [0]
 
@@ -550,7 +551,6 @@ def count_fiber(
             genus_cap=s.genus,
             genus_exact=s.genus,
             connected_only=True,
-            node_budget=node_budget,
         ),
         visit,
     )

@@ -268,12 +268,6 @@ class BishapeSampler:
                 continue
             return image
 
-    @property
-    def acceptance_fraction(self) -> float:
-        if self.attempts == 0:
-            return 0.0
-        return self.connected_hits / self.attempts
-
 
 def _pullbacks(shapes) -> list[Optional[Shape]]:
     """The pullback of every table entry, in table order: one ``Shape``

@@ -2,15 +2,23 @@
 
 Everything here is computed over arbitrary-precision integers; no
 floating point is used anywhere.  The kappa numbers come from their
-two-term recursion, the one-backbone shape polynomial is
+two-term recursion.  With u = z(1+z) and P_g(u) = sum_t kappa_t^(g)
+u^(t-1), the one-backbone shape polynomial and its A- and B-shapes are
 
-    S_g(z) = sum_{t=1..g} kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1),
+    S_g = sum_{t=1..g} kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1)
+        = z^(2g+1) (1+z)^(2g) P_g(u),
+    A_g = S_g z/(1+z) = z^(2g+2) (1+z)^(2g-1) P_g(u),
+    B_g = S_g - A_g   = z^(2g+1) (1+z)^(2g-1) P_g(u),
 
-and the two-backbone polynomial is obtained by exact division,
+and, as S_i S_{g+1-i} = z^(2g+4) (1+z)^(2g+2) P_i P_{g+1-i}, the
+two-backbone polynomial is
 
-    Q_g(z) = S_{g+1}(z)/(1+z) - sum_{i=1..g} S_i(z) S_{g+1-i}(z),
+    Q_g = S_{g+1}/(1+z) - sum_{i=1..g} S_i S_{g+1-i}
+        = z^(2g+3) (1+z)^(2g+1) R_g(u),
+    R_g = P_{g+1} - u sum_{i=1..g} P_i P_{g+1-i}:
 
-where a non-zero division remainder is an internal-consistency failure.
+each is one expansion of a polynomial in u of degree at most g.
+
 The fiber generating function of a shape with l non-rainbow arcs is
 
     F_l = C(z)^(2l+2) z^(l+2) / (1 - z C(z)^2)^(l+2) = z^2 (C D)^2 X^l,
@@ -23,10 +31,17 @@ matching (the shape's two rainbows included).  Since C = 1 + z C^2 and
 
     1 - z C^2 = 2 - C = s C,    C D = 1/s =: y,    X = (y - 1)/2,
 
-so F_l = z^2 y^2 ((y-1)/2)^l, and every sum of fibers is z^2 times a
-polynomial in y.  Its monomials y^k = (1 - 4z)^(-k/2) have the integer
-coefficients [z^n] y^k = binom(n + k/2 - 1, n) 4^n, which run from 1 by
-the exact term ratio 2(2n+k)/(n+1): no series product is formed.
+so F_l = z^2 y^2 ((y-1)/2)^l.  Its monomials y^k = (1 - 4z)^(-k/2) have
+the integer coefficients [z^n] y^k = binom(n + k/2 - 1, n) 4^n, which
+run from 1 by the exact term ratio 2(2n+k)/(n+1).  Summed over shapes,
+W_g = sum_n q_g(n) F_(n-2) = z^2 y^2 X^(-2) Q_g(X), and X(1 + X) =
+(y^2 - 1)/4 = z/(1 - 4z) =: v, so Q_g(X) = X^2 v^(2g+1) R_g(v) and, with
+R_g = sum_t r_t u^t,
+
+    W_g = sum_t r_t z^(2g+3+t) (1 - 4z)^(-(2g+2+t)),
+
+whose terms [z^k] (1 - 4z)^(-m) = binom(k + m - 1, k) 4^k run from 1 by
+the exact ratio 4(k+m)/(k+1).  No series product is formed.
 """
 
 from __future__ import annotations
@@ -40,12 +55,12 @@ from operator import add, mul
 from .errors import ConsistencyError, DiagramError, InfeasibleError
 
 # Genera and series orders past this are refused up front with
-# InfeasibleError, with no override.  Measured once each on a 2-vCPU
-# Xeon VM with Python 3.11: shape_poly_1bb(1000) takes 16 s and
-# shape_poly_2bb(100) 2.2 s (both grow with about the cube of the
-# genus), w_gf(2, 1000) 0.01 s, w_gf(50, 1000) 0.7 s and
-# fiber_gf(900, 1000) 2.5 s; an order of 10**9 would not even fit in
-# memory.
+# InfeasibleError, with no override.  Measured on a 2-vCPU Xeon VM with
+# Python 3.11.7, shared with other work: shape_poly_1bb(1000) takes
+# 11-14 s, shape_poly_2bb(100) 0.06-0.17 s and shape_poly_2bb(200) about
+# 2 s (its P_i products grow with the cube of the genus), w_gf(50, 1000)
+# 0.04-0.05 s and fiber_gf(900, 1000) 1.7-2.7 s; an order of 10**9 would
+# not even fit in memory.
 _MAX_SIZE = 1000
 
 
@@ -127,31 +142,19 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def divide_by_one_plus_z(self) -> tuple["IntPolynomial", int]:
-        """Return (quotient, remainder) for division by 1+z; all exact."""
-        if not self.coeffs:
-            return IntPolynomial.zero(), 0
-        q = [0] * len(self.coeffs)
-        carry = 0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            q[k - 1] = self.coeffs[k] - carry
-            carry = q[k - 1]
-        remainder = self.coeffs[0] - carry
-        return IntPolynomial(tuple(q[: len(self.coeffs) - 1] or ())), remainder
-
 
 # -- kappa recursion --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _kappa_row(g: int) -> tuple[int, ...]:
-    """kappa_t^(g) for t = 0..g (kappa_0 = 0), built bottom-up over the
-    genus from kappa_1^(1) = 1; only the rows asked for are kept.  Every
-    genus-valued function reads its row here, so a genus past
+def _kappa_rows(g: int):
+    """The rows kappa_t^(h) for t = 0..h (kappa_0 = 0), h = 1..g in turn,
+    each built from the one below it, from kappa_1^(1) = 1.  Every
+    genus-valued function reads its rows here, so a genus past
     ``_MAX_SIZE`` is refused here, before any work."""
     if g > _MAX_SIZE:
         raise InfeasibleError(f"genus above {_MAX_SIZE} is refused")
     row: tuple[int, ...] = (0, 1)
+    yield row
     for h in range(2, g + 1):
         up = [0]
         for t in range(1, h + 1):
@@ -167,6 +170,13 @@ def _kappa_row(g: int) -> tuple[int, ...]:
                 )
             up.append(q)
         row = tuple(up)
+        yield row
+
+
+@lru_cache(maxsize=None)
+def _kappa_row(g: int) -> tuple[int, ...]:
+    """The row kappa_t^(g), t = 0..g; only the rows asked for are kept."""
+    *_, row = _kappa_rows(g)
     return row
 
 
@@ -189,55 +199,62 @@ def kappa_table(max_g: int) -> dict[tuple[int, int], int]:
 # -- shape polynomials -------------------------------------------------------
 
 
-def shape_poly_1bb(g: int) -> IntPolynomial:
-    """Generating polynomial of one-backbone shapes of genus g by arc count.
+def _expand(r, a: int, b: int) -> IntPolynomial:
+    """z^a (1+z)^b r(u) with u = z(1+z), for the coefficients ``r`` of
+    r(u) by degree: Horner's rule in u, then the b factors 1+z, so every
+    step is a shift and an add of integer coefficients."""
+    acc = [r[-1]]
+    for c in reversed(r[:-1]):
+        acc = [c, *map(add, acc + [0], [0] + acc)]
+    for _ in range(b):
+        acc = list(map(add, acc + [0], [0] + acc))
+    return IntPolynomial((0,) * a + tuple(acc))
 
-    S_g(z) = z^(2g+1) (1+z)^(2g) sum_t kappa_t^(g) (z(1+z))^(t-1): the sum
-    is evaluated by Horner's rule in z(1+z), so every step, like each of
-    the 2g factors 1+z, is a shift and an add of integer coefficients.
-    """
+
+def _p_1bb(g: int) -> tuple[int, ...]:
+    """The coefficients of P_g(u) = sum_t kappa_t^(g) u^(t-1)."""
     if g < 1:
         raise DiagramError("shape_poly_1bb requires g >= 1")
-    row = _kappa_row(g)
-    acc = [row[g]]
-    for t in range(g - 1, 0, -1):
-        acc = [row[t], *map(add, acc + [0], [0] + acc)]
-    for _ in range(2 * g):
-        acc = list(map(add, acc + [0], [0] + acc))
-    return IntPolynomial((0,) * (2 * g + 1) + tuple(acc))
+    return _kappa_row(g)[1:]
+
+
+def shape_poly_1bb(g: int) -> IntPolynomial:
+    """Generating polynomial of one-backbone shapes of genus g by arc count:
+    S_g(z) = z^(2g+1) (1+z)^(2g) P_g(z(1+z))."""
+    return _expand(_p_1bb(g), 2 * g + 1, 2 * g)
 
 
 def a_shape_poly(g: int) -> IntPolynomial:
     """Generating polynomial of one-backbone A-shapes: S_g(z) z / (1+z)."""
-    q, r = shape_poly_1bb(g).divide_by_one_plus_z()
-    if r:
-        raise ConsistencyError(f"(1+z) does not divide S_{g}")
-    return q.shift(1)
+    return _expand(_p_1bb(g), 2 * g + 2, 2 * g - 1)
 
 
 def b_shape_poly(g: int) -> IntPolynomial:
     """Generating polynomial of one-backbone B-shapes: S_g - A_g."""
-    return shape_poly_1bb(g) - a_shape_poly(g)
+    return _expand(_p_1bb(g), 2 * g + 1, 2 * g - 1)
+
+
+def _r_2bb(g: int) -> tuple[int, ...]:
+    """The coefficients of R_g(u) = P_{g+1} - u sum_{i=1..g} P_i P_{g+1-i}
+    by degree.  The rows of P_1..P_{g+1} come from one pass, and the pairs
+    i and g+1-i are equal: each product is formed once, and taken twice
+    when i != g+1-i."""
+    if g < 0:
+        raise DiagramError("shape_poly_2bb requires g >= 0")
+    p = [IntPolynomial(row[1:]) for row in _kappa_rows(g + 1)]  # P_(i+1)
+    pairs = IntPolynomial.zero()
+    for i in range(1, g // 2 + 1):
+        pairs = pairs + (p[i - 1] * p[g - i]).scale(2)
+    if g % 2:
+        pairs = pairs + p[g // 2] * p[g // 2]
+    return (p[g] - pairs.shift(1)).coeffs
 
 
 def shape_poly_2bb(g: int) -> IntPolynomial:
-    """Generating polynomial of connected two-backbone shapes of genus g.
-
-    Computed as the exact quotient S_{g+1}/(1+z) minus the disconnected
-    pairs sum_{i=1..g} S_i S_{g+1-i}, in which the pairs i and g+1-i are
-    equal: each product is formed once, and taken twice when i != g+1-i.
-    """
-    if g < 0:
-        raise DiagramError("shape_poly_2bb requires g >= 0")
-    qp, r = shape_poly_1bb(g + 1).divide_by_one_plus_z()
-    if r:
-        raise ConsistencyError(f"(1+z) does not divide S_{g + 1}")
-    s = {i: shape_poly_1bb(i) for i in range(1, g + 1)}
-    for i in range(1, g // 2 + 1):
-        qp = qp - (s[i] * s[g + 1 - i]).scale(2)
-    if g % 2:
-        qp = qp - s[(g + 1) // 2] * s[(g + 1) // 2]
-    return qp
+    """Generating polynomial of connected two-backbone shapes of genus g:
+    Q_g(z) = S_{g+1}/(1+z) - sum_{i=1..g} S_i S_{g+1-i}
+           = z^(2g+3) (1+z)^(2g+1) R_g(z(1+z))."""
+    return _expand(_r_2bb(g), 2 * g + 3, 2 * g + 1)
 
 
 # -- truncated power series ---------------------------------------------------
@@ -356,34 +373,6 @@ def catalan_series(order: int) -> PowerSeries:
     return PowerSeries(order, tuple(c))
 
 
-def _fiber_sum(terms: list[tuple[int, int]], order: int) -> PowerSeries:
-    """z^2 y^2 sum_l q_l ((y-1)/2)^l for the pairs (l, q_l) in ``terms``,
-    truncated at ``order``, with y = (1 - 4z)^(-1/2): the fibers of q_l
-    shapes with l non-rainbow arcs each, summed (see the module
-    docstring)."""
-    top = max(l for l, _ in terms)
-    # 2^top y^2 sum_l q_l ((y-1)/2)^l = sum_k r[k] y^k over the integers
-    r = [0] * (top + 3)
-    for l, q in terms:
-        c = q << (top - l)
-        for j in range(l + 1):
-            t = c * comb(l, j)
-            r[j + 2] += -t if (l - j) & 1 else t
-    out = [0] * (order + 1)
-    for k, rk in enumerate(r):
-        if rk:
-            a = 1  # [z^n] y^k
-            for n in range(order - 1):
-                out[n + 2] += rk * a
-                a = a * 2 * (2 * n + k) // (n + 1)
-    mask = (1 << top) - 1
-    for n, c in enumerate(out):
-        if c & mask:
-            raise ConsistencyError(f"[z^{n}] of a fiber sum is not an integer")
-        out[n] = c >> top
-    return PowerSeries(order, tuple(out))
-
-
 def fiber_gf(l: int, order: int) -> PowerSeries:
     """Generating function of matchings reducing to a fixed shape with l
     non-rainbow arcs; depends only on l.  First non-zero coefficient is
@@ -391,37 +380,53 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
 
     Computed as z^2 y^2 ((y-1)/2)^l with y = (1 - 4z)^(-1/2), which
     equals the paper's C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the
-    module docstring)."""
+    module docstring), with y^2 (y-1)^l expanded over the integers and
+    divided by 2^l at the end."""
     if l < 1:
         raise DiagramError("fiber_gf requires l >= 1")
     _check_order(order)
     if order < l + 2:
         return PowerSeries(order, ())
-    return _fiber_sum([(l, 1)], order)
+    out = [0] * (order + 1)
+    for j in range(l + 1):
+        rk = -comb(l, j) if (l - j) & 1 else comb(l, j)
+        a = 1  # [z^n] y^(j+2)
+        for n in range(order - 1):
+            out[n + 2] += rk * a
+            a = a * 2 * (2 * n + j + 2) // (n + 1)
+    mask = (1 << l) - 1
+    for n, c in enumerate(out):
+        if c & mask:
+            raise ConsistencyError(f"[z^{n}] of a fiber sum is not an integer")
+        out[n] = c >> l
+    return PowerSeries(order, tuple(out))
 
 
 def w_gf(g: int, order: int) -> PowerSeries:
     """Generating function of connected two-backbone matchings of genus g,
     summed over shapes: sum_l q_g(l+2) fiber_gf(l).
 
-    All fibers share the form z^2 y^2 ((y-1)/2)^l, so the sum is one
-    polynomial in y = (1 - 4z)^(-1/2), expanded term by term (see the
-    module docstring).
+    Summed as sum_t r_t z^(2g+3+t) (1 - 4z)^(-(2g+2+t)) over the
+    coefficients r_t of R_g (see the module docstring).
 
     Below degree 2g + 3 every coefficient is zero, so an order under it
-    returns the zero series without building Q_g.  A connected genus-g
+    returns the zero series without building R_g.  A connected genus-g
     two-backbone shape with n arcs (rainbows included) and r boundary
     cycles has 2 - 2g - r = 2 - n, so n = 2g + r, and r >= 3: each
     rainbow (s, e) closes the one-sided cycle (s) along its outside, and
     the exterior arc that connects the backbones lies on neither.  Since
     (y-1)/2 = O(z), the fiber of an n-arc shape starts at z^n."""
     _check_order(order)
-    if 0 <= g and order < 2 * g + 3:  # a negative g fails in shape_poly_2bb
+    if 0 <= g and order < 2 * g + 3:  # a negative g fails in _r_2bb
         return PowerSeries(order, ())
-    q = shape_poly_2bb(g).coeffs
-    # every connected two-backbone shape has at least three arcs, so
-    # q_g(l+2) vanishes for l < 1
-    return _fiber_sum([(n - 2, c) for n, c in enumerate(q) if c], order)
+    out = [0] * (order + 1)
+    for t, a in enumerate(_r_2bb(g)):
+        m = 2 * g + 2 + t
+        # a = r_t [z^k] (1 - 4z)^(-m), placed at z^(k + m + 1)
+        for k in range(order - m):
+            out[k + m + 1] += a
+            a = a * 4 * (k + m) // (k + 1)
+    return PowerSeries(order, tuple(out))
 
 
 def growth_ratio(series: PowerSeries, n: int) -> Fraction:

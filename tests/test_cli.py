@@ -411,6 +411,21 @@ def test_enumerate_force_is_a_usage_error():
     assert e.value.code == 2
 
 
+def test_fiber_force_is_a_usage_error(tmp_path, capsys):
+    # no flag lifts the 8-arc fiber bound either
+    f = tmp_path / "q.txt"
+    f.write_text(SHAPE_Q3)
+    code, _, err = run(capsys, "fiber", "-i", str(f), "--arcs", "9")
+    assert code == 4
+    assert json.loads(err)["error"] == {
+        "type": "infeasible",
+        "message": "9 arcs: fibers are counted up to 8 arcs",
+    }
+    with pytest.raises(SystemExit) as e:
+        main(["fiber", "-i", str(f), "--arcs", "9", "--force"])
+    assert e.value.code == 2
+
+
 def test_corrupt_cache_exit_code_5(tmp_path, capsys):
     code, _, _ = run(
         capsys,

@@ -231,6 +231,12 @@ class TestShapes:
         shapes = shape_sets(2, 0) + shape_sets(1, 1)
         codes = [canonical_code(s.diagram) for s in shapes]
         assert len(set(codes)) == len(codes)
+        for b, g in ((2, 0), (1, 1), (2, 1)):
+            keys = [
+                (s.n_arcs, s.diagram.backbone_lengths, sorted(s.diagram.arcs))
+                for s in shape_sets(b, g)
+            ]
+            assert keys == sorted(keys), (b, g)
 
     def test_deterministic(self):
         a = [canonical_code(s.diagram) for s in enumerate_shapes(1, 1)]
@@ -307,6 +313,22 @@ class TestShapes:
         assert search(1) == [((1, 3), (4, 6), (2, 5))]
         with pytest.raises(ConsistencyError, match="face sides"):
             search(2)
+
+    def test_repeated_emit_raises(self, monkeypatch):
+        # the shapes are kept in the order the kernel emits them, so a
+        # shape emitted twice (or out of order) raises, under python -O too
+        def twice(*args):
+            *head, emit, budget, spare = args
+
+            def emit_twice(arcs):
+                emit(arcs)
+                emit(arcs)
+
+            return _search_split(*head, emit_twice, budget, spare)
+
+        monkeypatch.setattr("chordshapes.enumeration._search_split", twice)
+        with pytest.raises(ConsistencyError, match="out of canonical order"):
+            enumerate_shapes(2, 0)
 
 
 def _code_digest(shapes) -> str:
@@ -385,5 +407,5 @@ class TestFibers:
             count_fiber(one_bb, 2)
 
     def test_infeasible_size_refused(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="9 arcs: .* up to 8 arcs"):
             count_fiber(Q3, 9)

@@ -84,6 +84,15 @@ W_400_SHA256 = {
     2: "c172f27bcf71a8e527f72805b8476e122df2a44f51f0e314acfe69eecf63d422",
 }
 
+# SHA-256 of ",".join(map(str, shape_poly_2bb(g).coeffs)), computed when
+# Q_g was still formed as S_{g+1}/(1+z) minus the S_i S_{g+1-i} products
+Q_SHA256 = {
+    50: "a5806939bd33b7f02425b84424e9cb9d76731bfb2ee4e8a8affe2796f870f01e",
+    100: "4c39ede818de30a63b88d33f686579d95ecf2bd0663bd37817ec614d7eaebdf1",
+}
+
+ONE_PLUS_Z = IntPolynomial((1, 1))
+
 
 def poly_dict(p: IntPolynomial) -> dict[int, int]:
     return {k: c for k, c in enumerate(p.coeffs) if c}
@@ -94,6 +103,17 @@ def literal_fiber(l: int, order: int) -> PowerSeries:
     c = catalan_series(order)
     denom = PowerSeries.one(order) - (c * c).shift(1)
     return (c.pow(2 * l + 2) * denom.inverse().pow(l + 2)).shift(l + 2)
+
+
+def literal_s(g: int, drop: int = 0) -> IntPolynomial:
+    """sum_t kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1-drop), term by term with
+    binomials: S_g for drop = 0, S_g/(1+z) for drop = 1."""
+    literal = [0] * (6 * g)
+    for t in range(1, g + 1):
+        k = 2 * g + t - 1 - drop
+        for i in range(k + 1):
+            literal[2 * g + t + i] += kappa(g, t) * comb(k, i)
+    return IntPolynomial(tuple(literal))
 
 
 def schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -210,12 +230,40 @@ class TestShapePolynomials:
     def test_matches_literal_kappa_sum(self):
         # S_g = sum_t kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1), term by term
         for g in range(1, 9):
-            literal = [0] * (6 * g)
-            for t in range(1, g + 1):
-                k = 2 * g + t - 1
-                for i in range(k + 1):
-                    literal[2 * g + t + i] += kappa(g, t) * comb(k, i)
-            assert shape_poly_1bb(g).coeffs == tuple(literal), g
+            assert shape_poly_1bb(g) == literal_s(g), g
+
+    def test_q_and_a_against_literal_kappa_sum(self):
+        # the paper's Q_g = S_{g+1}/(1+z) - sum_i S_i S_{g+1-i} and
+        # A_g = S_g z/(1+z), checked by multiplying back, with every S_i
+        # built from the literal kappa sum
+        s = {i: literal_s(i) for i in range(1, 14)}
+        for g in range(13):
+            pairs = IntPolynomial.zero()
+            for i in range(1, g + 1):
+                pairs = pairs + s[i] * s[g + 1 - i]
+            assert (shape_poly_2bb(g) + pairs) * ONE_PLUS_Z == s[g + 1], g
+            if g:
+                assert a_shape_poly(g) * ONE_PLUS_Z == s[g].shift(1), g
+
+    def test_q_multiplies_only_p_rows(self, monkeypatch):
+        # Q_g multiplies the P_i, of degree at most g - 1 in u, and never
+        # the S_i, of degree up to 6i - 1 in z
+        degrees = []
+        mul = IntPolynomial.__mul__
+
+        def spy(self, other):
+            degrees.append(max(self.degree, other.degree))
+            return mul(self, other)
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", spy)
+        assert poly_dict(shape_poly_2bb(2)) == Q2
+        shape_poly_2bb(9)
+        assert degrees and max(degrees) == 8
+
+    @pytest.mark.parametrize("g", sorted(Q_SHA256))
+    def test_q_large_genus_pinned(self, g):
+        text = ",".join(map(str, shape_poly_2bb(g).coeffs))
+        assert sha256(text.encode()).hexdigest() == Q_SHA256[g]
 
     def test_degree_bounds(self):
         for g in range(1, 7):
@@ -231,9 +279,9 @@ class TestShapePolynomials:
             assert min(k for k, c in enumerate(q.coeffs) if c) == 2 * g + 3
 
     def test_one_plus_z_divides(self):
+        # every term of the kappa sum carries a factor 1+z
         for g in range(1, 7):
-            _, r = shape_poly_1bb(g).divide_by_one_plus_z()
-            assert r == 0
+            assert literal_s(g, drop=1) * ONE_PLUS_Z == shape_poly_1bb(g)
 
     def test_q0(self):
         assert poly_dict(shape_poly_2bb(0)) == Q0
@@ -249,9 +297,9 @@ class TestShapePolynomials:
         assert shape_poly_1bb(2)(1) == 3696
 
     def test_q_prime_1(self):
-        q, r = shape_poly_1bb(2).divide_by_one_plus_z()
-        assert r == 0
-        assert poly_dict(q) == {5: 21, 6: 168, 7: 483, 8: 651, 9: 420, 10: 105}
+        # S_2/(1+z), the disconnected-included two-backbone genus-1 count
+        q = IntPolynomial((0,) * 5 + (21, 168, 483, 651, 420, 105))
+        assert q * ONE_PLUS_Z == shape_poly_1bb(2)
 
     def test_a_poly_genus_one(self):
         assert poly_dict(a_shape_poly(1)) == {4: 1, 5: 1}
@@ -271,10 +319,9 @@ class TestShapePolynomials:
 
 class TestPolynomialArithmetic:
     def test_divide_remainder(self):
-        p = IntPolynomial((1, 0, 1))  # 1 + z^2 = (1+z)(z-1) + 2
-        q, r = p.divide_by_one_plus_z()
-        assert r == 2
-        assert q == IntPolynomial((-1, 1))
+        # 1 + z^2 = (1+z)(z-1) + 2
+        q = IntPolynomial((-1, 1))
+        assert q * ONE_PLUS_Z + IntPolynomial((2,)) == IntPolynomial((1, 0, 1))
 
     def test_mul_and_eval(self):
         p = IntPolynomial((1, 1))
