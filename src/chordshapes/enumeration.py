@@ -11,16 +11,19 @@ The walk needs nothing beyond the pairing alpha and the fixed backbone
 order sigma, each vertex's successor on its backbone (the last one
 wrapping to the first): the boundary cycles are the cycles of sigma
 after alpha, so a walk steps from vertex to successor and jumps across
-every arc it meets.  Placing an arc and undoing it therefore touch the
-pairing and the face bookkeeping below, and nothing else.  The kernel
-also keeps, for every unpaired vertex, the boundary cycle its gap lies
-on and, for every cycle, how many unpaired vertices it holds.  A
-complete matching leaves no cycle with an odd count, and only an arc
-that merges two cycles, raising the genus, can remove two of them, so a
-partial diagram with more than twice the remaining genus budget of odd
-cycles has no completion; that prune, too, is decided before the arc is
-placed.  Shape mode additionally rejects 1-arcs within a backbone and
-parallel-adjacent arc pairs the moment both arcs exist.
+every arc it meets.  The kernel stores no face: whether two gaps share
+a cycle, how many unpaired vertices a cycle holds and the arc sides
+between them are all read off walks, so placing an arc and undoing it
+set and clear the pairing and nothing else.  The rainbows of shape mode
+need no bookkeeping either: each splits its arcless backbone's cycle and
+leaves the genus and the count of odd cycles below as they were.  A
+complete matching leaves no cycle with an odd count of unpaired
+vertices, and only an arc that merges two cycles, raising the genus, can
+remove two of them, so a partial diagram with more than twice the
+remaining genus budget of odd cycles has no completion; that prune, too,
+is decided before the arc is placed.  Shape mode additionally rejects
+1-arcs within a backbone and parallel-adjacent arc pairs the moment both
+arcs exist.
 
 Shape mode also prunes on a face-side budget, decided before an arc is
 placed as well.  A shape has no 1-arc and no stack, so every face but
@@ -123,7 +126,6 @@ def _search_split(
     genus_cap: int,
     genus_exact: Optional[int],
     connected_only: bool,
-    preplaced: tuple[Arc, ...],
     emit: Callable[[tuple[Arc, ...]], None],
     budget: Optional[list[int]],
     spare: Optional[int],
@@ -146,21 +148,22 @@ def _search_split(
     So it lists the face's other unpaired vertices in cycle order after
     ``i``, in time linear in the face's vertices and sides, and on an
     arcless backbone it lists the backbone with no side.  Every unpaired
-    vertex's gap (where it would go in) lies on exactly one face;
-    ``flab`` labels it and ``fsize`` counts the unpaired vertices on
-    each face.  A new arc joins the gaps of ``i`` and ``j``: if both lie
-    on the same face it splits that face in two (r + 1, gp unchanged),
-    with the vertices strictly between ``i`` and ``j`` in cycle order on
-    one side and the rest on the other; otherwise it merges the two
-    faces into one (r - 1, gp + 1).  Each call walks the face of ``i``,
-    the first unpaired vertex, once, in cycle order from ``i``, and
-    takes every candidate's genus from whether ``j`` carries the same
-    label.  This is the exact genus of the diagram with the arc placed,
-    so testing ``genus_cap`` and the ``genus_exact`` floor before
-    placing the arc prunes the same subtrees as tracing after placing
-    it.  Both tests are sound: gp never decreases as arcs are added, and
-    each of the ``n_arcs - d`` arcs still to come raises it by at most
-    one.
+    vertex's gap (where it would go in) lies on exactly one face, and the
+    kernel stores no face: it reads every face fact off a walk.  A new
+    arc joins the gaps of ``i`` and ``j``: if both lie on the same face
+    it splits that face in two (r + 1, gp unchanged), with the vertices
+    strictly between ``i`` and ``j`` in cycle order on one side and the
+    rest on the other; otherwise it merges the two faces into one
+    (r - 1, gp + 1).  Each call walks the face of ``i``, the first
+    unpaired vertex, once, in cycle order from ``i``: ``j`` is on it if
+    the walk listed it, and the face holds ``len(on) + 1`` unpaired
+    vertices.  Every other face a candidate lies on is walked once per
+    call, and ``far`` keeps its size and segments for each vertex on it.
+    This gives the exact genus of the diagram with the arc placed, so
+    testing ``genus_cap`` and the ``genus_exact`` floor before placing
+    the arc prunes the same subtrees as tracing after placing it.  Both
+    tests are sound: gp never decreases as arcs are added, and each of
+    the ``n_arcs - d`` arcs still to come raises it by at most one.
 
     Parity prune: let ``odd`` count the faces with an odd number of
     unpaired vertices.  A split of a face of size s into p and s - 2 - p
@@ -186,20 +189,22 @@ def _search_split(
     with the one into i across the other; a join that leaves no vertex
     closes into a face of q + 1 sides, which adds max(0, q - 2) as the
     segment did, so it changes nothing.  A merge joins i's segments with
-    j's the same way; one walk of j's face, made at most once per face
-    and call, gives them.  ``_seg_rise`` is each join's rise in ``lb``,
-    so a candidate costs O(1).  At an emitted leaf ``lb`` must equal
-    ``spare``; anything else raises ``ConsistencyError``.  With
-    ``spare`` None the search enumerates all matchings: no shape rule
-    and no face-side prune.
+    j's the same way, read from ``far``.  ``_seg_rise`` is each join's
+    rise in ``lb``, so a candidate costs O(1).  At an emitted leaf ``lb``
+    must equal ``spare``; anything else raises ``ConsistencyError``.
+    With ``spare`` None the search enumerates all matchings: no shape
+    rule and no face-side prune.
 
-    Placing an arc sets ``pair`` at both ends; a split gives the smaller
-    side a new label and a merge relabels the walked face with ``j``'s
-    label.  The undo clears ``pair`` and relabels the same vertices
-    back, so ``pair``, ``flab``, ``fsize``, ``ext`` (the arcs between
-    backbones) and ``placed`` are the whole search state.  The rainbows
-    go in through the same rule.  They close their one-sided plant
-    faces and leave segments of at most one side, so ``lb`` starts at 0.
+    Placing an arc sets ``pair`` at both ends and appends it to
+    ``placed``, and the undo clears both again, so ``pair`` and
+    ``placed`` are the whole mutable search state; ``gp``, ``odd``,
+    ``lb`` and ``ext`` (the arcs between backbones) go down the
+    recursion as arguments.  Shape mode plants the rainbows first.  A
+    rainbow splits its backbone's arcless face and keeps l - 2 of its l
+    unpaired vertices inside, which leaves gp and ``odd`` as they were,
+    and it closes its one-sided plant face and leaves segments of at
+    most one side, so ``lb`` starts at 0: planting is just the ``pair``
+    assignments and the rainbows' entries at the head of ``placed``.
     """
     V = sum(lengths)
     if V % 2:
@@ -212,21 +217,18 @@ def _search_split(
     # backbone, wrapping at its end (sigma); pair: partner or 0
     bb = [0] * (V + 2)
     succ = list(range(1, V + 2))
+    pair = [0] * (V + 2)
+    placed: list[Arc] = []
     v = 0
     for k, l in enumerate(lengths):
         bb[v + 1 : v + l + 1] = [k] * l
         succ[v + l] = v + 1
+        if shape:  # the rainbow over backbone k
+            pair[v + 1] = v + l
+            pair[v + l] = v + 1
+            placed.append((v + 1, v + l))
         v += l
-    pair = [0] * (V + 2)
-    # flab: the face of each unpaired vertex's gap (backbone k starts as
-    # face k; the split placing arc number d opens face b + d);
-    # fsize: the unpaired vertices on each face
-    flab = bb[:]
-    fsize = list(lengths) + [0] * n_arcs
-
-    ext = 0
     count = 0
-    placed: list[Arc] = []
 
     def walk(i: int) -> tuple[list[int], list[int], int]:
         """The other unpaired vertices on the face through the gap of
@@ -248,62 +250,25 @@ def _search_split(
                 y = succ[y]
         return on, at, sides
 
-    def face_segments(u: int) -> dict[int, tuple[int, int]]:
-        """For each unpaired vertex v on the face through u's gap, the arc
-        sides of the segment that ends at v and of the one that starts at
-        v; a vertex alone on its face has one segment, the whole face."""
+    def face_of(u: int) -> dict[int, tuple[int, int, int]]:
+        """For each unpaired vertex v on the face through u's gap, the
+        face's count of unpaired vertices and the arc sides of the segment
+        that ends at v and of the one that starts at v; a vertex alone on
+        its face has one segment, the whole face."""
         on, at, sides = walk(u)
+        n = len(on) + 1
         pos = [0, *at, sides]
         return {
-            v: (pos[k] - pos[k - 1] if k else sides - pos[-2], pos[k + 1] - pos[k])
+            v: (n, pos[k] - pos[k - 1] if k else sides - pos[-2], pos[k + 1] - pos[k])
             for k, v in enumerate([u, *on])
         }
 
-    def place(i: int, j: int, on: list[int], p: int) -> list[int]:
-        """Pair i with j, which is on[p] for on = walk(i), or lies on
-        another face if p < 0.  Returns the vertices whose face label
-        changed."""
-        nonlocal ext
-        pair[i] = j
-        pair[j] = i
-        if bb[i] != bb[j]:
-            ext += 1
-        if p < 0:
-            moved = on
-            f = flab[j]
-            fsize[f] += len(on) - 1
-        else:
-            a, z = on[:p], on[p + 1 :]
-            moved, kept = (a, z) if len(a) <= len(z) else (z, a)
-            f = b + len(placed)
-            fsize[flab[i]] = len(kept)
-            fsize[f] = len(moved)
-        for u in moved:
-            flab[u] = f
-        placed.append((i, j))
-        return moved
-
-    gp = 1 - b  # b arcless backbones: r = b, d = 0
-    odd = sum(l & 1 for l in lengths)
-    for i, j in preplaced:
-        on = walk(i)[0]
-        split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
-        if flab[j] == flab[i]:
-            p = on.index(j)
-            odd = split_odd[p & 1]
-        else:
-            p = -1
-            odd = merge_odd[fsize[flab[j]] & 1]
-            gp += 1
-        place(i, j, on, p)
-
-    def rec(lo: int, gp: int, odd: int, lb: int) -> None:
-        nonlocal ext, count
+    def rec(lo: int, gp: int, odd: int, lb: int, ext: int) -> None:
+        nonlocal count
         i = lo
         while pair[i]:
             i += 1
-        f = flab[i]
-        n_f = fsize[f]
+        on, at, sides = walk(i)
         # with (i, j) placed the genus is gp on a split (j on i's face) and
         # gp + 1 on a merge; decide both prunes for both cases up front,
         # the parity of the face sizes left behind being all that varies
@@ -315,18 +280,18 @@ def _search_split(
         other_ok = gp < genus_cap and (
             genus_exact is None or gp + 1 + rest >= genus_exact
         )
-        split_odd, merge_odd = _odd_steps(odd, n_f)
+        split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
         split_ok = [same_ok and o <= slack for o in split_odd]
         merge_ok = [other_ok and o <= slack - 2 for o in merge_odd]
         if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
             return
-        on, at, sides = walk(i)
+        index = {u: p for p, u in enumerate(on)}
+        far: dict[int, tuple[int, int, int]] = {}  # other faces, by vertex
         if shape:
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
             pre_i = sides - at[-1] if on else sides
             post_i = at[0] if on else sides
-            far: dict[int, tuple[int, int]] = {}  # other faces' segments
         bb_i = bb[i]
         left_partner = pair[i - 1]
         for j in range(i + 1, V + 1) if merge_ok[0] or merge_ok[1] else sorted(on):
@@ -337,8 +302,9 @@ def _search_split(
                     continue
                 if left_partner == j + 1 or pair[i + 1] == j - 1:
                     continue
-            if flab[j] == f:
-                p = on.index(j)
+            e = lb
+            p = index.get(j)
+            if p is not None:
                 if not split_ok[p & 1]:
                     continue
                 g, o = gp, split_odd[p & 1]
@@ -346,7 +312,6 @@ def _search_split(
                     # the side i..j joins the segment into j with the one
                     # out of i, and j..i the one out of j with the one into
                     # i; a side with no other vertex closes its segment
-                    e = lb
                     if p:
                         e += _seg_rise(at[p] - at[p - 1], post_i)
                     if p < last:
@@ -354,27 +319,25 @@ def _search_split(
                     if e > spare:
                         continue
             else:
-                g_odd = fsize[flab[j]] & 1
-                if not merge_ok[g_odd]:
+                if j not in far:
+                    far.update(face_of(j))
+                n_g, pre_j, post_j = far[j]
+                if not merge_ok[n_g & 1]:
                     continue
-                p = -1
-                g, o = gp + 1, merge_odd[g_odd]
+                g, o = gp + 1, merge_odd[n_g & 1]
                 if shape:
-                    if j not in far:
-                        far.update(face_segments(j))
-                    pre_j, post_j = far[j]
                     # the side i..j joins the segment into i with the one
                     # out of j, and j..i the one into j with the one out of
                     # i; a face with one vertex has one segment, so it goes
                     # whole between the other face's two (or closes)
-                    if fsize[flab[j]] == 1:
-                        e = lb + _seg_rise(pre_i, pre_j)
+                    if n_g == 1:
+                        e += _seg_rise(pre_i, pre_j)
                         if on:
                             e += _seg_rise(pre_i + 1 + pre_j, post_i)
                     elif on:
-                        e = lb + _seg_rise(pre_i, post_j) + _seg_rise(pre_j, post_i)
+                        e += _seg_rise(pre_i, post_j) + _seg_rise(pre_j, post_i)
                     else:
-                        e = lb + _seg_rise(pre_j, sides) + _seg_rise(
+                        e += _seg_rise(pre_j, sides) + _seg_rise(
                             pre_j + 1 + sides, post_j
                         )
                     if e > spare:
@@ -382,13 +345,18 @@ def _search_split(
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
-                    raise InfeasibleError("enumeration node budget exceeded")
+                    raise InfeasibleError(
+                        f"enumeration node budget of {budget[1]} placed arcs exceeded"
+                    )
 
-            moved = place(i, j, on, p)
+            x = ext + (bb_i != bb[j])
+            pair[i] = j
+            pair[j] = i
+            placed.append((i, j))
 
             if not rest:
                 if (genus_exact is None or g == genus_exact) and (
-                    not connected_only or b == 1 or ext > 0
+                    not connected_only or b == 1 or x > 0
                 ):
                     if shape and e != spare:
                         raise ConsistencyError(
@@ -398,22 +366,15 @@ def _search_split(
                     count += 1
                     emit(tuple(placed))
             else:
-                rec(i + 1, g, o, e if shape else 0)
+                rec(i + 1, g, o, e, x)
 
-            # undo
             placed.pop()
-            for u in moved:
-                flab[u] = f
-            if p < 0:
-                fsize[flab[j]] -= len(on) - 1
-            fsize[f] = n_f
-            if bb_i != bb[j]:
-                ext -= 1
             pair[i] = 0
             pair[j] = 0
 
     try:
-        rec(1, gp, odd, 0)
+        # b arcless backbones: r = b, d = 0, and the rainbows keep that
+        rec(1, 1 - b, sum(l & 1 for l in lengths), 0, 0)
     finally:
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection
@@ -435,7 +396,8 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
         raise InfeasibleError(
             f"{spec.arcs_max} arcs: the search takes at most {_MAX_ARCS}"
         )
-    budget = [spec.node_budget] if spec.node_budget is not None else None
+    # arcs the search may still place, and the budget it started with
+    budget = [spec.node_budget] * 2 if spec.node_budget is not None else None
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
         for lengths in _all_splits(spec.backbones, 2 * n):
@@ -450,7 +412,6 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
                 spec.genus_cap,
                 spec.genus_exact,
                 spec.connected_only,
-                (),
                 emit,
                 budget,
                 None,
@@ -493,7 +454,7 @@ def enumerate_shapes(
             f"arcs (b = 1, g <= 2 and b = 2, g <= 1)"
         )
 
-    budget = [node_budget] if node_budget is not None else None
+    budget = [node_budget] * 2 if node_budget is not None else None
     # splits and partners ascend, so the shapes come in canonical order
     shapes: list[Shape] = []
     last: tuple = ()
@@ -504,10 +465,6 @@ def enumerate_shapes(
         else:
             splits = [(k, V - k) for k in range(3, V - 2)]
         for lengths in splits:
-            if b == 1:
-                preplaced: tuple[Arc, ...] = ((1, V),)
-            else:
-                preplaced = ((1, lengths[0]), (lengths[0] + 1, V))
 
             def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
                 nonlocal last
@@ -520,9 +477,7 @@ def enumerate_shapes(
                 d = Diagram(_lengths, frozenset(arcs), planted=True)
                 shapes.append(Shape(diagram=d, genus=g))
 
-            _search_split(
-                lengths, g, g, connected, preplaced, emit, budget, hi - n
-            )
+            _search_split(lengths, g, g, connected, emit, budget, hi - n)
     return shapes
 
 

@@ -57,11 +57,16 @@ from .errors import ConsistencyError, DiagramError, InfeasibleError
 # Genera and series orders past this are refused up front with
 # InfeasibleError, with no override.  Measured on a 2-vCPU Xeon VM with
 # Python 3.11.7, shared with other work: shape_poly_1bb(1000) takes
-# 11-14 s, shape_poly_2bb(100) 0.06-0.17 s and shape_poly_2bb(200) about
-# 2 s (its P_i products grow with the cube of the genus), w_gf(50, 1000)
-# 0.04-0.05 s and fiber_gf(900, 1000) 1.7-2.7 s; an order of 10**9 would
-# not even fit in memory.
+# 11-14 s, shape_poly_2bb(100) 0.06-0.17 s, w_gf(50, 1000) 0.04-0.05 s
+# and fiber_gf(900, 1000) 1.7-2.7 s; an order of 10**9 would not even
+# fit in memory.
 _MAX_SIZE = 1000
+# Two-backbone genera (shape_poly_2bb, w_gf) past this are refused too:
+# the g/2 products P_i P_(g+1-i) grow about as g^5, and on the same VM
+# shape_poly_2bb took 2.2 s at g = 200, 6.5-10.1 s at 250, 10.9-13.7 s
+# at 275 and 17.5 s at 300, so no two-backbone genus it accepts costs
+# more than shape_poly_1bb(1000).
+_MAX_2BB_GENUS = 250
 
 
 # -- polynomials -----------------------------------------------------------
@@ -238,9 +243,13 @@ def _r_2bb(g: int) -> tuple[int, ...]:
     """The coefficients of R_g(u) = P_{g+1} - u sum_{i=1..g} P_i P_{g+1-i}
     by degree.  The rows of P_1..P_{g+1} come from one pass, and the pairs
     i and g+1-i are equal: each product is formed once, and taken twice
-    when i != g+1-i."""
+    when i != g+1-i.  A genus past ``_MAX_2BB_GENUS`` is refused first."""
     if g < 0:
         raise DiagramError("shape_poly_2bb requires g >= 0")
+    if g > _MAX_2BB_GENUS:
+        raise InfeasibleError(
+            f"two-backbone genus above {_MAX_2BB_GENUS} is refused"
+        )
     p = [IntPolynomial(row[1:]) for row in _kappa_rows(g + 1)]  # P_(i+1)
     pairs = IntPolynomial.zero()
     for i in range(1, g // 2 + 1):

@@ -839,6 +839,24 @@ def test_matchings_past_arc_bound_exit_4():
     assert run_capped(body, "2\n1-2\n") == ["exit 4"]
 
 
+def test_matchings_default_budget(capsys, monkeypatch):
+    # with no --node-budget, enumerate --matchings stops at a fixed budget
+    # of placed arcs instead of running through the 3.8e15 matchings of
+    # 30 arcs; an explicit --node-budget wins over it
+    monkeypatch.setattr("chordshapes.cli._MATCHINGS_BUDGET", 10)
+    argv = ["enumerate", "--backbones", "1", "--genus", "0", "--matchings"]
+    for arcs in ("30", "6"):
+        code, out, err = run(capsys, *argv, "--arcs", arcs)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == {
+            "type": "infeasible",
+            "message": "enumeration node budget of 10 placed arcs exceeded",
+        }
+    code, out, _ = run(capsys, *argv, "--arcs", "6", "--node-budget", "1000")
+    assert code == 0
+    assert json.loads(out) == {"count": "132"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -849,12 +867,22 @@ def test_matchings_past_arc_bound_exit_4():
         ["series", "fiber", "--l", "1", "--order", "1000000000"],
         # built the kappa rows bottom-up with no end in sight
         ["poly", "--backbones", "1", "--genus", "100000000000000000000"],
+        # under the 1000 bound, but R_g's g/2 products ran for hours
+        ["poly", "--backbones", "2", "--genus", "999"],
+        ["series", "w", "--genus", "498", "--order", "1000"],
     ],
-    ids=["order-1e20", "w-order-1e9", "fiber-order-1e9", "poly-genus-1e20"],
+    ids=[
+        "order-1e20",
+        "w-order-1e9",
+        "fiber-order-1e9",
+        "poly-genus-1e20",
+        "poly-2bb-genus-999",
+        "w-genus-498",
+    ],
 )
 def test_huge_sizes_exit_4(argv):
-    # orders and genera above 1000 are refused from the argument alone,
-    # in a capped child, before any allocation or loop
+    # orders and genera above their bounds are refused from the argument
+    # alone, in a capped child, before any allocation or loop
     body = f'print("exit", main({argv!r}))\n'
     assert run_capped(body, "2\n1-2\n") == ["exit 4"]
 

@@ -305,9 +305,7 @@ class TestShapes:
         # side, and the kernel is told 2
         def search(spare):
             emitted = []
-            _search_split(
-                (3, 3), 0, 0, True, ((1, 3), (4, 6)), emitted.append, None, spare
-            )
+            _search_split((3, 3), 0, 0, True, emitted.append, None, spare)
             return emitted
 
         assert search(1) == [((1, 3), (4, 6), (2, 5))]

@@ -200,7 +200,6 @@ class TestKappa:
         for call in (
             lambda: kappa(1001, 1),
             lambda: shape_poly_1bb(10**20),
-            lambda: shape_poly_2bb(1000),  # needs S_1001
             lambda: catalan_series(1001),
             lambda: w_gf(1, 10**20),
             lambda: fiber_gf(1, 10**9),
@@ -209,6 +208,18 @@ class TestKappa:
             with pytest.raises(InfeasibleError, match="above 1000"):
                 call()
         assert catalan_series(1000)[1000] == comb(2000, 1000) // 1001
+        # the g/2 products of R_g grow about as g^5, so two-backbone genera
+        # have a lower bound, 250; an order below 2g + 3 still gives the
+        # zero series at once
+        for call in (
+            lambda: shape_poly_2bb(251),
+            lambda: shape_poly_2bb(1000),
+            lambda: w_gf(251, 1000),
+            lambda: w_gf(498, 1000),
+        ):
+            with pytest.raises(InfeasibleError, match="two-backbone genus above 250"):
+                call()
+        assert w_gf(498, 998) == PowerSeries(998, ())
 
     def test_log_concavity_up_to_genus_eight(self):
         for g in range(1, 9):
