@@ -45,18 +45,14 @@ from .sampling import (
     build_table,
     sample_stats,
     table_from_shapes,
-    uniform_shape_1bb,
 )
 from .series import (
     IntPolynomial,
     PowerSeries,
     a_shape_poly,
     b_shape_poly,
-    catalan_series,
     fiber_gf,
-    growth_ratio,
     kappa,
-    kappa_table,
     shape_poly_1bb,
     shape_poly_2bb,
     w_gf,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 from pathlib import Path
@@ -196,8 +195,10 @@ def _cmd_enumerate(args) -> int:
     if args.matchings:
         if args.arcs is None:
             raise DiagramError("enumerate --matchings needs --arcs")
-        diagrams: list[Diagram] = []
-        visit = diagrams.append if args.list else None
+
+        def show(d: Diagram) -> None:
+            print(canonical_code(d))
+
         spec = EnumSpec(
             backbones=args.backbones,
             arcs_min=args.arcs,
@@ -209,9 +210,9 @@ def _cmd_enumerate(args) -> int:
                 _MATCHINGS_BUDGET if args.node_budget is None else args.node_budget
             ),
         )
-        count = enumerate_matchings(spec, visit)
-        for d in diagrams:
-            print(canonical_code(d))
+        # each diagram is printed as it is visited, so a search that hits
+        # its budget has printed the diagrams it reached before exit 4
+        count = enumerate_matchings(spec, show if args.list else None)
         _emit({"count": str(count)})
         return EXIT_OK
 
@@ -240,7 +241,7 @@ def _cmd_sample(args) -> int:
     stats = sample_stats(
         args.genus,
         args.count,
-        random.Random(args.seed),
+        seed=args.seed,
         arc_filter=args.arcs,
         cache_dir=args.cache_dir,
         on_sample=None if args.stats_only else show,

@@ -1,15 +1,15 @@
 """Uniform sampling of shapes of fixed genus, plus sample statistics.
 
-One-backbone sampling draws a uniform index into the complete,
-canonically ordered table of shapes of the requested genus; the tables
-are finite, enumerated once and cached on disk.  Two-backbone sampling
-draws a one-backbone shape of genus g+1 uniformly, pulls it back through
-the surgeries (A-shapes directly, B-shapes through the A/B pairing
-first) and rejects disconnected results.  Every connected two-backbone
-shape of genus g is hit by exactly two of the one-backbone draws, and
-rejection does not depend on which connected shape would be produced,
-so the output is exactly uniform; the chi-square checks in the test
-suite are regression guards, not the correctness argument.
+Two-backbone sampling at genus g draws a uniform index into the
+complete, canonically ordered table of one-backbone shapes of genus
+g+1 (the tables are finite, enumerated once and cached on disk), pulls
+that shape back through the surgeries (A-shapes directly, B-shapes
+through the A/B pairing first) and rejects disconnected results.  Every
+connected two-backbone shape of genus g is hit by exactly two of the
+one-backbone draws, and rejection does not depend on which connected
+shape would be produced, so the output is exactly uniform; the
+chi-square checks in the test suite are regression guards, not the
+correctness argument.
 
 A sampler can only return the finite set of its precomputed images
 (at genus 1, the 3696 table entries pull back to 3664 connected images,
@@ -28,10 +28,10 @@ own output once each.  Each distinct connected image is traced once for
 its genus.  At genus 1 that is 3696 + 1832 traces and 3696 + 3696 +
 1848 shape checks in all.
 
-Randomness comes from ``random.Random``: seedable, with unbiased
-integer draws (rejection sampling below the largest multiple is built
-into ``randrange``).  Parallel experiments should use independent
-seeds; all statistics merge by plain sums.
+Randomness comes from one ``random.Random(seed)`` per sampler, with
+unbiased integer draws (rejection sampling below the largest multiple
+is built into ``randrange``).  Parallel experiments should use
+independent seeds; all statistics merge by plain sums.
 
 Table caches are written to a unique temporary file in the cache
 directory and renamed into place, so concurrent builds never see a
@@ -110,10 +110,6 @@ class ShapeTable:
     def __len__(self) -> int:
         return len(self.shapes)
 
-    def index_of(self) -> dict[str, int]:
-        """Canonical code -> position, for histogramming draws."""
-        return {s.code: k for k, s in enumerate(self.shapes)}
-
 
 def table_from_shapes(b: int, g: int, shapes) -> ShapeTable:
     """Assemble a table from an already enumerated, canonically ordered
@@ -187,18 +183,6 @@ def build_table(
     return table
 
 
-def uniform_shape_1bb(
-    g: int,
-    rng: random.Random,
-    table: Optional[ShapeTable] = None,
-    cache_dir: Optional[Path | str] = None,
-) -> Shape:
-    """One uniform draw from the complete table of one-backbone shapes."""
-    if table is None:
-        table = build_table(1, g, cache_dir)
-    return table.shapes[rng.randrange(len(table))]
-
-
 class BishapeSampler:
     """Uniform generator of connected two-backbone shapes of fixed genus.
 
@@ -221,7 +205,6 @@ class BishapeSampler:
     def __init__(
         self,
         genus: int,
-        rng: Optional[random.Random] = None,
         *,
         seed: Optional[int] = None,
         table: Optional[ShapeTable] = None,
@@ -232,10 +215,8 @@ class BishapeSampler:
             raise DiagramError(
                 f"cannot sample shapes of genus {genus}: the genus must be >= 0"
             )
-        if rng is None:
-            rng = random.Random(seed)
         self.genus = genus
-        self.rng = rng
+        self.rng = random.Random(seed)
         self.arc_filter = arc_filter
         self.table = table if table is not None else build_table(1, genus + 1, cache_dir)
         if (self.table.backbones, self.table.genus) != (1, genus + 1):
@@ -371,8 +352,8 @@ class SampleStats:
 def sample_stats(
     g: int,
     n: int,
-    rng: random.Random,
     *,
+    seed: Optional[int] = None,
     arc_filter: Optional[int] = None,
     table: Optional[ShapeTable] = None,
     cache_dir: Optional[Path | str] = None,
@@ -384,7 +365,7 @@ def sample_stats(
     if n < 0:
         raise DiagramError("sample count must be >= 0")
     sampler = BishapeSampler(
-        g, rng, table=table, cache_dir=cache_dir, arc_filter=arc_filter
+        g, seed=seed, table=table, cache_dir=cache_dir, arc_filter=arc_filter
     )
     stats = SampleStats(genus=g)
     for _ in range(n):

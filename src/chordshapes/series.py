@@ -47,10 +47,9 @@ the exact ratio 4(k+m)/(k+1).  No series product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import ConsistencyError, DiagramError, InfeasibleError
 
@@ -97,49 +96,10 @@ class IntPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(_ints(self.coeffs)))
 
-    @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial(())
-
-    @staticmethod
-    def monomial(coeff: int, degree: int) -> "IntPolynomial":
-        return IntPolynomial((0,) * degree + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[k] + other[k] for k in range(n)))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[k] - other[k] for k in range(n)))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(c * a for a in self.coeffs))
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by z^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -194,13 +154,6 @@ def kappa(g: int, t: int) -> int:
     return _kappa_row(g)[t]
 
 
-def kappa_table(max_g: int) -> dict[tuple[int, int], int]:
-    """All kappa values for 1 <= g <= max_g as a (g, t) -> value map."""
-    return {
-        (g, t): kappa(g, t) for g in range(1, max_g + 1) for t in range(1, g + 1)
-    }
-
-
 # -- shape polynomials -------------------------------------------------------
 
 
@@ -239,6 +192,15 @@ def b_shape_poly(g: int) -> IntPolynomial:
     return _expand(_p_1bb(g), 2 * g + 1, 2 * g - 1)
 
 
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The schoolbook product of two non-empty coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _r_2bb(g: int) -> tuple[int, ...]:
     """The coefficients of R_g(u) = P_{g+1} - u sum_{i=1..g} P_i P_{g+1-i}
     by degree.  The rows of P_1..P_{g+1} come from one pass, and the pairs
@@ -250,13 +212,13 @@ def _r_2bb(g: int) -> tuple[int, ...]:
         raise InfeasibleError(
             f"two-backbone genus above {_MAX_2BB_GENUS} is refused"
         )
-    p = [IntPolynomial(row[1:]) for row in _kappa_rows(g + 1)]  # P_(i+1)
-    pairs = IntPolynomial.zero()
-    for i in range(1, g // 2 + 1):
-        pairs = pairs + (p[i - 1] * p[g - i]).scale(2)
-    if g % 2:
-        pairs = pairs + p[g // 2] * p[g // 2]
-    return (p[g] - pairs.shift(1)).coeffs
+    p = [row[1:] for row in _kappa_rows(g + 1)]  # P_(i+1)
+    pairs = [0] * (g + 1)  # u sum_i P_i P_(g+1-i)
+    for i in range(1, (g + 1) // 2 + 1):
+        weight = 1 if 2 * i == g + 1 else 2
+        for k, c in enumerate(_poly_mul(p[i - 1], p[g - i]), 1):
+            pairs[k] += weight * c
+    return tuple(map(sub, p[g], pairs))
 
 
 def shape_poly_2bb(g: int) -> IntPolynomial:
@@ -292,14 +254,6 @@ class PowerSeries:
             cs = cs + (0,) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs[: self.order + 1])
 
-    @staticmethod
-    def from_coeffs(order: int, coeffs) -> "PowerSeries":
-        return PowerSeries(order, tuple(coeffs))
-
-    @staticmethod
-    def one(order: int) -> "PowerSeries":
-        return PowerSeries(order, (1,))
-
     def __getitem__(self, n: int) -> int:
         if n < 0:
             return 0
@@ -311,18 +265,6 @@ class PowerSeries:
         if self.order != other.order:
             raise DiagramError("series orders differ")
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
         a, rb = self.coeffs, other.coeffs[::-1]
@@ -332,54 +274,6 @@ class PowerSeries:
         return PowerSeries(
             n, tuple(sum(map(mul, a, rb[n - k :])) for k in range(n + 1))
         )
-
-    def scale(self, c: int) -> "PowerSeries":
-        return PowerSeries(self.order, tuple(c * a for a in self.coeffs))
-
-    def shift(self, k: int) -> "PowerSeries":
-        """Multiply by z^k, truncating at the fixed order."""
-        return PowerSeries(self.order, (0,) * k + self.coeffs)
-
-    def pow(self, e: int) -> "PowerSeries":
-        if e < 0:
-            raise DiagramError("negative powers go through inverse()")
-        acc = PowerSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires constant term +-1."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise DiagramError("inverse needs constant term +1 or -1")
-        n = self.order
-        inv = [0] * (n + 1)
-        inv[0] = c0
-        a = self.coeffs[1:]
-        for k in range(1, n + 1):
-            # sum_(i=1..k) a_i inv_(k-i); map stops with inv_0 at a_k
-            inv[k] = -c0 * sum(map(mul, a, inv[k - 1 :: -1]))
-        return PowerSeries(n, tuple(inv))
-
-    @staticmethod
-    def from_polynomial(p: IntPolynomial, order: int) -> "PowerSeries":
-        return PowerSeries(order, p.coeffs)
-
-
-@lru_cache(maxsize=8)
-def catalan_series(order: int) -> PowerSeries:
-    """The series C with C = 1 + z C^2, computed by iterating the equation."""
-    _check_order(order)
-    c = [0] * (order + 1)
-    c[0] = 1
-    for n in range(order):
-        c[n + 1] = sum(map(mul, c, c[n::-1]))
-    return PowerSeries(order, tuple(c))
 
 
 def fiber_gf(l: int, order: int) -> PowerSeries:
@@ -436,12 +330,3 @@ def w_gf(g: int, order: int) -> PowerSeries:
             out[k + m + 1] += a
             a = a * 4 * (k + m) // (k + 1)
     return PowerSeries(order, tuple(out))
-
-
-def growth_ratio(series: PowerSeries, n: int) -> Fraction:
-    """Exact ratio a_{n+1}/a_n of consecutive coefficients."""
-    a_n = series[n]
-    a_n1 = series[n + 1]
-    if a_n == 0 or a_n1 == 0:
-        raise DiagramError(f"zero coefficient at {n} or {n + 1}")
-    return Fraction(a_n1, a_n)

@@ -17,8 +17,12 @@ from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
+    EnumSpec,
+    InfeasibleError,
+    canonical_code,
     components,
     disjoint_union,
+    enumerate_matchings,
     eta,
     genus,
     kappa,
@@ -278,6 +282,33 @@ def test_enumerate_matchings(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"count": "8"}
+
+
+def visited_codes(**spec) -> list[str]:
+    """The codes ``enumerate_matchings`` visits, in order, up to the end
+    of the search or of its node budget."""
+    codes: list[str] = []
+    try:
+        enumerate_matchings(EnumSpec(**spec), lambda d: codes.append(canonical_code(d)))
+    except InfeasibleError:
+        pass
+    return codes
+
+
+def test_enumerate_matchings_list(capsys):
+    # one code per line in visit order, then the count line
+    code, out, _ = run(
+        capsys, "enumerate", "--backbones", "2", "--genus", "1", "--matchings",
+        "--arcs", "4", "--connected", "--list",
+    )
+    codes = visited_codes(
+        backbones=2, arcs_min=4, arcs_max=4, genus_cap=1, genus_exact=1,
+        connected_only=True,
+    )
+    assert code == 0 and len(codes) == 440
+    *lines, last = out.splitlines()
+    assert lines == codes
+    assert json.loads(last) == {"count": "440"}
 
 
 def test_fiber_subcommand(tmp_path, capsys):
@@ -855,6 +886,23 @@ def test_matchings_default_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv, "--arcs", "6", "--node-budget", "1000")
     assert code == 0
     assert json.loads(out) == {"count": "132"}
+
+
+def test_matchings_list_streams_until_budget():
+    # the visited diagrams were once kept in a list until the search
+    # ended: here the capped child died in a MemoryError traceback (exit 1)
+    # with nothing printed; it prints each as it is visited, then exits 4
+    argv = [
+        "enumerate", "--backbones", "1", "--genus", "0", "--matchings",
+        "--arcs", "30", "--list", "--node-budget", "80000",
+    ]
+    body = f'print("exit", main({argv!r}))\n'
+    lines = run_capped(body, "2\n1-2\n", headroom_mib=32)
+    codes = visited_codes(
+        backbones=1, arcs_min=30, arcs_max=30, genus_cap=0, genus_exact=0,
+        node_budget=80000,
+    )
+    assert codes and lines == [*codes, "exit 4"]
 
 
 @pytest.mark.parametrize(

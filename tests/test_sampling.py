@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import random
 
 import pytest
 
@@ -20,7 +19,6 @@ from chordshapes import (
     is_shape,
     sample_stats,
     table_from_shapes,
-    uniform_shape_1bb,
 )
 from chordshapes import sampling
 from chordshapes.sampling import _digest
@@ -138,43 +136,6 @@ class TestTables:
         build_table(1, 1, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["shapes_1bb_g1.json"]
 
-    def test_index_of(self, make_table):
-        t = make_table(2, 0)
-        idx = t.index_of()
-        assert sorted(idx.values()) == [0, 1]
-
-
-class TestUniform1bb:
-    def test_seeded_stream_reproducible(self, make_table):
-        t = make_table(1, 1)
-        draws1 = [
-            canonical_code(uniform_shape_1bb(1, random.Random(7), t).diagram)
-            for _ in range(20)
-        ]
-        draws2 = [
-            canonical_code(uniform_shape_1bb(1, random.Random(7), t).diagram)
-            for _ in range(20)
-        ]
-        assert draws1 == draws2
-
-    def test_all_four_shapes_hit(self, make_table):
-        t = make_table(1, 1)
-        rng = random.Random(1)
-        seen = {canonical_code(uniform_shape_1bb(1, rng, t).diagram) for _ in range(200)}
-        assert len(seen) == 4
-
-    def test_arc_histogram_proportions(self, make_table):
-        # arc counts 3,4,4,5: the middle bin should get about half the mass
-        t = make_table(1, 1)
-        rng = random.Random(13)
-        n = 40_000
-        hist = {3: 0, 4: 0, 5: 0}
-        for _ in range(n):
-            hist[uniform_shape_1bb(1, rng, t).n_arcs] += 1
-        for arcs, weight in ((3, 1), (4, 2), (5, 1)):
-            expect = n * weight / 4
-            assert abs(hist[arcs] - expect) < 4 * (n ** 0.5)
-
 
 class TestBishape:
     def test_genus0_hits_both_shapes_evenly(self, make_table):
@@ -249,11 +210,11 @@ class TestBishape:
         with pytest.raises(DiagramError, match=message):
             BishapeSampler(-1, seed=1)
         with pytest.raises(DiagramError, match="genus -3"):
-            sample_stats(-3, 10, random.Random(1))
+            sample_stats(-3, 10, seed=1)
 
     def test_genus1_sampler_draws_genus1_shapes(self, make_table):
         sampler = BishapeSampler(1, seed=11, table=make_table(1, 2))
-        q1_codes = set(make_table(2, 1).index_of())
+        q1_codes = {s.code for s in make_table(2, 1).shapes}
         for _ in range(200):
             s = sampler.draw()
             assert s.genus == 1
@@ -322,8 +283,8 @@ class TestStoredValues:
         assert len(images) == 2 * len(distinct)
 
     def test_stats_match_per_draw_classification(self, make_table):
-        stats = sample_stats(1, 400, random.Random(5), table=make_table(1, 2))
-        sampler = BishapeSampler(1, random.Random(5), table=make_table(1, 2))
+        stats = sample_stats(1, 400, seed=5, table=make_table(1, 2))
+        sampler = BishapeSampler(1, seed=5, table=make_table(1, 2))
         loops: dict[int, int] = {}
         alpha = beta = 0
         for _ in range(400):
@@ -338,7 +299,7 @@ class TestStoredValues:
 
 class TestStats:
     def test_sampled_shapes_have_clean_loop_profile(self, make_table):
-        stats = sample_stats(0, 300, random.Random(2), table=make_table(1, 1))
+        stats = sample_stats(0, 300, seed=2, table=make_table(1, 1))
         assert stats.n_samples == 300
         # shapes never carry hairpin (length 1) or interior (length 2) loops
         assert set(stats.loop_length_hist) == {3, 4}
@@ -366,17 +327,17 @@ class TestStats:
     def test_negative_count_rejected(self, make_table):
         # a negative count used to return zero samples (CLI exit 0)
         with pytest.raises(DiagramError, match="count"):
-            sample_stats(0, -5, random.Random(1), table=make_table(1, 1))
+            sample_stats(0, -5, seed=1, table=make_table(1, 1))
 
     def test_csv_emission(self, make_table):
-        stats = sample_stats(0, 50, random.Random(4), table=make_table(1, 1))
+        stats = sample_stats(0, 50, seed=4, table=make_table(1, 1))
         csv = stats.to_csv()
         assert csv.startswith("samples,,50\n")
         assert "acceptance_fraction" in csv
         assert "arc_count,3," in csv or "arc_count,4," in csv
 
     def test_mean_and_variance_accumulate(self, make_table):
-        stats = sample_stats(0, 200, random.Random(6), table=make_table(1, 1))
+        stats = sample_stats(0, 200, seed=6, table=make_table(1, 1))
         assert stats.beta_mean > 0
         assert stats.alpha_var >= 0
         assert stats.beta_var >= 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import series_oracle as oracle
 from chordshapes import (
     ConsistencyError,
     DiagramError,
@@ -16,15 +17,13 @@ from chordshapes import (
     PowerSeries,
     a_shape_poly,
     b_shape_poly,
-    catalan_series,
     fiber_gf,
-    growth_ratio,
     kappa,
-    kappa_table,
     shape_poly_1bb,
     shape_poly_2bb,
     w_gf,
 )
+from chordshapes import series
 
 # all fifteen tabulated kappa values, keyed (g, t) with 1 <= t <= g
 KAPPA_TABLE = {
@@ -91,21 +90,24 @@ Q_SHA256 = {
     100: "4c39ede818de30a63b88d33f686579d95ecf2bd0663bd37817ec614d7eaebdf1",
 }
 
-ONE_PLUS_Z = IntPolynomial((1, 1))
+ONE_PLUS_Z = (1, 1)
 
 
 def poly_dict(p: IntPolynomial) -> dict[int, int]:
     return {k: c for k, c in enumerate(p.coeffs) if c}
 
 
-def literal_fiber(l: int, order: int) -> PowerSeries:
+def literal_fiber(l: int, order: int) -> tuple[int, ...]:
     """The paper's C^(2l+2) z^(l+2) (1 - z C^2)^-(l+2), term by term."""
-    c = catalan_series(order)
-    denom = PowerSeries.one(order) - (c * c).shift(1)
-    return (c.pow(2 * l + 2) * denom.inverse().pow(l + 2)).shift(l + 2)
+    c = oracle.catalan(order)
+    denom = oracle.sub(oracle.one(order), oracle.shift(oracle.mul(c, c), 1))
+    fiber = oracle.mul(
+        oracle.power(c, 2 * l + 2), oracle.power(oracle.inverse(denom), l + 2)
+    )
+    return oracle.shift(fiber, l + 2)
 
 
-def literal_s(g: int, drop: int = 0) -> IntPolynomial:
+def literal_s(g: int, drop: int = 0) -> tuple[int, ...]:
     """sum_t kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1-drop), term by term with
     binomials: S_g for drop = 0, S_g/(1+z) for drop = 1."""
     literal = [0] * (6 * g)
@@ -113,16 +115,7 @@ def literal_s(g: int, drop: int = 0) -> IntPolynomial:
         k = 2 * g + t - 1 - drop
         for i in range(k + 1):
             literal[2 * g + t + i] += kappa(g, t) * comb(k, i)
-    return IntPolynomial(tuple(literal))
-
-
-def schoolbook_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Truncated product of two equal-length coefficient tuples."""
-    out = [0] * len(a)
-    for i in range(len(a)):
-        for j in range(len(a) - i):
-            out[i + j] += a[i] * b[j]
-    return tuple(out)
+    return tuple(literal)
 
 
 @st.composite
@@ -144,13 +137,6 @@ def series_pair(draw, unit: bool = False):
     return first, one()
 
 
-def rational_series(num: IntPolynomial, denom: IntPolynomial, order: int) -> PowerSeries:
-    """num/denom as a power series; independent route for the closed forms."""
-    n = PowerSeries.from_polynomial(num, order)
-    d = PowerSeries.from_polynomial(denom, order)
-    return n * d.inverse()
-
-
 class TestKappa:
     @pytest.mark.parametrize("key,value", sorted(KAPPA_TABLE.items()))
     def test_tabulated_values(self, key, value):
@@ -163,11 +149,6 @@ class TestKappa:
     def test_rejects_nonpositive_genus(self):
         with pytest.raises(DiagramError):
             kappa(0, 1)
-
-    def test_table_helper(self):
-        t = kappa_table(3)
-        assert len(t) == 6
-        assert t[(3, 3)] == 50050
 
     def test_genus_six_row(self):
         # as computed by the earlier top-down recursion
@@ -200,14 +181,12 @@ class TestKappa:
         for call in (
             lambda: kappa(1001, 1),
             lambda: shape_poly_1bb(10**20),
-            lambda: catalan_series(1001),
             lambda: w_gf(1, 10**20),
             lambda: fiber_gf(1, 10**9),
             lambda: PowerSeries(1001, ()),
         ):
             with pytest.raises(InfeasibleError, match="above 1000"):
                 call()
-        assert catalan_series(1000)[1000] == comb(2000, 1000) // 1001
         # the g/2 products of R_g grow about as g^5, so two-backbone genera
         # have a lower bound, 250; an order below 2g + 3 still gives the
         # zero series at once
@@ -241,7 +220,7 @@ class TestShapePolynomials:
     def test_matches_literal_kappa_sum(self):
         # S_g = sum_t kappa_t^(g) z^(2g+t) (1+z)^(2g+t-1), term by term
         for g in range(1, 9):
-            assert shape_poly_1bb(g) == literal_s(g), g
+            assert shape_poly_1bb(g) == IntPolynomial(literal_s(g)), g
 
     def test_q_and_a_against_literal_kappa_sum(self):
         # the paper's Q_g = S_{g+1}/(1+z) - sum_i S_i S_{g+1-i} and
@@ -249,24 +228,27 @@ class TestShapePolynomials:
         # built from the literal kappa sum
         s = {i: literal_s(i) for i in range(1, 14)}
         for g in range(13):
-            pairs = IntPolynomial.zero()
+            pairs = ()
             for i in range(1, g + 1):
-                pairs = pairs + s[i] * s[g + 1 - i]
-            assert (shape_poly_2bb(g) + pairs) * ONE_PLUS_Z == s[g + 1], g
+                pairs = oracle.add(pairs, oracle.poly_mul(s[i], s[g + 1 - i]))
+            q_and_pairs = oracle.add(shape_poly_2bb(g).coeffs, pairs)
+            back = oracle.poly_mul(q_and_pairs, ONE_PLUS_Z)
+            assert IntPolynomial(back) == IntPolynomial(s[g + 1]), g
             if g:
-                assert a_shape_poly(g) * ONE_PLUS_Z == s[g].shift(1), g
+                back = oracle.poly_mul(a_shape_poly(g).coeffs, ONE_PLUS_Z)
+                assert IntPolynomial(back) == IntPolynomial((0, *s[g])), g
 
     def test_q_multiplies_only_p_rows(self, monkeypatch):
         # Q_g multiplies the P_i, of degree at most g - 1 in u, and never
         # the S_i, of degree up to 6i - 1 in z
         degrees = []
-        mul = IntPolynomial.__mul__
+        mul = series._poly_mul
 
-        def spy(self, other):
-            degrees.append(max(self.degree, other.degree))
-            return mul(self, other)
+        def spy(a, b):
+            degrees.append(max(len(a), len(b)) - 1)
+            return mul(a, b)
 
-        monkeypatch.setattr(IntPolynomial, "__mul__", spy)
+        monkeypatch.setattr(series, "_poly_mul", spy)
         assert poly_dict(shape_poly_2bb(2)) == Q2
         shape_poly_2bb(9)
         assert degrees and max(degrees) == 8
@@ -279,7 +261,7 @@ class TestShapePolynomials:
     def test_degree_bounds(self):
         for g in range(1, 7):
             p = shape_poly_1bb(g)
-            assert p.degree == 6 * g - 1
+            assert len(p.coeffs) - 1 == 6 * g - 1
             lowest = next(k for k, c in enumerate(p.coeffs) if c)
             assert lowest == 2 * g + 1
 
@@ -292,7 +274,8 @@ class TestShapePolynomials:
     def test_one_plus_z_divides(self):
         # every term of the kappa sum carries a factor 1+z
         for g in range(1, 7):
-            assert literal_s(g, drop=1) * ONE_PLUS_Z == shape_poly_1bb(g)
+            back = oracle.poly_mul(literal_s(g, drop=1), ONE_PLUS_Z)
+            assert IntPolynomial(back) == shape_poly_1bb(g)
 
     def test_q0(self):
         assert poly_dict(shape_poly_2bb(0)) == Q0
@@ -309,8 +292,8 @@ class TestShapePolynomials:
 
     def test_q_prime_1(self):
         # S_2/(1+z), the disconnected-included two-backbone genus-1 count
-        q = IntPolynomial((0,) * 5 + (21, 168, 483, 651, 420, 105))
-        assert q * ONE_PLUS_Z == shape_poly_1bb(2)
+        q = (0,) * 5 + (21, 168, 483, 651, 420, 105)
+        assert IntPolynomial(oracle.poly_mul(q, ONE_PLUS_Z)) == shape_poly_1bb(2)
 
     def test_a_poly_genus_one(self):
         assert poly_dict(a_shape_poly(1)) == {4: 1, 5: 1}
@@ -325,97 +308,95 @@ class TestShapePolynomials:
 
     def test_split_sums_to_whole(self):
         for g in range(1, 5):
-            assert a_shape_poly(g) + b_shape_poly(g) == shape_poly_1bb(g)
+            whole = oracle.add(a_shape_poly(g).coeffs, b_shape_poly(g).coeffs)
+            assert IntPolynomial(whole) == shape_poly_1bb(g)
 
 
 class TestPolynomialArithmetic:
     def test_divide_remainder(self):
         # 1 + z^2 = (1+z)(z-1) + 2
-        q = IntPolynomial((-1, 1))
-        assert q * ONE_PLUS_Z + IntPolynomial((2,)) == IntPolynomial((1, 0, 1))
+        q = (-1, 1)
+        assert oracle.add(oracle.poly_mul(q, ONE_PLUS_Z), (2,)) == (1, 0, 1)
 
     def test_mul_and_eval(self):
-        p = IntPolynomial((1, 1))
-        assert (p * p).coeffs == (1, 2, 1)
-        assert (p * p)(3) == 16
+        p = oracle.poly_mul(ONE_PLUS_Z, ONE_PLUS_Z)
+        assert p == (1, 2, 1)
+        assert IntPolynomial(p)(3) == 16
 
     def test_trailing_zeros_trimmed(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert (IntPolynomial((1,)) - IntPolynomial((1,))).coeffs == ()
+        assert IntPolynomial((0, 0)).coeffs == ()
 
     def test_non_integer_coefficients_refused(self):
         # (0.9, 2.5) was once truncated to (0, 2)
         with pytest.raises(DiagramError, match="integers"):
             IntPolynomial((0.9, 2.5))
-        with pytest.raises(DiagramError, match="integers"):
-            IntPolynomial((1,)).scale(Fraction(1, 2))
 
 
 class TestCatalan:
-    def test_first_values(self):
-        assert catalan_series(5).coeffs == (1, 1, 2, 5, 14, 42)
+    """Self-checks of the oracle's Catalan series and the identities
+    that ``series.py``'s docstring derives from it."""
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(DiagramError, match="order"):
-            catalan_series(-3)
+    def test_first_values(self):
+        assert oracle.catalan(5) == (1, 1, 2, 5, 14, 42)
 
     def test_closed_form_oracle(self):
-        c = catalan_series(40)
+        c = oracle.catalan(40)
         for n in range(41):
             assert c[n] == comb(2 * n, n) // (n + 1)
 
     def test_defining_equation(self):
         order = 30
-        c = catalan_series(order)
-        one = PowerSeries.one(order)
-        assert one + (c * c).shift(1) == c  # 1 + z C^2 = C
+        c = oracle.catalan(order)
+        one = oracle.one(order)
+        zc2 = oracle.shift(oracle.mul(c, c), 1)
+        assert oracle.add(one, zc2) == c  # 1 + z C^2 = C
         # equivalently 1 - z C^2 = 2 - C
-        assert one - (c * c).shift(1) == one.scale(2) - c
+        assert oracle.sub(one, zc2) == oracle.sub(oracle.scale(2, one), c)
 
     def test_fiber_basis_in_y(self):
         # with D = 1/(1 - z C^2) and X = z C^2 D: (C D)^2 = 1/(1 - 4z),
         # so C D = y = (1 - 4z)^(-1/2), and X = (y - 1)/2
         order = 60
-        c = catalan_series(order)
-        one = PowerSeries.one(order)
-        zc2 = (c * c).shift(1)
-        d = (one - zc2).inverse()
-        cd = c * d
-        assert cd * cd == PowerSeries(order, tuple(4**n for n in range(order + 1)))
-        assert (zc2 * d).scale(2) + one == cd
+        c = oracle.catalan(order)
+        one = oracle.one(order)
+        zc2 = oracle.shift(oracle.mul(c, c), 1)
+        d = oracle.inverse(oracle.sub(one, zc2))
+        cd = oracle.mul(c, d)
+        assert oracle.mul(cd, cd) == tuple(4**n for n in range(order + 1))
+        assert oracle.add(oracle.scale(2, oracle.mul(zc2, d)), one) == cd
 
     def test_square_root_identity(self):
         # 2zC = 1 - sqrt(1-4z), so (1 - 2zC)^2 = 1 - 4z
         order = 30
-        c = catalan_series(order)
-        one = PowerSeries.one(order)
-        root = one - c.shift(1).scale(2)
-        assert root * root == PowerSeries.from_coeffs(order, (1, -4))
+        c = oracle.catalan(order)
+        root = oracle.sub(oracle.one(order), oracle.scale(2, oracle.shift(c, 1)))
+        assert oracle.mul(root, root) == oracle.truncate((1, -4), order)
 
 
 class TestPowerSeriesArithmetic:
     def test_inverse(self):
-        s = PowerSeries.from_coeffs(10, (1, -4))
-        assert (s * s.inverse()) == PowerSeries.one(10)
+        s = oracle.truncate((1, -4), 10)
+        assert oracle.mul(s, oracle.inverse(s)) == oracle.one(10)
 
     def test_inverse_requires_unit(self):
-        with pytest.raises(DiagramError):
-            PowerSeries.from_coeffs(4, (2, 1)).inverse()
+        with pytest.raises(ValueError, match="constant term"):
+            oracle.inverse(oracle.truncate((2, 1), 4))
 
     def test_coefficient_out_of_order(self):
         with pytest.raises(DiagramError):
-            PowerSeries.one(4)[5]
+            PowerSeries(4, (1,))[5]
 
     def test_pow(self):
-        s = PowerSeries.from_coeffs(6, (1, 1))
-        assert s.pow(3).coeffs[:4] == (1, 3, 3, 1)
+        s = oracle.truncate((1, 1), 6)
+        assert oracle.power(s, 3)[:4] == (1, 3, 3, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(series_pair())
     def test_mul_matches_schoolbook(self, pair):
         a, b = pair
-        assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs)
-        assert (b * a).coeffs == schoolbook_mul(b.coeffs, a.coeffs)
+        assert (a * b).coeffs == oracle.mul(a.coeffs, b.coeffs)
+        assert (b * a).coeffs == oracle.mul(b.coeffs, a.coeffs)
 
     @settings(max_examples=300, deadline=None)
     @given(series_pair(unit=True))
@@ -423,8 +404,7 @@ class TestPowerSeriesArithmetic:
         # the inverse of a unit is unique, so the schoolbook product with
         # it must be exactly 1
         a, _ = pair
-        one = PowerSeries.one(a.order).coeffs
-        assert schoolbook_mul(a.coeffs, a.inverse().coeffs) == one
+        assert oracle.mul(a.coeffs, oracle.inverse(a.coeffs)) == oracle.one(a.order)
 
     def test_non_integer_values_refused(self):
         # (1.7, 2.2) was once truncated to (1, 2, 0, 0)
@@ -436,7 +416,7 @@ class TestPowerSeriesArithmetic:
     def test_order_zero(self):
         a = PowerSeries(0, (-3,))
         assert (a * PowerSeries(0, (5,))).coeffs == (-15,)
-        assert PowerSeries(0, (-1,)).inverse().coeffs == (-1,)
+        assert oracle.inverse((-1,)) == (-1,)
 
 
 class TestFiberSeries:
@@ -470,11 +450,11 @@ class TestFiberSeries:
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_matches_literal_formula(self, l):
-        assert fiber_gf(l, 80) == literal_fiber(l, 80)
+        assert fiber_gf(l, 80).coeffs == literal_fiber(l, 80)
 
     @pytest.mark.parametrize("l", (1, 37))
     def test_matches_literal_formula_at_order_400(self, l):
-        assert fiber_gf(l, 400) == literal_fiber(l, 400)
+        assert fiber_gf(l, 400).coeffs == literal_fiber(l, 400)
 
     def test_no_series_product(self, monkeypatch):
         # fibers and their sums are expanded in y = (1 - 4z)^(-1/2)
@@ -506,27 +486,21 @@ class TestWSeries:
 
     def test_w0_closed_form(self):
         order = 30
-        lhs = w_gf(0, order)
-        rhs = rational_series(
-            IntPolynomial.monomial(1, 3), IntPolynomial((1, -4)) * IntPolynomial((1, -4)), order
-        )
-        assert lhs == rhs
+        denom = oracle.power(oracle.truncate((1, -4), order), 2)
+        rhs = oracle.rational_series((0, 0, 0, 1), denom, order)
+        assert w_gf(0, order).coeffs == rhs
 
     def test_w1_closed_form(self):
         order = 30
-        denom = IntPolynomial((1,))
-        for _ in range(5):
-            denom = denom * IntPolynomial((1, -4))
-        num = IntPolynomial((21, 20)).shift(5)  # (21 + 20 z) z^5
-        assert w_gf(1, order) == rational_series(num, denom, order)
+        denom = oracle.power(oracle.truncate((1, -4), order), 5)
+        num = (0,) * 5 + (21, 20)  # (21 + 20 z) z^5
+        assert w_gf(1, order).coeffs == oracle.rational_series(num, denom, order)
 
     def test_w2_closed_form(self):
         order = 30
-        denom = IntPolynomial((1,))
-        for _ in range(8):
-            denom = denom * IntPolynomial((1, -4))
-        num = IntPolynomial((1485, 6096, 1696)).shift(7)
-        assert w_gf(2, order) == rational_series(num, denom, order)
+        denom = oracle.power(oracle.truncate((1, -4), order), 8)
+        num = (0,) * 7 + (1485, 6096, 1696)
+        assert w_gf(2, order).coeffs == oracle.rational_series(num, denom, order)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DiagramError, match="order"):
@@ -544,11 +518,12 @@ class TestWSeries:
         # order below 2g + 3 (where w_gf skips Q_g) and at order 80
         q = shape_poly_2bb(g)
         for order in (*range(2 * g + 3), 80):
-            total = PowerSeries(order, ())
+            total = (0,) * (order + 1)
             for degree, coeff in enumerate(q.coeffs):
                 if coeff:
-                    total = total + literal_fiber(degree - 2, order).scale(coeff)
-            assert w_gf(g, order) == total
+                    fiber = literal_fiber(degree - 2, order)
+                    total = oracle.add(total, oracle.scale(coeff, fiber))
+            assert w_gf(g, order).coeffs == total
 
     @pytest.mark.parametrize("g", sorted(W_400_SHA256))
     def test_full_order_pinned(self, g):
@@ -557,21 +532,13 @@ class TestWSeries:
 
 
 class TestGrowthRatio:
-    def test_geometric_series(self):
-        s = PowerSeries.from_coeffs(20, tuple(4 ** n for n in range(21)))
-        assert growth_ratio(s, 10) == Fraction(4)
-
     def test_w0_ratio_closed_form(self):
         # [z^m] W_0 = (m-2) 4^(m-3), so the ratio at m is 4 (m-1)/(m-2)
         w = w_gf(0, 40)
         for m in (10, 20, 39):
-            assert growth_ratio(w, m) == Fraction(4 * (m - 1), m - 2)
-
-    def test_zero_coefficient_rejected(self):
-        with pytest.raises(DiagramError):
-            growth_ratio(fiber_gf(1, 10), 1)
+            assert Fraction(w[m + 1], w[m]) == Fraction(4 * (m - 1), m - 2)
 
     def test_fiber_ratio_tends_to_four(self):
         f = fiber_gf(1, 120)
-        r100 = growth_ratio(f, 100)
+        r100 = Fraction(f[101], f[100])
         assert abs(r100 - 4) < Fraction(4, 25)  # within 4% already at n = 100
