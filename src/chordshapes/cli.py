@@ -107,7 +107,7 @@ def _cmd_genus(args) -> int:
             {
                 "genus": dec.genus,
                 "r": dec.r,
-                "cycles": [list(c) for c in dec.cycles],
+                "cycles": dec.cycles,
                 "component_genera": component_genera(d, dec),
             }
         )
@@ -124,7 +124,7 @@ def _cmd_loops(args) -> int:
             {
                 "genus": dec.genus,
                 "r": dec.r,
-                "cycles": [list(c) for c in dec.cycles],
+                "cycles": dec.cycles,
                 "loops": {
                     "hairpin": prof.hairpin,
                     "interior": prof.interior,

@@ -44,9 +44,11 @@ completion.  On a complete shape the bound is exact, which the kernel
 checks at every leaf it emits.
 
 The search is deterministic: splits ascending, partners ascending, so
-two runs yield identical sequences.  An optional node budget, counted in
-placed arcs, turns oversized searches into an explicit failure instead
-of a silent truncation.
+two runs yield identical sequences.  Two-backbone shapes are searched on
+the splits up to the middle only: those on (c, a) for c > a are the ones
+on (a, c) with the two backbones swapped, relabelled and sorted.  An
+optional node budget, counted in placed arcs, turns oversized searches
+into an explicit failure instead of a silent truncation.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class EnumSpec:
             raise DiagramError("need 0 < arcs_min <= arcs_max")
         if self.genus_cap < 0:
             raise DiagramError("genus cap must be >= 0")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise DiagramError("node budget must be >= 0")
 
 
 def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -426,6 +430,22 @@ def _shape_arc_range(b: int, g: int) -> tuple[int, int]:
     return 2 * g + 3, 6 * g + 4
 
 
+def _swap_backbones(arcs: tuple[Arc, ...], a: int, c: int) -> tuple[Arc, ...]:
+    """The arcs of a diagram on backbones of lengths (a, c), relabelled
+    onto (c, a) by swapping the two backbones, sorted: a vertex v <= a
+    becomes v + c and one v > a becomes v - a."""
+    swapped = []
+    for i, j in arcs:
+        if j <= a:  # on the first backbone
+            swapped.append((i + c, j + c))
+        elif i > a:  # on the second
+            swapped.append((i - a, j - a))
+        else:  # between them: j's end now comes first
+            swapped.append((j - a, i + c))
+    swapped.sort()
+    return tuple(swapped)
+
+
 def enumerate_shapes(
     b: int,
     g: int,
@@ -440,11 +460,17 @@ def enumerate_shapes(
     of complementary genus are included as well.  Only b = 1, g <= 2
     and b = 2, g <= 1 are searched; larger families are refused up front
     with ``InfeasibleError``.
+
+    For b = 2 only the splits (a, c) with a <= c are searched, and the
+    shapes on (c, a) are those on (a, c) with the backbones swapped, so
+    ``node_budget`` counts only the arcs placed in the searched splits.
     """
     if b not in (1, 2):
         raise DiagramError("shapes are tabulated over 1 or 2 backbones")
     if g < 0:
         raise DiagramError("genus must be >= 0")
+    if node_budget is not None and node_budget < 0:
+        raise DiagramError("node budget must be >= 0")
     if b == 1 and g == 0:
         return []  # no proper one-backbone shape has genus 0
     lo, hi = _shape_arc_range(b, g)
@@ -455,29 +481,40 @@ def enumerate_shapes(
         )
 
     budget = [node_budget] * 2 if node_budget is not None else None
-    # splits and partners ascend, so the shapes come in canonical order
     shapes: list[Shape] = []
     last: tuple = ()
+
+    def keep(n: int, lengths: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
+        # each shape must come after the one before it in canonical order
+        nonlocal last
+        key = (n, lengths, arcs)
+        if key <= last:
+            raise ConsistencyError(f"shape emitted out of canonical order: {key}")
+        last = key
+        d = Diagram(lengths, frozenset(arcs), planted=True)
+        shapes.append(Shape(diagram=d, genus=g))
+
     for n in range(lo, hi + 1):
         V = 2 * n
-        if b == 1:
-            splits = [(V,)]
-        else:
-            splits = [(k, V - k) for k in range(3, V - 2)]
+        # splits and partners ascend, so a searched split's shapes come in
+        # canonical order; each mirrored split is sorted before it is kept
+        splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, n + 1)]
+        found: dict[tuple[int, ...], list[tuple[Arc, ...]]] = {}
         for lengths in splits:
 
             def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
-                nonlocal last
-                key = (n, _lengths, tuple(sorted(arcs)))
-                if key <= last:
-                    raise ConsistencyError(
-                        f"shape emitted out of canonical order: {key}"
-                    )
-                last = key
-                d = Diagram(_lengths, frozenset(arcs), planted=True)
-                shapes.append(Shape(diagram=d, genus=g))
+                arcs = tuple(sorted(arcs))
+                found[_lengths].append(arcs)
+                keep(n, _lengths, arcs)
 
+            found[lengths] = []
             _search_split(lengths, g, g, connected, emit, budget, hi - n)
+        if b == 2:
+            for c in range(n + 1, V - 2):
+                a = V - c
+                mirror = sorted(_swap_backbones(arcs, a, c) for arcs in found[a, c])
+                for arcs in mirror:
+                    keep(n, (c, a), arcs)
     return shapes
 
 

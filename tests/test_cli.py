@@ -888,6 +888,28 @@ def test_matchings_default_budget(capsys, monkeypatch):
     assert json.loads(out) == {"count": "132"}
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--matchings", "--arcs", "5"]], ids=["shapes", "matchings"]
+)
+def test_negative_node_budget_exit_code_3(capsys, extra):
+    # a negative budget was taken as one already spent: the search failed
+    # at its first arc with "node budget of -5 placed arcs exceeded" (exit
+    # 4); a budget of 0 stays valid and is spent at the first arc
+    argv = ["enumerate", "--backbones", "2", "--genus", "1", *extra]
+    code, out, err = run(capsys, *argv, "--node-budget", "-5")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": "node budget must be >= 0",
+    }
+    code, out, err = run(capsys, *argv, "--node-budget", "0")
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == {
+        "type": "infeasible",
+        "message": "enumeration node budget of 0 placed arcs exceeded",
+    }
+
+
 def test_matchings_list_streams_until_budget():
     # the visited diagrams were once kept in a list until the search
     # ended: here the capped child died in a MemoryError traceback (exit 1)

@@ -20,7 +20,7 @@ from chordshapes import (
     is_shape,
     w_gf,
 )
-from chordshapes.enumeration import _search_split
+from chordshapes.enumeration import _search_split, _swap_backbones
 from chordshapes.shapes import as_shape
 from conftest import all_matchings
 
@@ -111,10 +111,11 @@ class TestMatchings:
         enumerate_shapes(1, 1, node_budget=22)
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_shapes(1, 1, node_budget=21)
-        # (2, 1): 428,802 before the face-side budget
-        enumerate_shapes(2, 1, node_budget=29_604)
+        # (2, 1): 428,802 before the face-side budget, 29,604 before the
+        # splits past the middle came from swapping the backbones
+        enumerate_shapes(2, 1, node_budget=15_506)
         with pytest.raises(InfeasibleError, match="budget"):
-            enumerate_shapes(2, 1, node_budget=29_603)
+            enumerate_shapes(2, 1, node_budget=15_505)
         # matchings mode: the genus and parity prunes alone
         def matchings(budget: int) -> int:
             return enumerate_matchings(
@@ -157,6 +158,21 @@ class TestMatchings:
             EnumSpec(backbones=3, arcs_min=1, arcs_max=1, genus_cap=0)
         with pytest.raises(DiagramError):
             EnumSpec(backbones=1, arcs_min=2, arcs_max=1, genus_cap=0)
+
+    def test_negative_node_budget_refused(self):
+        # a negative budget was taken as one already spent: the search ran
+        # and failed at its first arc as "node budget of -5 placed arcs
+        # exceeded"; a budget of 0 stays valid
+        spec = dict(backbones=2, arcs_min=5, arcs_max=5, genus_cap=1)
+        with pytest.raises(DiagramError, match="node budget must be >= 0"):
+            EnumSpec(**spec, node_budget=-5)
+        with pytest.raises(DiagramError, match="node budget must be >= 0"):
+            enumerate_shapes(2, 1, node_budget=-5)
+        with pytest.raises(InfeasibleError, match="budget of 0 placed arcs"):
+            enumerate_matchings(EnumSpec(**spec, node_budget=0))
+        with pytest.raises(InfeasibleError, match="budget of 0 placed arcs"):
+            enumerate_shapes(2, 1, node_budget=0)
+        assert enumerate_shapes(1, 0, node_budget=0) == []
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("connected", [False, True])
@@ -311,6 +327,36 @@ class TestShapes:
         assert search(1) == [((1, 3), (4, 6), (2, 5))]
         with pytest.raises(ConsistencyError, match="face sides"):
             search(2)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_swapped_splits_equal_searched(self, g, connected):
+        # enumerate_shapes searches the splits (a, c) with a <= c only and
+        # gets (c, a) by swapping the backbones; the kernel's own search of
+        # every split past the middle must give the same shapes in order
+        hi = 6 * g + 4
+
+        def search(lengths):
+            emitted = []
+            _search_split(
+                lengths, g, g, connected,
+                lambda arcs: emitted.append(tuple(sorted(arcs))),
+                None, hi - sum(lengths) // 2,
+            )
+            return emitted
+
+        mirrored = 0
+        for n in range(2 * g + 3, hi + 1):
+            for c in range(n + 1, 2 * n - 2):
+                a = 2 * n - c
+                searched = search((a, c))
+                mirror = sorted(_swap_backbones(arcs, a, c) for arcs in searched)
+                assert mirror == search((c, a)), (n, a, c)
+                back = [_swap_backbones(arcs, c, a) for arcs in mirror]
+                assert sorted(back) == searched  # the swap twice is no change
+                mirrored += len(mirror)
+        # (2, 0) has shapes on the middle splits (3, 3) and (4, 4) only
+        assert (mirrored > 0) == (g == 1)
 
     def test_repeated_emit_raises(self, monkeypatch):
         # the shapes are kept in the order the kernel emits them, so a
