@@ -9,6 +9,11 @@ so every vertex is paired at most once.
 Planting adds one outermost "rainbow" arc per backbone (two fresh
 vertices joined over the whole backbone).  Rainbows are ordinary
 vertices and arcs here, which keeps the later surgeries pure relabeling.
+
+Text is parsed by :func:`parse_diagram` and :func:`diagram_from_code`
+through one parser.  A well-formed arc line is read in whole-line passes
+and validated once, by the :class:`Diagram` constructor; a token-by-token
+loop runs only on a line those passes refuse, to locate the error.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .errors import DiagramError, ParseError
 Arc = tuple[int, int]
 
 _TOKEN_RE = re.compile(r"\S+")
+# a whole arc line of well-formed ``i-j`` tokens
+_ARC_LINE_RE = re.compile(r"\s*(?:\d+-\d+(?!\S)\s*)*")
 
 
 def _decimal(n: int) -> str:
@@ -164,12 +171,18 @@ def parse_diagram(text: str) -> Diagram:
     (1-based global indices).  ``#`` starts a comment, a blank or absent
     arc line means no arcs, and ``|`` may replace the newline so that a
     whole diagram fits on one line.
+
+    A well-formed arc line is read in a few whole-line passes and checked
+    once, by the :class:`Diagram` constructor.  Only a line that those
+    passes refuse is read token by token, to name the first bad token's
+    line and column in the :class:`ParseError`.
     """
-    return Diagram(*_parse(text))
+    return _parse(text)
 
 
-def _parse(text: str) -> tuple[tuple[int, ...], frozenset[Arc]]:
-    """The backbone lengths and arcs of :func:`parse_diagram`'s format."""
+def _parse(text: str, planted: bool = False) -> Diagram:
+    """The diagram of :func:`parse_diagram`'s format, built with the
+    given ``planted`` flag."""
     lines = text.replace("|", "\n").split("\n")
     significant: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -201,6 +214,23 @@ def _parse(text: str) -> tuple[tuple[int, ...], frozenset[Arc]]:
     used: set[int] = set()
     if len(significant) == 2:
         lineno, arc_line = significant[1]
+        # \d and \s are the classes of str.isdecimal and str.split, so a
+        # line that matches holds only tokens that the loop below reads;
+        # a repeated arc shrinks the set, and the constructor refuses a
+        # range, self-pairing or reuse error
+        if _ARC_LINE_RE.fullmatch(arc_line):
+            try:
+                numbers = list(map(int, arc_line.replace("-", " ").split()))
+                it = iter(numbers)
+                fast = frozenset(
+                    (i, j) if i < j else (j, i) for i, j in zip(it, it)
+                )
+                if 2 * len(fast) == len(numbers):
+                    return Diagram(tuple(lengths), fast, planted)
+            except (ValueError, DiagramError):  # ValueError: the digit limit
+                pass
+        # the line was refused: find the first bad token, or rebuild the
+        # arcs for the constructor to refuse a planted diagram's rainbows
         for m in _TOKEN_RE.finditer(arc_line):
             tok = m.group(0)
             # str.isdecimal accepts exactly the Unicode decimal digits
@@ -238,7 +268,7 @@ def _parse(text: str) -> tuple[tuple[int, ...], frozenset[Arc]]:
             used.add(j)
             arcs.add((i, j))
 
-    return tuple(lengths), frozenset(arcs)
+    return Diagram(tuple(lengths), frozenset(arcs), planted)
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -257,7 +287,7 @@ def canonical_code(d: Diagram) -> str:
 
 def diagram_from_code(code: str, *, planted: bool = False) -> Diagram:
     """Rebuild a diagram from its :func:`canonical_code`."""
-    return Diagram(*_parse(code), planted=planted)
+    return _parse(code, planted)
 
 
 # -- planting ------------------------------------------------------------

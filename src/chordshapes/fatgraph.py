@@ -22,11 +22,17 @@ cycle never leaves its connected component, so ``component_genera``
 reads the genus of every component off that one trace: it assigns each
 cycle to the component of its first vertex and applies the Euler
 relation per component, without splitting the diagram.
+
+``classify_loops`` reads the arcs of every loop off the pairing that
+its trace built, so one call pairs the diagram once.  Its crossing test
+is one stack scan over a multi-loop's sorted endpoints, O(k log k) for
+a loop of k arcs, so a whole classification stays O(n log n).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import Diagram, _backbone_roots, _starts
@@ -49,8 +55,9 @@ class BoundaryDecomposition:
     genus: int
 
 
-def _trace(d: Diagram) -> tuple[list[Cycle], int]:
-    """Cycles of phi = sigma o alpha plus empty cycles of arcless backbones.
+def _trace(d: Diagram) -> tuple[list[Cycle], dict[int, int]]:
+    """Cycles of phi = sigma o alpha plus empty cycles of arcless
+    backbones, and the pairing they were traced on.
 
     sigma steps to the next paired vertex of the same backbone (cyclic);
     each backbone's paired vertices are found by bisection in the sorted
@@ -79,7 +86,7 @@ def _trace(d: Diagram) -> tuple[list[Cycle], int]:
             x = nxt[pair[x]]
         cycles.append(tuple(cyc))
     cycles += [()] * arcless
-    return cycles, len(cycles)
+    return cycles, pair
 
 
 def _formal_genus(r: int, b: int, n_arcs: int) -> int:
@@ -95,14 +102,21 @@ def genus(d: Diagram) -> int:
     Negative values are possible for disconnected diagrams, e.g. -1 for
     two disjoint planar components on two backbones.
     """
-    _, r = _trace(d)
-    return _formal_genus(r, d.b, d.n_arcs)
+    cycles, _ = _trace(d)
+    return _formal_genus(len(cycles), d.b, d.n_arcs)
 
 
 def boundary_components(d: Diagram) -> BoundaryDecomposition:
     """Full boundary decomposition and genus, from one trace."""
-    cycles, r = _trace(d)
-    return BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
+    return _decompose(d)[0]
+
+
+def _decompose(d: Diagram) -> tuple[BoundaryDecomposition, dict[int, int]]:
+    """:func:`boundary_components` and the pairing it was traced on."""
+    cycles, pair = _trace(d)
+    r = len(cycles)
+    dec = BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
+    return dec, pair
 
 
 def component_genera(d: Diagram, dec: BoundaryDecomposition) -> list[int]:
@@ -153,59 +167,58 @@ class LoopProfile:
     is_alpha: tuple[bool, ...]
     is_pseudoknot: tuple[bool, ...]
 
-    def _count(self, kind: str) -> int:
-        return sum(1 for k in self.kinds if k == kind)
-
     @property
     def plant(self) -> int:
-        return self._count("plant")
+        return self.kinds.count("plant")
 
     @property
     def hairpin(self) -> int:
-        return self._count("hairpin")
+        return self.kinds.count("hairpin")
 
     @property
     def interior(self) -> int:
-        return self._count("interior")
+        return self.kinds.count("interior")
 
     @property
     def multi(self) -> int:
-        return self._count("multi")
+        return self.kinds.count("multi")
 
     @property
     def empty(self) -> int:
-        return self._count("empty")
+        return self.kinds.count("empty")
 
     @property
     def pseudoknot(self) -> int:
-        return sum(1 for p in self.is_pseudoknot if p)
+        return self.is_pseudoknot.count(True)
 
+    # a plant loop runs along its rainbow and an empty one along no arc,
+    # so both are alpha: every non-alpha loop is a beta loop
     @property
     def alpha(self) -> int:
         """Non-plant loops whose arcs all stay within a single backbone."""
-        return sum(
-            1
-            for k, a in zip(self.kinds, self.is_alpha)
-            if a and k not in ("plant", "empty")
-        )
+        return self.is_alpha.count(True) - self.plant - self.empty
 
     @property
     def beta(self) -> int:
         """Non-plant loops traversing at least one exterior arc."""
-        return sum(
-            1
-            for k, a in zip(self.kinds, self.is_alpha)
-            if not a and k not in ("plant", "empty")
-        )
+        return self.is_alpha.count(False)
 
 
-def _has_crossing(arcs: list[tuple[int, int]]) -> bool:
-    for x in range(len(arcs)):
-        i, j = arcs[x]
-        for y in range(x + 1, len(arcs)):
-            r, s = arcs[y]
-            if i < r < j < s or r < i < s < j:
-                return True
+def _has_crossing(arcs: Iterable[tuple[int, int]]) -> bool:
+    """True iff two of ``arcs`` cross; arcs are pairs i < j whose
+    endpoints are all distinct.
+
+    Arcs cross nowhere iff every closing endpoint closes the arc opened
+    most recently among those still open, so one stack scan over the
+    sorted endpoints decides it in O(k log k) for k arcs.
+    """
+    close = dict(arcs)
+    open_ends: list[int] = []
+    for v in sorted([*close, *close.values()]):
+        if v in close:
+            open_ends.append(close[v])
+        elif open_ends.pop() != v:
+            return True
     return False
 
 
@@ -216,8 +229,7 @@ def classify_loops(d: Diagram) -> LoopProfile:
     it traverses contain a crossing pair; a loop is alpha iff every arc
     it traverses has both endpoints on one backbone.
     """
-    dec = boundary_components(d)
-    pair = d.pairing()
+    dec, pair = _decompose(d)
     starts = _starts(d)
     exterior: set[int] = set()
     for i, j in d.arcs:
@@ -242,7 +254,7 @@ def classify_loops(d: Diagram) -> LoopProfile:
             pks.append(False)
         else:
             kinds.append("multi")
-            arcs = sorted({(min(v, pair[v]), max(v, pair[v])) for v in cyc})
+            arcs = {(min(v, pair[v]), max(v, pair[v])) for v in cyc}
             pks.append(_has_crossing(arcs))
         alphas.append(exterior.isdisjoint(cyc))
     return LoopProfile(dec, tuple(kinds), tuple(alphas), tuple(pks))

@@ -6,9 +6,11 @@ and reduces it to the unique fixpoint of two moves: drop the inner arc
 of two stacked arcs, and drop a 1-arc within one backbone or an
 unpaired vertex.  :func:`reduce_planted` reaches that fixpoint in one
 left-to-right scan over the paired vertices, so its cost grows with the
-arc count, not with the backbone lengths.  Rainbows may absorb stacks
-but are never deleted themselves, so the result keeps one rainbow per
-backbone and the same genus as the planted input.
+arc count, not with the backbone lengths.  :func:`project_shape` runs
+the same scan on the planted pairing, computed by arithmetic, and builds
+no planted copy of its input.  Rainbows may absorb stacks but are never
+deleted themselves, so the result keeps one rainbow per backbone and the
+same genus as the planted input.
 
 A diagram whose non-rainbow content dies entirely reduces to the
 rainbows-only planted diagram.  That degenerate value is reported with
@@ -22,12 +24,13 @@ many times, as a sampler's images are, is traced and serialised once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import Diagram, canonical_code, plant
+from .diagram import Diagram, _starts, canonical_code
 from .errors import BijectionDomainError, DiagramError
 from .fatgraph import classify_loops, genus
 
@@ -170,8 +173,14 @@ def reduce_planted(d: Diagram) -> Diagram:
     """
     if not d.planted:
         raise DiagramError("reduction needs a planted diagram")
-    pair = d.pairing()
-    rainbows = set(d.bounds)
+    return _reduce(d.pairing(), d.bounds)
+
+
+def _reduce(pair: dict[int, int], bounds: tuple[tuple[int, int], ...]) -> Diagram:
+    """The scan of :func:`reduce_planted`, on a planted diagram given by
+    its pairing and its backbone bounds; the arc over each bound is that
+    backbone's rainbow."""
+    rainbows = set(bounds)
     # the survivors and the sentinel 0 form a ring: prv[0] is the last
     # survivor; links of dropped vertices go stale and are never read
     prv = {0: 0}
@@ -200,7 +209,7 @@ def reduce_planted(d: Diagram) -> Diagram:
     while v:
         relabel[v] = len(relabel) + 1
         v = nxt[v]
-    lengths = tuple(relabel[e] - relabel[s] + 1 for s, e in d.bounds)
+    lengths = tuple(relabel[e] - relabel[s] + 1 for s, e in bounds)
     arcs = frozenset(
         (relabel[pair[v]], relabel[v]) for v in relabel if pair[v] < v
     )
@@ -208,15 +217,31 @@ def reduce_planted(d: Diagram) -> Diagram:
 
 
 def project_shape(d: Diagram) -> Shape:
-    """Plant ``d`` and reduce it to its shape.
+    """Reduce the planted ``d`` to its shape.
 
-    The genus of the result equals the genus of the planted input.  A
-    diagram with no surviving arcs yields the rainbows-only planted
-    diagram, flagged via ``Shape.empty_pure_preshape``.
+    The scan of :func:`reduce_planted` runs on the planted pairing and
+    bounds, which are computed from ``d`` directly: no planted copy of
+    ``d`` is built or validated.  The genus of the result equals the
+    genus of the planted input.  A diagram with no surviving arcs yields
+    the rainbows-only planted diagram, flagged via
+    ``Shape.empty_pure_preshape``.
     """
     if d.planted:
         raise DiagramError("project_shape expects an unplanted diagram")
-    reduced = reduce_planted(plant(d))
+    # as in plant(): vertex v of backbone k (0-based) moves to v + 2k + 1,
+    # and backbone k's rainbow joins the two fresh vertices around it
+    starts = _starts(d)
+    pair: dict[int, int] = {}
+    for i, j in d.arcs:
+        i += 2 * bisect_right(starts, i) - 1
+        j += 2 * bisect_right(starts, j) - 1
+        pair[i] = j
+        pair[j] = i
+    bounds = tuple((s + 2 * k, e + 2 * k + 2) for k, (s, e) in enumerate(d.bounds))
+    for s, e in bounds:
+        pair[s] = e
+        pair[e] = s
+    reduced = _reduce(pair, bounds)
     return Shape(diagram=reduced, genus=genus(reduced))
 
 

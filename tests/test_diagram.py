@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
@@ -132,6 +134,17 @@ class TestParse:
                 "2 2\n1-4   4-2",
                 "line 2, column 7: vertex 4 already paired (arc token '4-2')",
             ),
+            # a repeated arc, in either order, is a reuse of its first vertex
+            (
+                "4\n1-2 1-2",
+                "line 2, column 5: vertex 1 already paired (arc token '1-2')",
+            ),
+            (
+                "4\n1-2 2-1",
+                "line 2, column 5: vertex 1 already paired (arc token '2-1')",
+            ),
+            # the first bad token is named, whatever is wrong with a later one
+            ("4\n1-9 a-b", "line 2, column 1: arc endpoint out of range 1..4 in '1-9'"),
         ],
     )
     def test_arc_error_messages(self, text, message):
@@ -142,6 +155,10 @@ class TestParse:
     def test_non_ascii_decimal_digits_parse(self):
         d = parse_diagram("4 \u0663\n\uff11-\uff12 \u0663-\u0665")
         assert d == Diagram((4, 3), frozenset({(1, 2), (3, 5)}))
+        # tab, no-break space and em space separate tokens as a space does
+        for sep in ("\t", "\u00a0", "\u2003"):
+            text = f"4{sep}3\n{sep}1-2{sep}3-5{sep}"
+            assert parse_diagram(text) == parse_diagram("4 3\n 1-2 3-5 ")
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -332,11 +349,68 @@ def test_components_partition_arcs(d):
     assert len(parts) == 1 if is_connected(d) else len(parts) > 1
 
 
+def reference_parse(text: str) -> Diagram | str:
+    """The text format read token by token, written apart from the
+    package's parser: the diagram, or the message of the ParseError that
+    its first bad line or token raises."""
+    significant = []
+    for lineno, raw in enumerate(text.replace("|", "\n").split("\n"), start=1):
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            significant.append((lineno, body))
+    if not significant:
+        return "line 1, column 1: no backbone-length line"
+    if len(significant) > 2:
+        return f"line {significant[2][0]}, column 1: unexpected extra line"
+    lineno, body = significant[0]
+    lengths = []
+    for m in re.finditer(r"\S+", body):
+        tok = m.group(0)
+        if not (tok.isdecimal() and int(tok) > 0):
+            return (
+                f"line {lineno}, column {m.start() + 1}:"
+                f" backbone length {tok!r} is not a positive integer"
+            )
+        lengths.append(int(tok))
+    arcs = set()
+    used = set()
+    for lineno, body in significant[1:]:
+        for m in re.finditer(r"\S+", body):
+            tok = m.group(0)
+            where = f"line {lineno}, column {m.start() + 1}: "
+            a, dash, b = tok.partition("-")
+            if not (dash and a.isdecimal() and b.isdecimal()):
+                return where + f"malformed arc token {tok!r}"
+            i, j = sorted((int(a), int(b)))
+            if i == j:
+                return where + f"self-pairing {tok!r}"
+            if not 1 <= i < j <= sum(lengths):
+                return where + (
+                    f"arc endpoint out of range 1..{sum(lengths)} in {tok!r}"
+                )
+            if i in used or j in used:
+                v = i if i in used else j
+                return where + f"vertex {v} already paired (arc token {tok!r})"
+            used.update((i, j))
+            arcs.add((i, j))
+    return Diagram(tuple(lengths), frozenset(arcs))
+
+
 @settings(max_examples=500)
-@given(fuzz_text)
+@given(
+    st.one_of(
+        fuzz_text,
+        # separators and digits past ASCII, and repeated arcs
+        st.text(alphabet="0123-| \n\t\u00a0\u2003\u0663\u00b2", max_size=40),
+        st.lists(st.sampled_from(["1-2", "2-1", "1-3", "3-4", "4-2"]), max_size=5)
+        .map(lambda toks: "4\n" + " ".join(toks)),
+    )
+)
 def test_parse_returns_diagram_or_parse_error(text):
+    expected = reference_parse(text)
     try:
         d = parse_diagram(text)
-    except ParseError:
+    except ParseError as e:
+        assert str(e) == expected
         return
-    assert isinstance(d, Diagram)
+    assert d == expected

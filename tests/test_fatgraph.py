@@ -219,6 +219,33 @@ def reference_loop_classes(d: Diagram):
 def test_loop_classes_match_per_arc_reference(d):
     prof = classify_loops(d)
     assert (prof.kinds, prof.is_alpha, prof.is_pseudoknot) == reference_loop_classes(d)
+    loops = [(k, a) for k, a in zip(prof.kinds, prof.is_alpha) if k not in ("plant", "empty")]
+    assert prof.alpha == sum(1 for _, a in loops if a)
+    assert prof.beta == sum(1 for _, a in loops if not a)
+
+
+def pairwise_crossing(arcs) -> bool:
+    """Whether two of ``arcs`` cross, by comparing every pair."""
+    return any(i < r < j < s for i, j in arcs for r, s in arcs)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 40).flatmap(lambda k: st.permutations(range(1, 2 * k + 1))))
+def test_crossing_scan_matches_pairwise(perm):
+    arcs = [tuple(sorted(perm[t : t + 2])) for t in range(0, len(perm), 2)]
+    assert fatgraph._has_crossing(arcs) == pairwise_crossing(arcs)
+
+
+def test_long_multiloop_crossing():
+    """A multi-loop of 4,000 side-by-side hairpins, without and with one
+    crossing pair: the crossing scan is not quadratic in the loop."""
+    n = 4000
+    chain = {(2 * k + 1, 2 * k + 2) for k in range(n)}
+    prof = classify_loops(Diagram((2 * n,), frozenset(chain)))
+    assert (prof.multi, prof.pseudoknot, prof.hairpin) == (1, 0, n)
+    crossed = chain - {(1, 2), (3, 4)} | {(1, 3), (2, 4)}
+    prof = classify_loops(Diagram((2 * n,), frozenset(crossed)))
+    assert prof.pseudoknot == 1
 
 
 class TestTraceOnce:
@@ -239,9 +266,19 @@ class TestTraceOnce:
 
     SHAPE = Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
 
-    def test_classify_loops(self, traced):
+    def test_classify_loops(self, traced, monkeypatch):
+        paired = []
+        pairing = Diagram.pairing
+
+        def counting(d):
+            paired.append(d)
+            return pairing(d)
+
+        monkeypatch.setattr(Diagram, "pairing", counting)
         classify_loops(self.SHAPE)
         assert traced == [self.SHAPE]
+        # the loops' arcs are read off the trace's own pairing
+        assert paired == [self.SHAPE]
 
     def test_sample_stats_record(self, traced):
         s = as_shape(self.SHAPE)

@@ -187,11 +187,29 @@ def test_projection_preserves_genus(d):
 
 
 @settings(max_examples=100)
-@given(diagram_strategy(max_vertices=10))
+@given(diagram_strategy(max_backbones=4, max_vertices=10))
 def test_projection_output_is_reduced(d):
     s = project_shape(d)
     assert reduce_planted(s.diagram) == s.diagram
     assert s.n_arcs >= s.b
+    # projection plants by arithmetic; plant() and reduce_planted() are
+    # the reference composition
+    assert s.diagram == reduce_planted(plant(d))
+
+
+def test_projection_builds_no_planted_copy(monkeypatch):
+    d = Diagram((5, 4), frozenset({(1, 7), (2, 4), (5, 9)}))
+    built = []
+    check = Diagram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Diagram, "__post_init__", counting)
+    s = project_shape(d)
+    # the reduced diagram is the only one built
+    assert built == [s.diagram]
 
 
 def reduce_by_moves(d: Diagram, choose) -> Diagram:
