@@ -27,10 +27,12 @@ from .fatgraph import genus
 from .shapes import Shape, ShapeClass, _class_of, _planted, is_shape, shape_class
 
 
-def _in_family(out: Diagram, want: ShapeClass) -> Diagram:
-    """``out``, once checked to be a one-backbone shape of class ``want``."""
-    if not is_shape(out) or _class_of(out) is not want:
-        raise ConsistencyError(f"surgery left the {want.value}-shape family")
+def _in_family(out: Diagram, want: ShapeClass | None) -> Diagram:
+    """``out``, once checked to be a shape and, on one backbone, a shape
+    of class ``want``; ``want`` is None for a two-backbone output."""
+    if not is_shape(out) or (want is not None and _class_of(out) is not want):
+        family = "two-backbone shape" if want is None else f"{want.value}-shape"
+        raise ConsistencyError(f"surgery left the {family} family")
     return out
 
 
@@ -130,7 +132,4 @@ def _eta_inv(d: Diagram) -> Diagram:
     arcs = frozenset(
         (i - 1, j - 1) for i, j in d.arcs if (i, j) != (1, m)
     )
-    out = Diagram((v - 1, m - 1 - v), arcs, planted=True)
-    if not is_shape(out):  # the surgery never leaves the shape family
-        raise ConsistencyError("eta_inv produced a non-shape")
-    return out
+    return _in_family(Diagram((v - 1, m - 1 - v), arcs, planted=True), None)

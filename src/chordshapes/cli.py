@@ -38,7 +38,7 @@ from .errors import (
 from .fatgraph import boundary_components, classify_loops, component_genera
 from .sampling import sample_stats
 from .series import fiber_gf, shape_poly_1bb, shape_poly_2bb, w_gf
-from .shapes import Shape, as_shape, project_shape, shape_class
+from .shapes import Shape, _planted, as_shape, project_shape, shape_class
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,7 +117,7 @@ def _cmd_genus(args) -> int:
 def _cmd_loops(args) -> int:
     for d in _read_diagrams(args.input):
         if args.planted:
-            d = Diagram(d.backbone_lengths, d.arcs, planted=True)
+            d = _planted(d)
         prof = classify_loops(d)
         dec = prof.boundary
         _emit(

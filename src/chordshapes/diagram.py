@@ -9,6 +9,8 @@ so every vertex is paired at most once.
 Planting adds one outermost "rainbow" arc per backbone (two fresh
 vertices joined over the whole backbone).  Rainbows are ordinary
 vertices and arcs here, which keeps the later surgeries pure relabeling.
+The planted labels are computed in one place, :func:`_planting`, which
+:func:`plant` and shape projection share.
 
 Text is parsed by :func:`parse_diagram` and :func:`diagram_from_code`
 through one parser.  A well-formed arc line is read in whole-line passes
@@ -21,7 +23,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import DiagramError, ParseError
 
@@ -62,8 +63,11 @@ class Diagram:
     def __post_init__(self):
         # a tuple or frozenset is taken as it is, not copied; every length
         # and endpoint must be an int (a float is refused, not truncated)
-        lengths = tuple(self.backbone_lengths)
-        arcs = frozenset(self.arcs)
+        try:
+            lengths = tuple(self.backbone_lengths)
+            arcs = frozenset(self.arcs)
+        except TypeError:  # not iterable, or an arc that is not hashable
+            raise DiagramError("lengths and arcs must be collections") from None
         object.__setattr__(self, "backbone_lengths", lengths)
         object.__setattr__(self, "arcs", arcs)
 
@@ -82,7 +86,11 @@ class Diagram:
         object.__setattr__(self, "bounds", tuple(bounds))
 
         seen: set[int] = set()
-        for i, j in arcs:
+        for arc in arcs:
+            try:
+                i, j = arc
+            except (TypeError, ValueError):
+                raise DiagramError("every arc must be a pair of vertices") from None
             if type(i) is not int or type(j) is not int:
                 raise DiagramError("arc endpoints must be integers")
             if not (1 <= i < j <= n):
@@ -125,12 +133,6 @@ class Diagram:
     def is_matching(self) -> bool:
         return 2 * len(self.arcs) == self.n_vertices
 
-    def backbone_of(self, v: int) -> int:
-        """0-based index of the backbone containing vertex v."""
-        if not 1 <= v <= self.n_vertices:
-            raise DiagramError(f"vertex {_decimal(v)} out of range")
-        return bisect_right(self.bounds, v, key=itemgetter(0)) - 1
-
     def pairing(self) -> dict[int, int]:
         """Partner map containing both directions of every arc."""
         p: dict[int, int] = {}
@@ -144,9 +146,9 @@ def _starts(d: Diagram) -> list[int]:
     """First vertex of each backbone, ascending.
 
     ``bisect_right(_starts(d), v)`` counts the backbone starts up to
-    vertex v, which is one more than v's backbone index: one plain
-    bisect per vertex, with none of :meth:`Diagram.backbone_of`'s range
-    check, for callers that look up many vertices of one diagram.
+    vertex v, which is one more than v's 0-based backbone index: one
+    plain bisect per vertex, and no range check, so v must be a vertex
+    of ``d``.  This is the package's one vertex-to-backbone lookup.
     """
     return [s for s, _ in d.bounds]
 
@@ -272,10 +274,11 @@ def _parse(text: str, planted: bool = False) -> Diagram:
 
 
 def serialize_diagram(d: Diagram) -> str:
-    """Two-line text form; inverse of :func:`parse_diagram` on valid diagrams."""
-    lengths = " ".join(str(l) for l in d.backbone_lengths)
-    arcs = " ".join(f"{i}-{j}" for i, j in sorted(d.arcs))
-    return f"{lengths}\n{arcs}\n"
+    """Two-line text form; inverse of :func:`parse_diagram` on valid diagrams.
+
+    It is the :func:`canonical_code` with its one ``|`` as the newline.
+    """
+    return canonical_code(d).replace("|", "\n") + "\n"
 
 
 def canonical_code(d: Diagram) -> str:
@@ -301,18 +304,31 @@ def plant(d: Diagram) -> Diagram:
     """
     if d.planted:
         raise DiagramError("diagram is already planted")
-    # vertex v of backbone k (0-based) shifts by 2k + 1
+    pair, _ = _planting(d)
+    return Diagram(
+        tuple(l + 2 for l in d.backbone_lengths),
+        frozenset((i, j) for i, j in pair.items() if i < j),
+        planted=True,
+    )
+
+
+def _planting(d: Diagram) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
+    """The pairing, both directions of every arc, and the backbone bounds
+    of ``d`` planted, with no planted diagram built: vertex v of backbone
+    k (0-based) moves to v + 2k + 1, and backbone k's rainbow joins the
+    two fresh vertices around it."""
     starts = _starts(d)
-    new_lengths = tuple(l + 2 for l in d.backbone_lengths)
-    new_arcs = {
-        (i + 2 * bisect_right(starts, i) - 1, j + 2 * bisect_right(starts, j) - 1)
-        for i, j in d.arcs
-    }
-    start = 1
-    for l in new_lengths:
-        new_arcs.add((start, start + l - 1))
-        start += l
-    return Diagram(new_lengths, frozenset(new_arcs), planted=True)
+    pair: dict[int, int] = {}
+    for i, j in d.arcs:
+        i += 2 * bisect_right(starts, i) - 1
+        j += 2 * bisect_right(starts, j) - 1
+        pair[i] = j
+        pair[j] = i
+    bounds = tuple((s + 2 * k, e + 2 * k + 2) for k, (s, e) in enumerate(d.bounds))
+    for s, e in bounds:
+        pair[s] = e
+        pair[e] = s
+    return pair, bounds
 
 
 def strip_plants(d: Diagram) -> Diagram:

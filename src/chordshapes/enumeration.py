@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .diagram import Arc, Diagram, canonical_code
+from .diagram import Arc, Diagram
 from .errors import ConsistencyError, DiagramError, InfeasibleError
 from .shapes import Shape, project_shape
 
@@ -134,8 +134,8 @@ def _search_split(
     budget: Optional[list[int]],
     spare: Optional[int],
 ) -> int:
-    """Backtracking core for one backbone-length split.  Returns the number
-    of matchings emitted.
+    """Backtracking core for one backbone-length split of an even vertex
+    total.  Returns the number of matchings emitted.
 
     The partial diagram is a fat graph with one vertex per backbone, so
     its formal genus is ``gp = (2 - b + d - r) / 2`` for ``d`` arcs and
@@ -211,8 +211,6 @@ def _search_split(
     assignments and the rainbows' entries at the head of ``placed``.
     """
     V = sum(lengths)
-    if V % 2:
-        return 0
     n_arcs = V // 2
     b = len(lengths)
     shape = spare is not None
@@ -278,9 +276,9 @@ def _search_split(
         # the parity of the face sizes left behind being all that varies
         rest = n_arcs - len(placed) - 1  # arcs still to place after (i, j)
         slack = 2 * (genus_cap - gp)
-        same_ok = gp <= genus_cap and (
-            genus_exact is None or gp + rest >= genus_exact
-        )
+        # gp <= genus_cap holds here: it starts at 1 - b and a merge, the
+        # one step that raises it, is tried only while gp < genus_cap
+        same_ok = genus_exact is None or gp + rest >= genus_exact
         other_ok = gp < genus_cap and (
             genus_exact is None or gp + 1 + rest >= genus_exact
         )
@@ -528,11 +526,10 @@ def count_fiber(s: Shape, n_arcs: int) -> int:
         raise InfeasibleError(
             f"{n_arcs} arcs: fibers are counted up to {_MAX_FIBER_ARCS} arcs"
         )
-    target = canonical_code(s.diagram)
     hits = [0]
 
     def visit(d: Diagram) -> None:
-        if canonical_code(project_shape(d).diagram) == target:
+        if project_shape(d).diagram == s.diagram:
             hits[0] += 1
 
     enumerate_matchings(

@@ -24,13 +24,12 @@ many times, as a sampler's images are, is traced and serialised once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import Diagram, _starts, canonical_code
+from .diagram import Diagram, _planting, canonical_code
 from .errors import BijectionDomainError, DiagramError
 from .fatgraph import classify_loops, genus
 
@@ -220,28 +219,15 @@ def project_shape(d: Diagram) -> Shape:
     """Reduce the planted ``d`` to its shape.
 
     The scan of :func:`reduce_planted` runs on the planted pairing and
-    bounds, which are computed from ``d`` directly: no planted copy of
-    ``d`` is built or validated.  The genus of the result equals the
+    bounds that :func:`plant` builds its diagram from, so no planted copy
+    of ``d`` is built or validated.  The genus of the result equals the
     genus of the planted input.  A diagram with no surviving arcs yields
     the rainbows-only planted diagram, flagged via
     ``Shape.empty_pure_preshape``.
     """
     if d.planted:
         raise DiagramError("project_shape expects an unplanted diagram")
-    # as in plant(): vertex v of backbone k (0-based) moves to v + 2k + 1,
-    # and backbone k's rainbow joins the two fresh vertices around it
-    starts = _starts(d)
-    pair: dict[int, int] = {}
-    for i, j in d.arcs:
-        i += 2 * bisect_right(starts, i) - 1
-        j += 2 * bisect_right(starts, j) - 1
-        pair[i] = j
-        pair[j] = i
-    bounds = tuple((s + 2 * k, e + 2 * k + 2) for k, (s, e) in enumerate(d.bounds))
-    for s, e in bounds:
-        pair[s] = e
-        pair[e] = s
-    reduced = _reduce(pair, bounds)
+    reduced = _reduce(*_planting(d))
     return Shape(diagram=reduced, genus=genus(reduced))
 
 
@@ -268,9 +254,7 @@ def shape_class(s: Shape | Diagram) -> ShapeClass:
 def _class_of(d: Diagram) -> ShapeClass:
     """:func:`shape_class` of a diagram that already passed its checks:
     a planted one-backbone diagram that satisfies :func:`is_shape`."""
-    pair = d.pairing()
-    m = d.n_vertices
-    v = pair[2]
-    if v + 1 <= m - 1 and pair.get(v + 1) == m - 1:
+    v = d.pairing()[2]
+    if (v + 1, d.n_vertices - 1) in d.arcs:
         return ShapeClass.A
     return ShapeClass.B

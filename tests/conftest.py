@@ -1,14 +1,11 @@
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
     EnumSpec,
-    build_table,
     enumerate_matchings,
     enumerate_shapes,
     table_from_shapes,
@@ -17,21 +14,12 @@ from chordshapes import (
 
 @pytest.fixture(scope="session")
 def shape_sets():
-    """Lazy per-(b, genus) complete shape lists, enumerated once per session.
-
-    Set CHORDSHAPES_TEST_CACHE to a directory to persist the heavy
-    genus-2 table between runs (the digest and cardinality are still
-    verified on reload).
-    """
-    cache_env = os.environ.get("CHORDSHAPES_TEST_CACHE")
+    """Lazy per-(b, genus) complete shape lists, enumerated once per session."""
     memo = {}
 
     def get(b: int, g: int):
         if (b, g) not in memo:
-            if cache_env:
-                memo[(b, g)] = list(build_table(b, g, cache_env).shapes)
-            else:
-                memo[(b, g)] = enumerate_shapes(b, g, connected=(b == 2))
+            memo[(b, g)] = enumerate_shapes(b, g, connected=(b == 2))
         return memo[(b, g)]
 
     return get
@@ -58,6 +46,18 @@ def all_matchings(b: int, n_arcs: int) -> list[Diagram]:
         out.append,
     )
     return out
+
+
+def backbone_index(d: Diagram) -> dict[int, int]:
+    """Each vertex's 0-based backbone, from the cumulative backbone
+    lengths: a lookup independent of the package's own."""
+    index: dict[int, int] = {}
+    start = 1
+    for k, l in enumerate(d.backbone_lengths):
+        for v in range(start, start + l):
+            index[v] = k
+        start += l
+    return index
 
 
 @st.composite

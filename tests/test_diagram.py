@@ -23,7 +23,7 @@ from chordshapes import (
     strip_plants,
 )
 
-from conftest import diagram_strategy, fuzz_text
+from conftest import backbone_index, diagram_strategy, fuzz_text
 
 
 class TestParse:
@@ -226,9 +226,18 @@ class TestValidation:
         with pytest.raises(DiagramError, match="rainbow"):
             Diagram((4,), frozenset({(1, 3)}), planted=True)
 
-    def test_backbone_of(self):
-        d = Diagram((2, 3), frozenset())
-        assert [d.backbone_of(v) for v in range(1, 6)] == [0, 0, 1, 1, 1]
+    @pytest.mark.parametrize(
+        "lengths, arcs",
+        [
+            ((4,), frozenset({(1, 2, 3)})),  # an arc of three endpoints
+            ((4,), {1}),  # an arc that is not a pair
+            (5, frozenset()),  # lengths that are not a collection
+            (None, frozenset()),
+        ],
+    )
+    def test_malformed_arguments_refused(self, lengths, arcs):
+        with pytest.raises(DiagramError):
+            Diagram(lengths, arcs)
 
 
 class TestPlant:
@@ -335,6 +344,21 @@ def test_plant_strip_identity(d):
     assert p.n_arcs == d.n_arcs + d.b
     assert p.n_vertices == d.n_vertices + 2 * d.b
     assert strip_plants(p) == d
+
+
+@settings(max_examples=150)
+@given(diagram_strategy(max_backbones=4))
+def test_plant_matches_per_backbone_offsets(d):
+    # the vertices of backbone k move right by 2k + 1: past its own left
+    # rainbow end and both ends of every rainbow before it
+    k = backbone_index(d)
+    arcs = {(i + 2 * k[i] + 1, j + 2 * k[j] + 1) for i, j in d.arcs}
+    start = 1
+    for l in d.backbone_lengths:
+        arcs.add((start, start + l + 1))
+        start += l + 2
+    lengths = tuple(l + 2 for l in d.backbone_lengths)
+    assert plant(d) == Diagram(lengths, frozenset(arcs), planted=True)
 
 
 @settings(max_examples=150)

@@ -28,7 +28,12 @@ from chordshapes import (
 )
 from chordshapes.cli import main
 
-from conftest import all_matchings, diagram_strategy, matching_strategy
+from conftest import (
+    all_matchings,
+    backbone_index,
+    diagram_strategy,
+    matching_strategy,
+)
 
 
 class TestBoundaryExamples:
@@ -189,14 +194,15 @@ def test_unpaired_vertices_do_not_change_genus(d):
 
 def reference_loop_classes(d: Diagram):
     """``kinds``, ``is_alpha`` and ``is_pseudoknot`` of ``classify_loops``,
-    arc by arc over each cycle of the decomposition, with
-    ``Diagram.backbone_of`` for every endpoint."""
+    arc by arc over each cycle of the decomposition, with a lookup from
+    cumulative backbone lengths for every endpoint."""
     pair = d.pairing()
+    k = backbone_index(d)
     heads = {s for s, _ in d.bounds} if d.planted else set()
     kinds, alphas, pks = [], [], []
     for cyc in boundary_components(d).cycles:
         arcs = {(min(v, pair[v]), max(v, pair[v])) for v in cyc}
-        alphas.append(all(d.backbone_of(i) == d.backbone_of(j) for i, j in arcs))
+        alphas.append(all(k[i] == k[j] for i, j in arcs))
         if not cyc:
             kind = "empty"
         elif len(cyc) == 1:

@@ -15,10 +15,13 @@ from chordshapes import (
     build_table,
     canonical_code,
     classify_loops,
+    enumerate_shapes,
     eta,
+    is_connected,
     is_shape,
     sample_stats,
     table_from_shapes,
+    theta,
 )
 from chordshapes import sampling
 from chordshapes.sampling import _digest
@@ -235,6 +238,25 @@ class TestBishape:
             seen.add(canonical_code(s.diagram))
         # 479 seven-arc shapes exist; a short run should already hit many
         assert len(seen) > 400
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_table_and_images_built_forward(make_table, genus):
+    """The one-backbone genus-(g + 1) table and the sampler's images,
+    rebuilt forward from Q'_g, the two-backbone shapes of genus g with the
+    disconnected pairs included, through the public eta and theta: each
+    q gives the A-entry eta(q) and the B-entry theta(eta(q)), and both
+    entries pull back to q, or to None when q is disconnected."""
+    entries = []
+    for q in enumerate_shapes(2, genus, connected=False):
+        a = eta(q)
+        image = q if is_connected(q.diagram) else None
+        entries += [(a, image), (theta(a), image)]
+    entries.sort(key=lambda e: (e[0].n_arcs, sorted(e[0].diagram.arcs)))
+    table = make_table(1, genus + 1)
+    assert [s for s, _ in entries] == list(table.shapes)
+    sampler = BishapeSampler(genus, seed=0, table=table)
+    assert [image for _, image in entries] == sampler._images
 
 
 def _fresh_summary(s: Shape) -> tuple:

@@ -19,7 +19,7 @@ from chordshapes import (
 )
 from chordshapes.shapes import reduce_planted
 
-from conftest import diagram_strategy, matching_strategy
+from conftest import backbone_index, diagram_strategy, matching_strategy
 
 # the four one-backbone shapes of genus 1, hand-checked boundary traces
 SHAPE_3B = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}), planted=True)
@@ -113,14 +113,16 @@ class TestPredicate:
 
 
 def reference_is_shape(d: Diagram) -> bool:
-    """The shape predicate rule by rule, with ``backbone_of`` deciding
-    whether an arc (i, i+1) lies within one backbone."""
+    """The shape predicate rule by rule, with a lookup from cumulative
+    backbone lengths deciding whether an arc (i, i+1) lies within one
+    backbone."""
     if any((s, e) not in d.arcs for s, e in d.bounds) or not d.is_matching:
         return False
+    k = backbone_index(d)
     for i, j in d.arcs:
         if (i + 1, j - 1) in d.arcs and i + 1 < j - 1:
             return False
-        if j == i + 1 and d.backbone_of(i) == d.backbone_of(j):
+        if j == i + 1 and k[i] == k[j]:
             return False
     return True
 
@@ -192,8 +194,9 @@ def test_projection_output_is_reduced(d):
     s = project_shape(d)
     assert reduce_planted(s.diagram) == s.diagram
     assert s.n_arcs >= s.b
-    # projection plants by arithmetic; plant() and reduce_planted() are
-    # the reference composition
+    # plant() and reduce_planted() are the reference composition; plant()
+    # shares its labels with projection, so test_diagram checks it against
+    # per-backbone offsets written in the test
     assert s.diagram == reduce_planted(plant(d))
 
 
