@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of
+size-valued arguments that raises them."""
 
 
 class ChordShapesError(Exception):
@@ -32,3 +33,16 @@ class ConsistencyError(ChordShapesError):
 
 class TableCacheError(ConsistencyError):
     """An on-disk shape table disagrees with its digest or expected cardinality."""
+
+
+def _check_size(
+    value, name: str, minimum: int | None = 0, message: str | None = None
+) -> None:
+    """Refuse a size-valued argument (a genus, a count, an arc number)
+    with ``DiagramError``: one that is not an ``int`` (a ``bool`` or a
+    float is refused, not truncated), then one below ``minimum`` unless
+    that is None.  ``message`` replaces the default bound message."""
+    if type(value) is not int:
+        raise DiagramError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise DiagramError(message or f"{name} must be >= {minimum}")

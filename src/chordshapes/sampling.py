@@ -16,8 +16,11 @@ A sampler can only return the finite set of its precomputed images
 which hold each of the 1832 shapes twice), and a long run draws each of
 them many times.  The sampler keeps one ``Shape`` object per distinct
 image, and an image's loop summary and canonical code are computed once,
-on first read, and kept on it (``Shape.loop_summary``, ``Shape.code``);
-:meth:`SampleStats.record` only updates integers and dicts.
+on first read, and kept on it (``Shape.loop_summary``, ``Shape.code``).
+:meth:`SampleStats.record` counts a draw against its image's loop
+summary and does nothing else; the sample count, the histograms and
+the alpha/beta sums are folded from those counts when they are read,
+in time linear in the number of distinct images, not of draws.
 
 Set-up checks each diagram once.  A table reload builds one planted
 diagram per entry, checks it once against the shape predicate and
@@ -31,7 +34,7 @@ its genus.  At genus 1 that is 3696 + 1832 traces and 3696 + 3696 +
 Randomness comes from one ``random.Random(seed)`` per sampler, with
 unbiased integer draws (rejection sampling below the largest multiple
 is built into ``randrange``).  Parallel experiments should use
-independent seeds; all statistics merge by plain sums.
+independent seeds; their statistics combine by plain sums.
 
 Table caches are written to a unique temporary file in the cache
 directory and renamed into place, so concurrent builds never see a
@@ -59,7 +62,7 @@ from typing import Optional
 from .bijections import _eta_inv, _theta_inv
 from .diagram import Diagram, diagram_from_code, is_connected
 from .enumeration import enumerate_shapes
-from .errors import DiagramError, TableCacheError
+from .errors import DiagramError, TableCacheError, _check_size
 from .fatgraph import genus
 from .series import shape_poly_1bb, shape_poly_2bb
 from .shapes import Shape, ShapeClass, _class_of, is_shape
@@ -211,10 +214,13 @@ class BishapeSampler:
         cache_dir: Optional[Path | str] = None,
         arc_filter: Optional[int] = None,
     ):
-        if genus < 0:
-            raise DiagramError(
-                f"cannot sample shapes of genus {genus}: the genus must be >= 0"
-            )
+        _check_size(
+            genus,
+            "genus",
+            message=f"cannot sample shapes of genus {genus}: the genus must be >= 0",
+        )
+        if arc_filter is not None:
+            _check_size(arc_filter, "arc filter", minimum=None)
         self.genus = genus
         self.rng = random.Random(seed)
         self.arc_filter = arc_filter
@@ -279,20 +285,99 @@ def _pullback(d: Diagram) -> Optional[Diagram]:
     return q if is_connected(q) else None
 
 
+_STATS_FIELDS = (
+    "genus",
+    "n_samples",
+    "attempts",
+    "connected_hits",
+    "arc_hist",
+    "loop_length_hist",
+    "alpha_sum",
+    "alpha_sq_sum",
+    "beta_sum",
+    "beta_sq_sum",
+)
+
+
 @dataclass
 class SampleStats:
-    """Accumulated statistics of a sampling run; merges by summation."""
+    """Accumulated statistics of a sampling run.
+
+    :meth:`record` only counts how often each loop summary was drawn.
+    ``n_samples``, ``arc_hist``, ``loop_length_hist`` and the alpha/beta
+    sums are read-only: each read folds them from those counts, in time
+    linear in the number of distinct images drawn (at most 1832 at genus
+    1), not in the number of draws.  The counts are keyed by the
+    summary object's ``id``, and each entry holds its summary, so that
+    ``id`` is never reused while the count lives; equal summaries held
+    in distinct objects fold into the same bins.  Runs on independent
+    seeds combine by adding these values.
+    """
 
     genus: int
-    n_samples: int = 0
     attempts: int = 0
     connected_hits: int = 0
-    arc_hist: dict[int, int] = field(default_factory=dict)
-    loop_length_hist: dict[int, int] = field(default_factory=dict)
-    alpha_sum: int = 0
-    alpha_sq_sum: int = 0
-    beta_sum: int = 0
-    beta_sq_sum: int = 0
+    # id(summary) -> [summary, draws]
+    _tally: dict[int, list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def record(self, s: Shape) -> None:
+        summary = s.loop_summary
+        entry = self._tally.get(id(summary))
+        if entry is None:
+            self._tally[id(summary)] = [summary, 1]
+        else:
+            entry[1] += 1
+
+    @property
+    def n_samples(self) -> int:
+        return sum(n for _, n in self._tally.values())
+
+    @property
+    def arc_hist(self) -> dict[int, int]:
+        hist: dict[int, int] = {}
+        for summary, n in self._tally.values():
+            hist[summary.arcs] = hist.get(summary.arcs, 0) + n
+        return hist
+
+    @property
+    def loop_length_hist(self) -> dict[int, int]:
+        hist: dict[int, int] = {}
+        for summary, n in self._tally.values():
+            for l in summary.loop_lengths:
+                hist[l] = hist.get(l, 0) + n
+        return hist
+
+    @property
+    def alpha_sum(self) -> int:
+        return sum(summary.alpha * n for summary, n in self._tally.values())
+
+    @property
+    def alpha_sq_sum(self) -> int:
+        return sum(summary.alpha**2 * n for summary, n in self._tally.values())
+
+    @property
+    def beta_sum(self) -> int:
+        return sum(summary.beta * n for summary, n in self._tally.values())
+
+    @property
+    def beta_sq_sum(self) -> int:
+        return sum(summary.beta**2 * n for summary, n in self._tally.values())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in _STATS_FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        values = ", ".join(
+            f"{name}={value!r}" for name, value in zip(_STATS_FIELDS, self._fields())
+        )
+        return f"SampleStats({values})"
 
     @property
     def acceptance_fraction(self) -> float:
@@ -319,17 +404,6 @@ class SampleStats:
             return 0.0
         m = self.beta_mean
         return self.beta_sq_sum / self.n_samples - m * m
-
-    def record(self, s: Shape) -> None:
-        arcs, lengths, a, b = s.loop_summary
-        self.n_samples += 1
-        self.arc_hist[arcs] = self.arc_hist.get(arcs, 0) + 1
-        for l in lengths:
-            self.loop_length_hist[l] = self.loop_length_hist.get(l, 0) + 1
-        self.alpha_sum += a
-        self.alpha_sq_sum += a * a
-        self.beta_sum += b
-        self.beta_sq_sum += b * b
 
     def to_csv(self) -> str:
         rows = [
@@ -362,8 +436,7 @@ def sample_stats(
     """Draw ``n`` connected two-backbone shapes of genus ``g`` and report
     loop statistics, arc-count and loop-length histograms and the
     acceptance fraction of the rejection step."""
-    if n < 0:
-        raise DiagramError("sample count must be >= 0")
+    _check_size(n, "sample count")
     sampler = BishapeSampler(
         g, seed=seed, table=table, cache_dir=cache_dir, arc_filter=arc_filter
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 
@@ -9,6 +10,7 @@ from chordshapes import (
     BishapeSampler,
     Diagram,
     DiagramError,
+    SampleStats,
     Shape,
     ShapeTable,
     TableCacheError,
@@ -215,6 +217,28 @@ class TestBishape:
         with pytest.raises(DiagramError, match="genus -3"):
             sample_stats(-3, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "call, args, kwargs",
+        [
+            (BishapeSampler, (None,), {}),
+            (BishapeSampler, (1.5,), {}),
+            (BishapeSampler, (True,), {}),
+            (BishapeSampler, (0,), {"arc_filter": 3.0}),
+            (sample_stats, ("0", 3), {}),
+            (sample_stats, (0, 2.5), {}),
+            (sample_stats, (0, True), {}),
+        ],
+    )
+    def test_size_arguments_must_be_ints(self, monkeypatch, call, args, kwargs):
+        # these once raised TypeError from a comparison, built an error
+        # message from a float genus, or sampled genus 1 for True
+        def no_table(*args, **kwargs):
+            raise AssertionError("table looked up")
+
+        monkeypatch.setattr(sampling, "build_table", no_table)
+        with pytest.raises(DiagramError, match="must be an integer"):
+            call(*args, **kwargs)
+
     def test_genus1_sampler_draws_genus1_shapes(self, make_table):
         sampler = BishapeSampler(1, seed=11, table=make_table(1, 2))
         q1_codes = {s.code for s in make_table(2, 1).shapes}
@@ -259,9 +283,15 @@ def test_table_and_images_built_forward(make_table, genus):
     assert [image for _, image in entries] == sampler._images
 
 
+def _rebuilt(s: Shape) -> Shape:
+    """An equal Shape in new objects, with nothing computed on it yet."""
+    d = s.diagram
+    return Shape(Diagram(d.backbone_lengths, frozenset(d.arcs), planted=True), s.genus)
+
+
 def _fresh_summary(s: Shape) -> tuple:
     """The loop summary, from classify_loops on a newly built copy."""
-    d = Diagram(s.diagram.backbone_lengths, frozenset(s.diagram.arcs), planted=True)
+    d = _rebuilt(s).diagram
     prof = classify_loops(d)
     lengths = tuple(
         len(cyc)
@@ -307,16 +337,79 @@ class TestStoredValues:
     def test_stats_match_per_draw_classification(self, make_table):
         stats = sample_stats(1, 400, seed=5, table=make_table(1, 2))
         sampler = BishapeSampler(1, seed=5, table=make_table(1, 2))
-        loops: dict[int, int] = {}
-        alpha = beta = 0
-        for _ in range(400):
-            arcs, lengths, a, b = _fresh_summary(sampler.draw())
-            for l in lengths:
-                loops[l] = loops.get(l, 0) + 1
-            alpha += a
-            beta += b
-        assert stats.loop_length_hist == loops
-        assert (stats.alpha_sum, stats.beta_sum) == (alpha, beta)
+        drawn = [_fresh_summary(sampler.draw()) for _ in range(400)]
+        _assert_stats_fold_to(stats, drawn)
+        # equality compares the statistics, not the image objects
+        assert stats == sample_stats(1, 400, seed=5, table=make_table(1, 2))
+        assert stats != sample_stats(1, 400, seed=6, table=make_table(1, 2))
+
+    def test_fold_counts_each_draw_once(self, make_table):
+        # one Shape recorded twice, an equal Shape built apart, and
+        # temporaries dropped right after record, whose ids the
+        # interpreter may hand to the next temporary
+        sampler = BishapeSampler(1, seed=9, table=make_table(1, 2))
+        images = [sampler.draw() for _ in range(40)]
+        stats = SampleStats(genus=1)
+        drawn = []
+
+        def record(s):
+            stats.record(s)
+            drawn.append(_fresh_summary(s))
+
+        record(images[0])
+        record(images[0])
+        record(_rebuilt(images[0]))
+        for image in images:
+            record(_rebuilt(image))
+            gc.collect()
+        _assert_stats_fold_to(stats, drawn)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["n_samples", "arc_hist", "loop_length_hist", "alpha_sum",
+         "alpha_sq_sum", "beta_sum", "beta_sq_sum"],
+    )
+    def test_folded_fields_are_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SampleStats(genus=0), name, 1)
+
+
+def _assert_stats_fold_to(stats: SampleStats, drawn: list[tuple]) -> None:
+    """Check every statistic against sums taken draw by draw over the
+    loop summaries ``drawn``, histogram key order included."""
+    n = len(drawn)
+    arc_hist: dict[int, int] = {}
+    loops: dict[int, int] = {}
+    alpha = alpha_sq = beta = beta_sq = 0
+    for arcs, lengths, a, b in drawn:
+        arc_hist[arcs] = arc_hist.get(arcs, 0) + 1
+        for l in lengths:
+            loops[l] = loops.get(l, 0) + 1
+        alpha, alpha_sq = alpha + a, alpha_sq + a * a
+        beta, beta_sq = beta + b, beta_sq + b * b
+    assert stats.n_samples == n
+    assert list(stats.arc_hist.items()) == list(arc_hist.items())
+    assert list(stats.loop_length_hist.items()) == list(loops.items())
+    assert (stats.alpha_sum, stats.alpha_sq_sum) == (alpha, alpha_sq)
+    assert (stats.beta_sum, stats.beta_sq_sum) == (beta, beta_sq)
+    alpha_mean, beta_mean = alpha / n, beta / n
+    alpha_var = alpha_sq / n - alpha_mean * alpha_mean
+    beta_var = beta_sq / n - beta_mean * beta_mean
+    assert (stats.alpha_mean, stats.alpha_var) == (alpha_mean, alpha_var)
+    assert (stats.beta_mean, stats.beta_var) == (beta_mean, beta_var)
+    rows = [
+        f"samples,,{n}",
+        f"attempts,,{stats.attempts}",
+        f"connected_hits,,{stats.connected_hits}",
+        f"acceptance_fraction,,{stats.acceptance_fraction:.8f}",
+        f"alpha_loops,mean,{alpha_mean:.8f}",
+        f"alpha_loops,variance,{alpha_var:.8f}",
+        f"beta_loops,mean,{beta_mean:.8f}",
+        f"beta_loops,variance,{beta_var:.8f}",
+    ]
+    rows += [f"arc_count,{k},{v}" for k, v in sorted(arc_hist.items())]
+    rows += [f"loop_length,{k},{v}" for k, v in sorted(loops.items())]
+    assert stats.to_csv() == "\n".join(rows) + "\n"
 
 
 class TestStats:
