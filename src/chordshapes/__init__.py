@@ -28,7 +28,6 @@ from .errors import (
     DiagramError,
     InfeasibleError,
     ParseError,
-    TableCacheError,
 )
 from .fatgraph import (
     BoundaryDecomposition,
@@ -44,7 +43,6 @@ from .sampling import (
     ShapeTable,
     build_table,
     sample_stats,
-    table_from_shapes,
 )
 from .series import (
     IntPolynomial,

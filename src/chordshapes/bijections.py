@@ -9,14 +9,15 @@ arc and genus raised by one; eta_inv cuts it apart again.
 
 All maps are pure relabelings: outputs carry no memory of old labels,
 and every output is checked once against the shape predicate and, on
-one backbone, its A/B class.  The public maps check their input first
-and raise ``BijectionDomainError`` outside their domain: on one
-backbone through :func:`shapes.shape_class`, which reads an unplanted
-diagram with its outermost arc as the rainbow.  The private
-diagram-level surgeries ``_theta_inv`` and ``_eta_inv`` skip that input
+one backbone, its A/B class.  Each public map is a private
+diagram-level surgery (``_theta``, ``_theta_inv``, ``_eta``,
+``_eta_inv``) with an input check on top: it raises
+``BijectionDomainError`` outside its domain, on one backbone through
+:func:`shapes.shape_class`, which reads an unplanted diagram with its
+outermost arc as the rainbow.  The private surgeries skip that input
 check only because their caller has validated the input already: the
-sampler's pullback hands them the entries of a shape table, each
-checked to be a shape when the table was built.
+sampler's forward build hands ``_eta`` the two-backbone shapes of the
+enumeration kernel and ``_theta`` the A-shapes that ``_eta`` returned.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from __future__ import annotations
 from .diagram import Diagram
 from .errors import BijectionDomainError, ConsistencyError
 from .fatgraph import genus
-from .shapes import Shape, ShapeClass, _class_of, _planted, is_shape, shape_class
+from .shapes import (
+    Shape,
+    ShapeClass,
+    _class_of,
+    _partner_of_2,
+    _planted,
+    is_shape,
+    shape_class,
+)
 
 
 def _in_family(out: Diagram, want: ShapeClass | None) -> Diagram:
@@ -45,9 +54,15 @@ def theta(a: Shape | Diagram) -> Shape:
     d = _planted(a)
     if shape_class(d) is not ShapeClass.A:
         raise BijectionDomainError("input is not an A-shape")
+    out = _theta(d, _partner_of_2(d))
+    return Shape(out, genus(out))
+
+
+def _theta(d: Diagram, v: int) -> Diagram:
+    """:func:`theta` on a planted A-shape diagram the caller has
+    validated, whose vertex 2 is paired with ``v``; returns the B-shape
+    diagram."""
     m = d.n_vertices
-    pair = d.pairing()
-    v = pair[2]
     gone = (v + 1, m - 1)
 
     def relabel(w: int) -> int:
@@ -56,8 +71,7 @@ def theta(a: Shape | Diagram) -> Shape:
     arcs = frozenset(
         (relabel(i), relabel(j)) for i, j in d.arcs if (i, j) != gone
     )
-    out = _in_family(Diagram((m - 2,), arcs, planted=True), ShapeClass.B)
-    return Shape(out, genus(out))
+    return _in_family(Diagram((m - 2,), arcs, planted=True), ShapeClass.B)
 
 
 def theta_inv(b: Shape | Diagram) -> Shape:
@@ -77,8 +91,7 @@ def _theta_inv(d: Diagram) -> Diagram:
     """:func:`theta_inv` on a planted B-shape diagram the caller has
     validated; returns the A-shape diagram."""
     m = d.n_vertices
-    pair = d.pairing()
-    v = pair[2]
+    v = _partner_of_2(d)
 
     def relabel(w: int) -> int:
         return w + (w > v) + (w > m - 1)
@@ -102,11 +115,18 @@ def eta(q: Shape | Diagram) -> Shape:
         raise BijectionDomainError(
             "input is not a (possibly disconnected) two-backbone shape"
         )
+    out = _eta(d)
+    return Shape(out, genus(out))
+
+
+def _eta(d: Diagram) -> Diagram:
+    """:func:`eta` on a planted two-backbone shape diagram the caller has
+    validated; returns the A-shape diagram.  Its vertex 2 is paired with
+    the first backbone's length plus one, the old left rainbow's end."""
     big = d.n_vertices
     arcs = {(i + 1, j + 1) for i, j in d.arcs}
     arcs.add((1, big + 2))
-    out = _in_family(Diagram((big + 2,), frozenset(arcs), planted=True), ShapeClass.A)
-    return Shape(out, genus(out))
+    return _in_family(Diagram((big + 2,), frozenset(arcs), planted=True), ShapeClass.A)
 
 
 def eta_inv(a: Shape | Diagram) -> Diagram:
@@ -127,8 +147,7 @@ def _eta_inv(d: Diagram) -> Diagram:
     """:func:`eta_inv` on a planted A-shape diagram the caller has
     validated."""
     m = d.n_vertices
-    pair = d.pairing()
-    v = pair[2]
+    v = _partner_of_2(d)
     arcs = frozenset(
         (i - 1, j - 1) for i, j in d.arcs if (i, j) != (1, m)
     )

@@ -243,7 +243,6 @@ def _cmd_sample(args) -> int:
         args.count,
         seed=args.seed,
         arc_filter=args.arcs,
-        cache_dir=args.cache_dir,
         on_sample=None if args.stats_only else show,
     )
     if args.format == "json":
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--stats-only", action="store_true")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fiber", help="brute-force fiber count of a shape")

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram
-from .errors import ConsistencyError, DiagramError, InfeasibleError
+from .errors import ConsistencyError, DiagramError, InfeasibleError, _check_size
 from .shapes import Shape, project_shape
 
 Visit = Callable[[Diagram], None]
@@ -95,14 +95,18 @@ class EnumSpec:
     node_budget: Optional[int] = None
 
     def __post_init__(self):
+        _check_size(self.backbones, "backbones", minimum=None)
         if self.backbones not in (1, 2):
             raise DiagramError("enumeration supports 1 or 2 backbones")
+        _check_size(self.arcs_min, "arcs_min", minimum=None)
+        _check_size(self.arcs_max, "arcs_max", minimum=None)
         if not (0 < self.arcs_min <= self.arcs_max):
             raise DiagramError("need 0 < arcs_min <= arcs_max")
-        if self.genus_cap < 0:
-            raise DiagramError("genus cap must be >= 0")
-        if self.node_budget is not None and self.node_budget < 0:
-            raise DiagramError("node budget must be >= 0")
+        _check_size(self.genus_cap, "genus cap")
+        if self.genus_exact is not None:
+            _check_size(self.genus_exact, "exact genus", minimum=None)
+        if self.node_budget is not None:
+            _check_size(self.node_budget, "node budget")
 
 
 def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -463,12 +467,19 @@ def enumerate_shapes(
     shapes on (c, a) are those on (a, c) with the backbones swapped, so
     ``node_budget`` counts only the arcs placed in the searched splits.
     """
+    _check_size(b, "backbones", minimum=None)
     if b not in (1, 2):
         raise DiagramError("shapes are tabulated over 1 or 2 backbones")
-    if g < 0:
-        raise DiagramError("genus must be >= 0")
-    if node_budget is not None and node_budget < 0:
-        raise DiagramError("node budget must be >= 0")
+    _check_size(g, "genus")
+    if node_budget is not None:
+        _check_size(node_budget, "node budget")
+    return _enumerate_shapes(b, g, connected, node_budget)
+
+
+def _enumerate_shapes(
+    b: int, g: int, connected: bool, node_budget: Optional[int]
+) -> list[Shape]:
+    """:func:`enumerate_shapes` on arguments the caller has checked."""
     if b == 1 and g == 0:
         return []  # no proper one-backbone shape has genus 0
     lo, hi = _shape_arc_range(b, g)

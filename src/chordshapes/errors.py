@@ -31,10 +31,6 @@ class ConsistencyError(ChordShapesError):
     """An internal exactness cross-check failed (library bug or corrupted data)."""
 
 
-class TableCacheError(ConsistencyError):
-    """An on-disk shape table disagrees with its digest or expected cardinality."""
-
-
 def _check_size(
     value, name: str, minimum: int | None = 0, message: str | None = None
 ) -> None:

@@ -2,204 +2,126 @@
 
 Two-backbone sampling at genus g draws a uniform index into the
 complete, canonically ordered table of one-backbone shapes of genus
-g+1 (the tables are finite, enumerated once and cached on disk), pulls
-that shape back through the surgeries (A-shapes directly, B-shapes
-through the A/B pairing first) and rejects disconnected results.  Every
-connected two-backbone shape of genus g is hit by exactly two of the
-one-backbone draws, and rejection does not depend on which connected
-shape would be produced, so the output is exactly uniform; the
-chi-square checks in the test suite are regression guards, not the
-correctness argument.
+g+1 and returns the two-backbone image of that entry, rejecting it when
+the image is disconnected.  The table is built forward through the
+surgeries: the enumeration kernel lists Q'_g, the two-backbone shapes of
+genus g with the disconnected pairs included, and each q gives the
+A-entry eta(q) and the B-entry theta(eta(q)).  The image of both is q,
+or None when q is disconnected.  Every connected two-backbone shape of
+genus g is the image of exactly two entries, and rejection does not
+depend on which connected shape would be produced, so the output is
+exactly uniform; the chi-square checks in the test suite are regression
+guards, not the correctness argument.
 
-A sampler can only return the finite set of its precomputed images
-(at genus 1, the 3696 table entries pull back to 3664 connected images,
-which hold each of the 1832 shapes twice), and a long run draws each of
-them many times.  The sampler keeps one ``Shape`` object per distinct
-image, and an image's loop summary and canonical code are computed once,
-on first read, and kept on it (``Shape.loop_summary``, ``Shape.code``).
+A sampler can only return the finite set of its images (at genus 1, the
+3696 table entries have 3664 connected images, which hold each of the
+1832 shapes twice), and a long run draws each of them many times.  The
+two entries of one q share q's ``Shape`` object, and an image's loop
+summary and canonical code are computed once, on first read, and kept
+on it (``Shape.loop_summary``, ``Shape.code``).
 :meth:`SampleStats.record` counts a draw against its image's loop
 summary and does nothing else; the sample count, the histograms and
 the alpha/beta sums are folded from those counts when they are read,
 in time linear in the number of distinct images, not of draws.
 
-Set-up checks each diagram once.  A table reload builds one planted
-diagram per entry, checks it once against the shape predicate and
-traces its fat graph once for the genus check.  The pullback of an
-entry reads its A/B class without checking the entry again, and the
-surgeries it runs (theta_inv for a B-entry, then eta_inv) check their
-own output once each.  Each distinct connected image is traced once for
-its genus.  At genus 1 that is 3696 + 1832 traces and 3696 + 3696 +
-1848 shape checks in all.
+Set-up checks each diagram once: each entry as the surgery that makes
+it returns it, each q for connectivity, and no diagram for its genus (an
+entry has genus g+1 by the bijection, an image the genus the kernel
+searched).  At genus 1 that is 1848 q, 3696 entries and 3696 shape
+checks.
 
 Randomness comes from one ``random.Random(seed)`` per sampler, with
 unbiased integer draws (rejection sampling below the largest multiple
 is built into ``randrange``).  Parallel experiments should use
 independent seeds; their statistics combine by plain sums.
 
-Table caches are written to a unique temporary file in the cache
-directory and renamed into place, so concurrent builds never see a
-partial file.  A reload that cannot be decoded, or whose digest,
-cardinality or shapes disagree with the requested table, raises
-``TableCacheError``.  So does a ``ShapeTable`` built with a non-shape
-or a shape of another (b, genus), and a shape list of the wrong
-cardinality handed to :func:`table_from_shapes`.  A sampler given the
-table of another (b, genus), and an arc filter that no connected shape
-of the genus meets, raise ``DiagramError`` up front instead of sampling
-the wrong family or rejecting forever.
+A sampler given the table of another genus, and an arc filter that no
+connected shape of the genus meets, raise ``DiagramError`` up front
+instead of sampling the wrong family or rejecting forever.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import random
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
-from .bijections import _eta_inv, _theta_inv
-from .diagram import Diagram, diagram_from_code, is_connected
-from .enumeration import enumerate_shapes
-from .errors import DiagramError, TableCacheError, _check_size
-from .fatgraph import genus
-from .series import shape_poly_1bb, shape_poly_2bb
-from .shapes import Shape, ShapeClass, _class_of, is_shape
-
-CACHE_ENV = "CHORDSHAPES_CACHE"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "chordshapes"
-
-
-def _expected_count(b: int, g: int) -> int:
-    if b == 1:
-        return shape_poly_1bb(g)(1)
-    return shape_poly_2bb(g)(1)
-
-
-def _digest(codes: list[str]) -> str:
-    return hashlib.sha256("\n".join(codes).encode()).hexdigest()
+from .bijections import _eta, _theta
+from .diagram import is_connected
+from .enumeration import _enumerate_shapes
+from .errors import ConsistencyError, DiagramError, _check_size
+from .series import shape_poly_1bb
+from .shapes import Shape
 
 
 @dataclass(frozen=True)
 class ShapeTable:
-    """The complete, canonically ordered list of shapes of one (b, genus).
+    """The one-backbone shapes of one genus in canonical order, and the
+    two-backbone image of each: the connected shape the entry maps to,
+    one object shared by its two entries, or None.
 
-    Construction checks once that every entry is a shape of
-    ``backbones`` backbones and genus ``genus``: the sampler's pullback
-    relies on it and checks no entry again.
+    :func:`build_table` checks each entry once, as the surgery that
+    makes it returns it; the table checks nothing again.
     """
 
-    backbones: int
     genus: int
     shapes: tuple[Shape, ...]
-    digest: str
-
-    def __post_init__(self):
-        b, g = self.backbones, self.genus
-        if not all(is_shape(s.diagram) for s in self.shapes):
-            raise TableCacheError(f"the b={b}, g={g} table holds a non-shape")
-        if any(s.b != b or s.genus != g for s in self.shapes):
-            raise TableCacheError(
-                f"the b={b}, g={g} table holds a shape outside b={b}, g={g}"
-            )
+    images: tuple[Optional[Shape], ...]
 
     def __len__(self) -> int:
         return len(self.shapes)
 
 
-def table_from_shapes(b: int, g: int, shapes) -> ShapeTable:
-    """Assemble a table from an already enumerated, canonically ordered
-    shape list, verifying the cardinality against the shape polynomial."""
-    shapes = tuple(shapes)
-    if len(shapes) != _expected_count(b, g):
-        raise TableCacheError(
-            f"{len(shapes)} shapes for b={b}, g={g}, polynomial predicts "
-            f"{_expected_count(b, g)}"
+def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
+    """The table of one-backbone shapes of genus g >= 1 and their images,
+    built forward from Q'_(g-1) as the module docstring says; only
+    ``b = 1`` is built.  The cut vertex of theta(eta(q)) is read off q's
+    first backbone length.  The entries, sorted by (arc count, sorted
+    arcs), must rise strictly and number ``shape_poly_1bb(g)(1)``, or the
+    build raises ``ConsistencyError``.
+
+    ``cache_dir`` is accepted and not used.  It is kept only because the
+    benchmark harness (``bench/worker.py``) passes it, and ROADMAP item 4
+    deletes it.
+    """
+    _check_size(b, "backbones", minimum=None)
+    if b != 1:
+        raise DiagramError("the sampler's table holds one-backbone shapes")
+    _check_size(g, "genus", minimum=1)
+    keyed = []
+    for q in _enumerate_shapes(2, g - 1, False, None):
+        d = q.diagram
+        image = q if is_connected(d) else None
+        a = _eta(d)
+        for entry in (a, _theta(a, d.backbone_lengths[0] + 1)):
+            keyed.append(((entry.n_arcs, sorted(entry.arcs)), Shape(entry, g), image))
+    keyed.sort(key=lambda e: e[0])
+    for (key, _, _), (after, _, _) in zip(keyed, keyed[1:]):
+        if key >= after:
+            raise ConsistencyError(f"the genus-{g} table holds {key} twice")
+    expected = shape_poly_1bb(g)(1)
+    if len(keyed) != expected:
+        raise ConsistencyError(
+            f"{len(keyed)} entries in the genus-{g} table, the shape "
+            f"polynomial predicts {expected}"
         )
-    return ShapeTable(b, g, shapes, _digest([s.code for s in shapes]))
-
-
-def build_table(
-    b: int,
-    g: int,
-    cache_dir: Optional[Path | str] = None,
-) -> ShapeTable:
-    """Load the shape table from the cache, enumerating and caching it on a
-    miss.  Reloads verify both the digest and the cardinality against the
-    shape polynomial at z = 1."""
-    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    path = cache / f"shapes_{b}bb_g{g}.json"
-
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except ValueError as exc:  # undecodable bytes or truncated JSON
-            raise TableCacheError(f"{path} is not a JSON table: {exc}") from exc
-        codes = payload.get("codes") if isinstance(payload, dict) else None
-        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-            raise TableCacheError(f"{path} holds no list of shape codes")
-        if payload.get("digest") != _digest(codes):
-            raise TableCacheError(f"digest mismatch in {path}")
-        if len(codes) != _expected_count(b, g):
-            raise TableCacheError(
-                f"{path} holds {len(codes)} shapes, expected "
-                f"{_expected_count(b, g)}"
-            )
-        try:
-            diagrams = [diagram_from_code(c, planted=True) for c in codes]
-        except DiagramError as exc:
-            raise TableCacheError(f"{path} holds a non-shape: {exc}") from exc
-        shapes = tuple(Shape(d, genus(d)) for d in diagrams)
-        try:
-            return ShapeTable(b, g, shapes, payload["digest"])
-        except TableCacheError as exc:
-            raise TableCacheError(f"{path}: {exc}") from exc
-
-    # made before the build, so an unusable directory fails at once
-    cache.mkdir(parents=True, exist_ok=True)
-    table = table_from_shapes(b, g, enumerate_shapes(b, g, connected=(b == 2)))
-    codes = [s.code for s in table.shapes]
-    text = json.dumps(
-        {
-            "backbones": b,
-            "genus": g,
-            "digest": table.digest,
-            "source": "enumerated",
-            "codes": codes,
-        }
+    return ShapeTable(
+        g, tuple(s for _, s, _ in keyed), tuple(image for _, _, image in keyed)
     )
-    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return table
 
 
 class BishapeSampler:
     """Uniform generator of connected two-backbone shapes of fixed genus.
 
-    The pullback of each one-backbone table entry is precomputed, so a
-    draw is an unbiased index draw plus a rejection test.  ``attempts``
-    and ``connected_hits`` expose the acceptance measurement;
-    ``filter_rejects`` counts the connected draws that ``arc_filter``
-    turned away, so ``connected_hits`` is the number of draws returned
-    plus ``filter_rejects``.
+    The image of each one-backbone table entry comes with the table, so
+    a draw is an unbiased index draw plus a rejection test.
+    ``attempts`` and ``connected_hits`` expose the acceptance
+    measurement; ``filter_rejects`` counts the connected draws that
+    ``arc_filter`` turned away, so ``connected_hits`` is the number of
+    draws returned plus ``filter_rejects``.
 
-    Set-up costs, per table entry, one A/B class read, one or two
-    surgeries with one output check each and a connectivity test, and
-    one genus trace per distinct connected image.  The two entries that
-    pull back to the same shape share one image object, and a draw
+    ``table`` defaults to ``build_table(1, genus + 1)``.  The two entries
+    that map to the same shape share one image object, and a draw
     returns that object every time it lands on it, so an image's loop
     summary and code are computed once per shape, on first read, not
     once per draw.
@@ -211,7 +133,6 @@ class BishapeSampler:
         *,
         seed: Optional[int] = None,
         table: Optional[ShapeTable] = None,
-        cache_dir: Optional[Path | str] = None,
         arc_filter: Optional[int] = None,
     ):
         _check_size(
@@ -224,17 +145,16 @@ class BishapeSampler:
         self.genus = genus
         self.rng = random.Random(seed)
         self.arc_filter = arc_filter
-        self.table = table if table is not None else build_table(1, genus + 1, cache_dir)
-        if (self.table.backbones, self.table.genus) != (1, genus + 1):
+        self.table = table if table is not None else build_table(1, genus + 1)
+        if self.table.genus != genus + 1:
             raise DiagramError(
-                f"a genus-{genus} sampler pulls back the one-backbone genus-"
-                f"{genus + 1} table, not the b={self.table.backbones}, "
-                f"g={self.table.genus} one"
+                f"a genus-{genus} sampler reads the one-backbone genus-"
+                f"{genus + 1} table, not the genus-{self.table.genus} one"
             )
         self.attempts = 0
         self.connected_hits = 0
         self.filter_rejects = 0
-        self._images = _pullbacks(self.table.shapes)
+        self._images = self.table.images
         if arc_filter is not None and not any(
             s is not None and s.n_arcs == arc_filter for s in self._images
         ):
@@ -248,41 +168,12 @@ class BishapeSampler:
             self.attempts += 1
             image = self._images[self.rng.randrange(len(self._images))]
             if image is None:
-                continue  # disconnected pullback: reject, genus-independent
+                continue  # disconnected image: reject, genus-independent
             self.connected_hits += 1
             if self.arc_filter is not None and image.n_arcs != self.arc_filter:
                 self.filter_rejects += 1
                 continue
             return image
-
-
-def _pullbacks(shapes) -> list[Optional[Shape]]:
-    """The pullback of every table entry, in table order: one ``Shape``
-    object per distinct connected image, which two entries share, and
-    None for a disconnected one."""
-    interned: dict[Diagram, Shape] = {}
-    images: list[Optional[Shape]] = []
-    for s in shapes:
-        q = _pullback(s.diagram)
-        if q is None:
-            images.append(None)
-            continue
-        image = interned.get(q)
-        if image is None:
-            image = interned[q] = Shape(q, genus(q))
-        images.append(image)
-    return images
-
-
-def _pullback(d: Diagram) -> Optional[Diagram]:
-    """Map the diagram of a one-backbone shape of genus g+1 to its
-    connected two-backbone preimage of genus g, or None when the preimage
-    is disconnected.  ``d`` is a table entry, checked to be a shape when
-    its table was built, so only the surgeries' output checks run here."""
-    if _class_of(d) is ShapeClass.B:
-        d = _theta_inv(d)
-    q = _eta_inv(d)
-    return q if is_connected(q) else None
 
 
 _STATS_FIELDS = (
@@ -416,10 +307,11 @@ class SampleStats:
             ("beta_loops", "mean", f"{self.beta_mean:.8f}"),
             ("beta_loops", "variance", f"{self.beta_var:.8f}"),
         ]
-        for arcs in sorted(self.arc_hist):
-            rows.append(("arc_count", str(arcs), self.arc_hist[arcs]))
-        for l in sorted(self.loop_length_hist):
-            rows.append(("loop_length", str(l), self.loop_length_hist[l]))
+        arc_hist, loop_length_hist = self.arc_hist, self.loop_length_hist
+        for arcs in sorted(arc_hist):
+            rows.append(("arc_count", str(arcs), arc_hist[arcs]))
+        for l in sorted(loop_length_hist):
+            rows.append(("loop_length", str(l), loop_length_hist[l]))
         return "\n".join(f"{a},{b},{c}" for a, b, c in rows) + "\n"
 
 
@@ -429,17 +321,13 @@ def sample_stats(
     *,
     seed: Optional[int] = None,
     arc_filter: Optional[int] = None,
-    table: Optional[ShapeTable] = None,
-    cache_dir: Optional[Path | str] = None,
     on_sample=None,
 ) -> SampleStats:
     """Draw ``n`` connected two-backbone shapes of genus ``g`` and report
     loop statistics, arc-count and loop-length histograms and the
     acceptance fraction of the rejection step."""
     _check_size(n, "sample count")
-    sampler = BishapeSampler(
-        g, seed=seed, table=table, cache_dir=cache_dir, arc_filter=arc_filter
-    )
+    sampler = BishapeSampler(g, seed=seed, arc_filter=arc_filter)
     stats = SampleStats(genus=g)
     for _ in range(n):
         s = sampler.draw()

@@ -254,7 +254,14 @@ def shape_class(s: Shape | Diagram) -> ShapeClass:
 def _class_of(d: Diagram) -> ShapeClass:
     """:func:`shape_class` of a diagram that already passed its checks:
     a planted one-backbone diagram that satisfies :func:`is_shape`."""
-    v = d.pairing()[2]
+    v = _partner_of_2(d)
     if (v + 1, d.n_vertices - 1) in d.arcs:
         return ShapeClass.A
     return ShapeClass.B
+
+
+def _partner_of_2(d: Diagram) -> int:
+    """The partner of vertex 2 in a planted one-backbone shape, where
+    vertex 1 holds the rainbow, so vertex 2 opens its arc: read off that
+    one arc, with no pairing built."""
+    return next(j for i, j in d.arcs if i == 2)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from chordshapes import (
     Diagram,
     EnumSpec,
+    build_table,
     enumerate_matchings,
     enumerate_shapes,
-    table_from_shapes,
 )
 
 
@@ -26,13 +26,14 @@ def shape_sets():
 
 
 @pytest.fixture(scope="session")
-def make_table(shape_sets):
-    """ShapeTable built from the session's enumerated shape lists."""
+def make_table():
+    """The sampler's table, ``build_table(b, g)``, built once per session.
+    Only b = 1 is built; the two-backbone shapes come from ``shape_sets``."""
     memo = {}
 
     def mk(b: int, g: int):
         if (b, g) not in memo:
-            memo[(b, g)] = table_from_shapes(b, g, shape_sets(b, g))
+            memo[(b, g)] = build_table(b, g)
         return memo[(b, g)]
 
     return mk

@@ -319,7 +319,7 @@ def test_fiber_subcommand(tmp_path, capsys):
     assert json.loads(out) == {"arcs": 2, "count": "7"}
 
 
-def test_sample_deterministic(tmp_path, capsys):
+def test_sample_deterministic(capsys):
     args = [
         "sample",
         "--genus",
@@ -328,8 +328,6 @@ def test_sample_deterministic(tmp_path, capsys):
         "3",
         "--seed",
         "7",
-        "--cache-dir",
-        str(tmp_path),
     ]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
@@ -339,7 +337,7 @@ def test_sample_deterministic(tmp_path, capsys):
     assert all(s.startswith(("3 3|", "4 4|")) for s in shapes)
 
 
-def test_sample_stats_only_json(tmp_path, capsys):
+def test_sample_stats_only_json(capsys):
     code, out, _ = run(
         capsys,
         "sample",
@@ -352,8 +350,6 @@ def test_sample_stats_only_json(tmp_path, capsys):
         "--stats-only",
         "--format",
         "json",
-        "--cache-dir",
-        str(tmp_path),
     )
     assert code == 0
     payload = json.loads(out)
@@ -457,40 +453,6 @@ def test_fiber_force_is_a_usage_error(tmp_path, capsys):
     assert e.value.code == 2
 
 
-def test_corrupt_cache_exit_code_5(tmp_path, capsys):
-    code, _, _ = run(
-        capsys,
-        "sample",
-        "--genus",
-        "0",
-        "--count",
-        "1",
-        "--seed",
-        "1",
-        "--cache-dir",
-        str(tmp_path),
-    )
-    assert code == 0
-    path = tmp_path / "shapes_1bb_g1.json"
-    payload = json.loads(path.read_text())
-    payload["digest"] = "0" * 64
-    path.write_text(json.dumps(payload))
-    code, _, err = run(
-        capsys,
-        "sample",
-        "--genus",
-        "0",
-        "--count",
-        "1",
-        "--seed",
-        "1",
-        "--cache-dir",
-        str(tmp_path),
-    )
-    assert code == 5
-    assert json.loads(err)["error"]["type"] == "consistency"
-
-
 def test_sample_arcs_outside_support_exit_code_3(capsys, monkeypatch, make_table):
     monkeypatch.setattr(
         "chordshapes.sampling.build_table", lambda b, g, cache_dir=None: make_table(b, g)
@@ -517,39 +479,34 @@ def test_sample_negative_count_exit_code_3(capsys, monkeypatch, make_table):
     }
 
 
-def test_sample_negative_genus_exit_code_3(tmp_path, capsys):
+def test_sample_negative_genus_exit_code_3(capsys):
     # a negative genus used to look up a genus-0 one-backbone table and
     # fail in shape_poly_1bb, naming an internal function and genus 0
-    code, out, err = run(
-        capsys, "sample", "--genus", "-1", "--count", "1", "--cache-dir", str(tmp_path)
-    )
+    code, out, err = run(capsys, "sample", "--genus", "-1", "--count", "1")
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == {
         "type": "input",
         "message": "cannot sample shapes of genus -1: the genus must be >= 0",
     }
+
+
+def test_sample_cache_dir_is_a_usage_error():
+    # sampler tables are built in memory; no option names a cache
+    with pytest.raises(SystemExit) as e:
+        main(["sample", "--genus", "1", "--count", "10", "--cache-dir", "x"])
+    assert e.value.code == 2
+
+
+def test_sample_ignores_cache_variable(tmp_path, capsys, monkeypatch):
+    # the variable that once named the table cache is ignored, and no
+    # cache is written there or in the home directory
+    monkeypatch.setenv("CHORDSHAPES_CACHE", str(tmp_path / "nocache"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    code, out, _ = run(capsys, "sample", "--genus", "0", "--count", "10", "--seed", "7")
+    assert code == 0
+    assert len(out.splitlines()) > 10
     assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("where", ["file", os.devnull])
-def test_sample_cache_dir_not_a_directory_exit_code_3(tmp_path, capsys, monkeypatch, where):
-    # the cache directory is made before the table is enumerated, so an
-    # unusable one fails at once instead of after the whole build
-    if where == "file":
-        where = tmp_path / "file"
-        where.write_text("")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("table enumerated before the cache directory was made")
-
-    monkeypatch.setattr("chordshapes.sampling.enumerate_shapes", refuse)
-    code, out, err = run(
-        capsys, "sample", "--genus", "1", "--count", "1", "--cache-dir", str(where)
-    )
-    assert code == 3
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == "input"
 
 
 @pytest.mark.parametrize(
@@ -583,17 +540,6 @@ def test_sample_output_pinned(capsys, monkeypatch, make_table, args, digest):
     code, out, _ = run(capsys, "sample", *args)
     assert code == 0
     assert sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("text", ['{"digest": "0", "codes": ["3 3|1-', "[1, 2]"])
-def test_undecodable_cache_exit_code_5(tmp_path, capsys, text):
-    (tmp_path / "shapes_1bb_g1.json").write_text(text)
-    code, out, err = run(
-        capsys, "sample", "--genus", "0", "--count", "1", "--cache-dir", str(tmp_path)
-    )
-    assert code == 5
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == "consistency"
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,7 @@ Q3 = as_shape(Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
 Q4 = as_shape(
     Diagram((4, 4), frozenset({(1, 4), (5, 8), (2, 6), (3, 7)}), planted=True)
 )
+SPEC = dict(backbones=2, arcs_min=5, arcs_max=5, genus_cap=1)
 
 
 def matching_count(b, arcs, g=None, cap=10 ** 6, connected=False):
@@ -173,6 +174,48 @@ class TestMatchings:
         with pytest.raises(InfeasibleError, match="budget of 0 placed arcs"):
             enumerate_shapes(2, 1, node_budget=0)
         assert enumerate_shapes(1, 0, node_budget=0) == []
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # True once returned the 1832 genus-1 shapes
+            (lambda: enumerate_shapes(2, True), "genus must be an integer"),
+            (lambda: enumerate_shapes(2, 1.0), "genus must be an integer"),
+            (lambda: enumerate_shapes(2, None), "genus must be an integer"),
+            (lambda: enumerate_shapes(True, 1), "backbones must be an integer"),
+            # once reported "node budget of 1.5 placed arcs exceeded"
+            (
+                lambda: enumerate_shapes(2, 1, node_budget=1.5),
+                "node budget must be an integer",
+            ),
+            (
+                lambda: EnumSpec(**{**SPEC, "genus_cap": None}),
+                "genus cap must be an integer",
+            ),
+            # once accepted
+            (
+                lambda: EnumSpec(**{**SPEC, "arcs_min": 1.5}),
+                "arcs_min must be an integer",
+            ),
+            # once counted 0
+            (
+                lambda: EnumSpec(**SPEC, genus_exact=0.5),
+                "exact genus must be an integer",
+            ),
+            (
+                lambda: EnumSpec(**SPEC, node_budget=2.0),
+                "node budget must be an integer",
+            ),
+        ],
+        ids=[
+            "genus-bool", "genus-float", "genus-none", "backbones-bool",
+            "budget-float", "spec-cap-none", "spec-arcs-min-float",
+            "spec-exact-float", "spec-budget-float",
+        ],
+    )
+    def test_size_arguments_must_be_ints(self, call, message):
+        with pytest.raises(DiagramError, match=message):
+            call()
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("connected", [False, True])

@@ -1,145 +1,102 @@
 from __future__ import annotations
 
 import gc
-import json
 import pickle
 
 import pytest
 
 from chordshapes import (
     BishapeSampler,
+    ConsistencyError,
     Diagram,
     DiagramError,
     SampleStats,
     Shape,
-    ShapeTable,
-    TableCacheError,
+    ShapeClass,
     build_table,
     canonical_code,
     classify_loops,
     enumerate_shapes,
     eta,
+    eta_inv,
+    genus as genus_of,
     is_connected,
     is_shape,
     sample_stats,
-    table_from_shapes,
-    theta,
+    shape_class,
+    theta_inv,
 )
 from chordshapes import sampling
-from chordshapes.sampling import _digest
 
 
 class TestTables:
     def test_build_genus_one(self, tmp_path):
+        # the directory argument is accepted and not used
         t = build_table(1, 1, tmp_path)
-        assert len(t) == 4
-        assert (tmp_path / "shapes_1bb_g1.json").exists()
-
-    def test_reload_verifies_digest(self, tmp_path):
-        t1 = build_table(1, 1, tmp_path)
-        t2 = build_table(1, 1, tmp_path)
-        assert t1.digest == t2.digest
-        assert [canonical_code(s.diagram) for s in t1.shapes] == [
-            canonical_code(s.diagram) for s in t2.shapes
-        ]
-
-    def test_corrupted_cache_detected(self, tmp_path):
-        build_table(2, 0, tmp_path)
-        path = tmp_path / "shapes_2bb_g0.json"
-        payload = json.loads(path.read_text())
-        payload["codes"][0] = payload["codes"][0].replace("1-3", "1-5")
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TableCacheError, match="digest"):
-            build_table(2, 0, tmp_path)
-
-    def test_truncated_cache_detected(self, tmp_path):
-        import hashlib
-
-        build_table(2, 0, tmp_path)
-        path = tmp_path / "shapes_2bb_g0.json"
-        payload = json.loads(path.read_text())
-        payload["codes"] = payload["codes"][:1]
-        payload["digest"] = hashlib.sha256(
-            "\n".join(payload["codes"]).encode()
-        ).hexdigest()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TableCacheError, match="expected"):
-            build_table(2, 0, tmp_path)
+        assert len(t) == len(t.images) == 4
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "text",
-        ["truncated", "[]", '{"codes": "3 3|1-3 2-5 4-6"}', '{"codes": [1, 2]}'],
-    )
-    def test_undecodable_cache_detected(self, tmp_path, text):
-        build_table(2, 0, tmp_path)
-        path = tmp_path / "shapes_2bb_g0.json"
-        if text == "truncated":
-            text = path.read_text()[:40]
-        path.write_text(text)
-        with pytest.raises(TableCacheError):
-            build_table(2, 0, tmp_path)
-
-    def test_cache_of_another_table_detected(self, tmp_path):
-        # four valid shape codes with a matching digest, but over two
-        # backbones at genus 0 where the (1, 1) table expects one at genus 1
-        codes = ["3 3|1-3 2-5 4-6", "4 4|1-4 2-6 3-7 5-8"] * 2
-        payload = {"codes": codes, "digest": _digest(codes)}
-        (tmp_path / "shapes_1bb_g1.json").write_text(json.dumps(payload))
-        with pytest.raises(TableCacheError, match="outside"):
-            build_table(1, 1, tmp_path)
-
-    @pytest.mark.parametrize(
-        "code",
+        "q",
         [
-            "8|1-8 2-6 3-5 4-7",  # (2, 6) and (3, 5) are stacked
-            "4|1-3 2-4",  # no rainbow (1, 4) to plant
-        ],
-    )
-    def test_cache_with_non_shape_detected(self, tmp_path, code):
-        build_table(1, 1, tmp_path)
-        path = tmp_path / "shapes_1bb_g1.json"
-        payload = json.loads(path.read_text())
-        payload["codes"][0] = code
-        payload["digest"] = _digest(payload["codes"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TableCacheError, match="non-shape"):
-            build_table(1, 1, tmp_path)
-
-    @pytest.mark.parametrize(
-        "entry, match",
-        [
-            # a planted perfect matching with the stacked pair (2, 6), (3, 5)
-            (
-                Shape(
-                    Diagram(
-                        (8,), frozenset({(1, 8), (2, 6), (3, 5), (4, 7)}), planted=True
-                    ),
-                    1,
-                ),
-                "non-shape",
+            # the stacked pair (2, 7), (3, 6) survives eta
+            pytest.param(
+                Diagram((4, 4), frozenset({(1, 4), (2, 7), (3, 6), (5, 8)})),
+                id="entry0-non-shape",
             ),
-            # a genus-0 two-backbone shape
-            (
-                Shape(
-                    Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True),
-                    0,
-                ),
-                "outside",
+            # no rainbows: eta returns a shape, but of class B
+            pytest.param(
+                Diagram((3, 3), frozenset({(1, 4), (2, 5), (3, 6)})),
+                id="entry1-outside",
             ),
         ],
     )
-    def test_table_checks_entries(self, shape_sets, entry, match):
-        # the sampler's pullback trusts every entry of a table
-        shapes = list(shape_sets(1, 1))
-        shapes[0] = entry
-        with pytest.raises(TableCacheError, match=match):
-            table_from_shapes(1, 1, shapes)
-        with pytest.raises(TableCacheError, match=match):
-            ShapeTable(1, 1, tuple(shapes), "")
+    def test_table_checks_entries(self, monkeypatch, q):
+        # each entry is checked once, as the surgery that makes it returns it
+        qs = enumerate_shapes(2, 0, connected=False)
+        monkeypatch.setattr(
+            sampling, "_enumerate_shapes", lambda *args: [Shape(q, 0)] + qs[1:]
+        )
+        with pytest.raises(ConsistencyError, match="left the A-shape family"):
+            build_table(1, 1)
 
-    def test_cache_write_leaves_no_temp_file(self, tmp_path):
-        build_table(1, 1, tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["shapes_1bb_g1.json"]
+    @pytest.mark.parametrize(
+        "change, match",
+        [(lambda qs: qs + qs[:1], "twice"), (lambda qs: qs[1:], "predicts 4")],
+        ids=["repeated", "short"],
+    )
+    def test_table_checks_keys_and_count(self, monkeypatch, change, match):
+        qs = enumerate_shapes(2, 0, connected=False)
+        monkeypatch.setattr(sampling, "_enumerate_shapes", lambda *args: change(qs))
+        with pytest.raises(ConsistencyError, match=match):
+            build_table(1, 1)
+
+    @pytest.mark.parametrize(
+        "b, g, match",
+        [
+            (2, 1, "one-backbone"),
+            (True, 1, "backbones must be an integer"),
+            (1, 0, "genus must be >= 1"),
+            (1, 1.0, "genus must be an integer"),
+        ],
+    )
+    def test_table_arguments_checked(self, b, g, match):
+        with pytest.raises(DiagramError, match=match):
+            build_table(b, g)
+
+    def test_build_makes_no_pairing(self, monkeypatch):
+        # the surgeries and the A/B class read vertex 2's partner off its arc
+        paired = []
+        pairing = Diagram.pairing
+
+        def counting(d):
+            paired.append(d)
+            return pairing(d)
+
+        monkeypatch.setattr(Diagram, "pairing", counting)
+        table = build_table(1, 2)
+        BishapeSampler(1, seed=1, table=table)
+        assert paired == []
 
 
 class TestBishape:
@@ -197,10 +154,9 @@ class TestBishape:
         assert unfiltered.filter_rejects == 0
         assert unfiltered.connected_hits == 500
 
-    @pytest.mark.parametrize("genus, table", [(1, (1, 1)), (0, (2, 0))])
+    @pytest.mark.parametrize("genus, table", [(1, (1, 1)), (0, (1, 2))])
     def test_table_of_another_family_rejected(self, make_table, genus, table):
-        # the pullback trusts its table's entries to be one-backbone
-        # shapes of genus + 1
+        # a sampler returns its table's images, which must be of its genus
         with pytest.raises(DiagramError, match=f"genus-{genus + 1} table"):
             BishapeSampler(genus, seed=1, table=make_table(*table))
 
@@ -239,9 +195,9 @@ class TestBishape:
         with pytest.raises(DiagramError, match="must be an integer"):
             call(*args, **kwargs)
 
-    def test_genus1_sampler_draws_genus1_shapes(self, make_table):
+    def test_genus1_sampler_draws_genus1_shapes(self, make_table, shape_sets):
         sampler = BishapeSampler(1, seed=11, table=make_table(1, 2))
-        q1_codes = {s.code for s in make_table(2, 1).shapes}
+        q1_codes = {s.code for s in shape_sets(2, 1)}
         for _ in range(200):
             s = sampler.draw()
             assert s.genus == 1
@@ -265,22 +221,19 @@ class TestBishape:
 
 
 @pytest.mark.parametrize("genus", [0, 1])
-def test_table_and_images_built_forward(make_table, genus):
-    """The one-backbone genus-(g + 1) table and the sampler's images,
-    rebuilt forward from Q'_g, the two-backbone shapes of genus g with the
-    disconnected pairs included, through the public eta and theta: each
-    q gives the A-entry eta(q) and the B-entry theta(eta(q)), and both
-    entries pull back to q, or to None when q is disconnected."""
-    entries = []
-    for q in enumerate_shapes(2, genus, connected=False):
-        a = eta(q)
-        image = q if is_connected(q.diagram) else None
-        entries += [(a, image), (theta(a), image)]
-    entries.sort(key=lambda e: (e[0].n_arcs, sorted(e[0].diagram.arcs)))
+def test_table_and_images_built_forward(make_table, shape_sets, genus):
+    """The forward-built table equals the exhaustive one-backbone search
+    of genus g + 1, entry by entry, and its images equal the pullbacks of
+    those entries through the public theta_inv and eta_inv, each with its
+    traced genus, and None where the pullback is disconnected."""
     table = make_table(1, genus + 1)
-    assert [s for s, _ in entries] == list(table.shapes)
-    sampler = BishapeSampler(genus, seed=0, table=table)
-    assert [image for _, image in entries] == sampler._images
+    assert list(table.shapes) == shape_sets(1, genus + 1)
+    images = []
+    for s in shape_sets(1, genus + 1):
+        q = eta_inv(s if shape_class(s) is ShapeClass.A else theta_inv(s))
+        images.append(Shape(q, genus_of(q)) if is_connected(q) else None)
+    assert list(table.images) == images
+    assert BishapeSampler(genus, seed=0, table=table)._images == table.images
 
 
 def _rebuilt(s: Shape) -> Shape:
@@ -323,25 +276,25 @@ class TestStoredValues:
             assert (back.code, back.loop_summary) == (s.code, s.loop_summary)
 
     @pytest.mark.parametrize("genus", [0, 1])
-    def test_images_interned(self, make_table, genus):
-        # every connected shape is the pullback of two table entries, and
+    def test_images_interned(self, make_table, shape_sets, genus):
+        # every connected shape is the image of two table entries, and
         # both hold the same Shape object, in table order
         table = make_table(1, genus + 1)
         sampler = BishapeSampler(genus, seed=1, table=table)
         assert len(sampler._images) == len(table)
         images = [s for s in sampler._images if s is not None]
         distinct = {id(s): s for s in images}
-        assert len(distinct) == len(set(images)) == len(make_table(2, genus))
+        assert len(distinct) == len(set(images)) == len(shape_sets(2, genus))
         assert len(images) == 2 * len(distinct)
 
     def test_stats_match_per_draw_classification(self, make_table):
-        stats = sample_stats(1, 400, seed=5, table=make_table(1, 2))
+        stats = sample_stats(1, 400, seed=5)
         sampler = BishapeSampler(1, seed=5, table=make_table(1, 2))
         drawn = [_fresh_summary(sampler.draw()) for _ in range(400)]
         _assert_stats_fold_to(stats, drawn)
         # equality compares the statistics, not the image objects
-        assert stats == sample_stats(1, 400, seed=5, table=make_table(1, 2))
-        assert stats != sample_stats(1, 400, seed=6, table=make_table(1, 2))
+        assert stats == sample_stats(1, 400, seed=5)
+        assert stats != sample_stats(1, 400, seed=6)
 
     def test_fold_counts_each_draw_once(self, make_table):
         # one Shape recorded twice, an equal Shape built apart, and
@@ -413,8 +366,8 @@ def _assert_stats_fold_to(stats: SampleStats, drawn: list[tuple]) -> None:
 
 
 class TestStats:
-    def test_sampled_shapes_have_clean_loop_profile(self, make_table):
-        stats = sample_stats(0, 300, seed=2, table=make_table(1, 1))
+    def test_sampled_shapes_have_clean_loop_profile(self):
+        stats = sample_stats(0, 300, seed=2)
         assert stats.n_samples == 300
         # shapes never carry hairpin (length 1) or interior (length 2) loops
         assert set(stats.loop_length_hist) == {3, 4}
@@ -439,20 +392,20 @@ class TestStats:
                 == classify_loops(s.diagram).multi + 1
             )
 
-    def test_negative_count_rejected(self, make_table):
+    def test_negative_count_rejected(self):
         # a negative count used to return zero samples (CLI exit 0)
         with pytest.raises(DiagramError, match="count"):
-            sample_stats(0, -5, seed=1, table=make_table(1, 1))
+            sample_stats(0, -5, seed=1)
 
-    def test_csv_emission(self, make_table):
-        stats = sample_stats(0, 50, seed=4, table=make_table(1, 1))
+    def test_csv_emission(self):
+        stats = sample_stats(0, 50, seed=4)
         csv = stats.to_csv()
         assert csv.startswith("samples,,50\n")
         assert "acceptance_fraction" in csv
         assert "arc_count,3," in csv or "arc_count,4," in csv
 
-    def test_mean_and_variance_accumulate(self, make_table):
-        stats = sample_stats(0, 200, seed=6, table=make_table(1, 1))
+    def test_mean_and_variance_accumulate(self):
+        stats = sample_stats(0, 200, seed=6)
         assert stats.beta_mean > 0
         assert stats.alpha_var >= 0
         assert stats.beta_var >= 0
