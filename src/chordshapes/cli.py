@@ -47,7 +47,7 @@ EXIT_INFEASIBLE = 4
 EXIT_INCONSISTENT = 5
 
 # `enumerate --matchings` with no --node-budget stops once it has placed
-# this many arcs (about 43 s at the 235 k placed arcs/s of a 2-vCPU Xeon
+# this many arcs (about 26 s at the 385 k placed arcs/s of a 2-vCPU Xeon
 # VM), so a search too large to finish ends with exit 4, not a hang.
 _MATCHINGS_BUDGET = 10**7
 

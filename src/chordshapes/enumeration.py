@@ -43,17 +43,23 @@ exceeds hi - n, and a candidate that would raise it past that has no
 completion.  On a complete shape the bound is exact, which the kernel
 checks at every leaf it emits.
 
-The search is deterministic: splits ascending, partners ascending, so
-two runs yield identical sequences.  Two-backbone shapes are searched on
-the splits up to the middle only: those on (c, a) for c > a are the ones
-on (a, c) with the two backbones swapped, relabelled and sorted.  An
-optional node budget, counted in placed arcs, turns oversized searches
-into an explicit failure instead of a silent truncation.
+Each node collects its admissible partners face by face: those on the
+first unpaired vertex's face from the one walk of that face, and, when a
+merge is admissible at all, those on every other face from one walk of
+each, a face whose size the parity prune rejects dropped whole.  It then
+places them in ascending order.  The search is deterministic: splits
+ascending, partners ascending, so two runs yield identical sequences.
+Two-backbone shapes are searched on the splits up to the middle only:
+those on (c, a) for c > a are the ones on (a, c) with the two backbones
+swapped, relabelled and sorted.  An optional node budget, counted in
+placed arcs, turns oversized searches into an explicit failure instead
+of a silent truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram
@@ -163,13 +169,20 @@ def _search_split(
     strictly between ``i`` and ``j`` in cycle order on one side and the
     rest on the other; otherwise it merges the two faces into one
     (r - 1, gp + 1).  Each call walks the face of ``i``, the first
-    unpaired vertex, once, in cycle order from ``i``: ``j`` is on it if
-    the walk listed it, and the face holds ``len(on) + 1`` unpaired
-    vertices.  Every other face a candidate lies on is walked once per
-    call, and ``far`` keeps its size and segments for each vertex on it.
-    This gives the exact genus of the diagram with the arc placed, so
-    testing ``genus_cap`` and the ``genus_exact`` floor before placing
-    the arc prunes the same subtrees as tracing after placing it.  Both
+    unpaired vertex, once, in cycle order from ``i``: the vertices it
+    lists are the split partners, by their position ``p`` on it, and the
+    face holds ``len(on) + 1`` unpaired vertices.  Only when a merge is
+    admissible are the other faces walked, each once, from one of the
+    unpaired vertices off i's face; a face of a size the parity prune
+    rejects is dropped whole, and every vertex of the others is a merge
+    partner.  The call collects its admissible moves ``(j, genus, odd,
+    lb)`` this way, face by face, and places them in ascending order of
+    ``j``: a face lists its vertices in cycle order, not vertex order.
+    The shape rules refuse at most three partners of ``i``, found once
+    per call.  The walks give the exact genus of the diagram with the
+    arc placed, so testing ``genus_cap`` and the ``genus_exact`` floor
+    before placing the arc prunes the same subtrees as tracing after
+    placing it.  Both
     tests are sound: gp never decreases as arcs are added, and each of
     the ``n_arcs - d`` arcs still to come raises it by at most one.
 
@@ -183,8 +196,9 @@ def _search_split(
     at genus at least ``gp + odd / 2``.  A candidate whose placement
     leaves ``odd > 2 * (genus_cap - gp)`` is skipped before it is
     placed; the shape rules only narrow the completions further.  When
-    every merge is pruned, only the partners on the face are tried,
-    which skips exactly the candidates the tests would reject.
+    every merge is pruned, no other face is walked, and when only one
+    parity of ``p`` is admissible, only the positions of that parity on
+    i's face are read.
 
     Face-side prune (shape mode, ``spare`` = hi - n): ``lb`` is the
     module docstring's lower bound on the final faces' excess over 3
@@ -197,9 +211,10 @@ def _search_split(
     with the one into i across the other; a join that leaves no vertex
     closes into a face of q + 1 sides, which adds max(0, q - 2) as the
     segment did, so it changes nothing.  A merge joins i's segments with
-    j's the same way, read from ``far``.  ``_seg_rise`` is each join's
-    rise in ``lb``, so a candidate costs O(1).  At an emitted leaf ``lb``
-    must equal ``spare``; anything else raises ``ConsistencyError``.
+    j's the same way, read from the walk of j's face.  ``_seg_rise`` is
+    each join's rise in ``lb``, read from a table of it built once per
+    split, so a candidate costs O(1).  At an emitted leaf ``lb`` must
+    equal ``spare``; anything else raises ``ConsistencyError``.
     With ``spare`` None the search enumerates all matchings: no shape
     rule and no face-side prune.
 
@@ -256,18 +271,11 @@ def _search_split(
                 y = succ[y]
         return on, at, sides
 
-    def face_of(u: int) -> dict[int, tuple[int, int, int]]:
-        """For each unpaired vertex v on the face through u's gap, the
-        face's count of unpaired vertices and the arc sides of the segment
-        that ends at v and of the one that starts at v; a vertex alone on
-        its face has one segment, the whole face."""
-        on, at, sides = walk(u)
-        n = len(on) + 1
-        pos = [0, *at, sides]
-        return {
-            v: (n, pos[k] - pos[k - 1] if k else sides - pos[-2], pos[k + 1] - pos[k])
-            for k, v in enumerate([u, *on])
-        }
+    if shape:
+        # _seg_rise of every pair of segment lengths a join can meet (a face
+        # has at most V sides, a join across a side at most V + 1); it is
+        # symmetric, so rise[x] is the row of joins with a segment of x
+        rise = [[_seg_rise(x, y) for y in range(V + 2)] for x in range(V + 2)]
 
     def rec(lo: int, gp: int, odd: int, lb: int, ext: int) -> None:
         nonlocal count
@@ -287,67 +295,98 @@ def _search_split(
             genus_exact is None or gp + 1 + rest >= genus_exact
         )
         split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
-        split_ok = [same_ok and o <= slack for o in split_odd]
-        merge_ok = [other_ok and o <= slack - 2 for o in merge_odd]
+        split_ok = (
+            same_ok and split_odd[0] <= slack,
+            same_ok and split_odd[1] <= slack,
+        )
+        merge_ok = (
+            other_ok and merge_odd[0] <= slack - 2,
+            other_ok and merge_odd[1] <= slack - 2,
+        )
         if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
             return
-        index = {u: p for p, u in enumerate(on)}
-        far: dict[int, tuple[int, int, int]] = {}  # other faces, by vertex
+        # the admissible moves (j, genus, odd faces, lb) with (i, j) placed,
+        # collected face by face and placed in ascending order of j
+        moves: list[tuple[int, int, int, int]] = []
+        refused: tuple[int, ...] = ()
         if shape:
+            # the partners the shape rules refuse: i + 1 on i's backbone (a
+            # 1-arc), and the ones that would stack (i, j) on the arc out
+            # of i - 1 or of i + 1
+            refused = (
+                i + 1 if bb[i + 1] == bb[i] else 0,
+                pair[i - 1] - 1,
+                pair[i + 1] + 1,
+            )
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
             pre_i = sides - at[-1] if on else sides
             post_i = at[0] if on else sides
-        bb_i = bb[i]
-        left_partner = pair[i - 1]
-        for j in range(i + 1, V + 1) if merge_ok[0] or merge_ok[1] else sorted(on):
-            if pair[j]:
-                continue
-            if shape:
-                if j == i + 1 and bb_i == bb[j]:
+            rise_pre, rise_post = rise[pre_i], rise[post_i]
+        if split_ok[0] or split_ok[1]:
+            # the positions p on i's face of the admissible parities
+            step = 1 if split_ok[0] and split_ok[1] else 2
+            for p in range(0 if split_ok[0] else 1, len(on), step):
+                j = on[p]
+                if j in refused:
                     continue
-                if left_partner == j + 1 or pair[i + 1] == j - 1:
-                    continue
-            e = lb
-            p = index.get(j)
-            if p is not None:
-                if not split_ok[p & 1]:
-                    continue
-                g, o = gp, split_odd[p & 1]
+                e = lb
                 if shape:
                     # the side i..j joins the segment into j with the one
                     # out of i, and j..i the one out of j with the one into
                     # i; a side with no other vertex closes its segment
                     if p:
-                        e += _seg_rise(at[p] - at[p - 1], post_i)
+                        e += rise_post[at[p] - at[p - 1]]
                     if p < last:
-                        e += _seg_rise(pre_i, at[p + 1] - at[p])
+                        e += rise_pre[at[p + 1] - at[p]]
                     if e > spare:
                         continue
-            else:
-                if j not in far:
-                    far.update(face_of(j))
-                n_g, pre_j, post_j = far[j]
+                moves.append((j, gp, split_odd[p & 1], e))
+        if (merge_ok[0] or merge_ok[1]) and len(on) + 1 < V - 2 * len(placed):
+            # the unpaired vertices off i's face (V - 2 len(placed) are
+            # unpaired in all); each other face is walked once, from
+            # whichever of its vertices the set yields
+            others = set(range(i + 1, V + 1)).difference(on, *placed)
+            while others:
+                u = others.pop()
+                on_u, at_u, sides_u = walk(u)
+                others.difference_update(on_u)
+                n_g = len(on_u) + 1
                 if not merge_ok[n_g & 1]:
                     continue
                 g, o = gp + 1, merge_odd[n_g & 1]
-                if shape:
-                    # the side i..j joins the segment into i with the one
-                    # out of j, and j..i the one into j with the one out of
-                    # i; a face with one vertex has one segment, so it goes
-                    # whole between the other face's two (or closes)
-                    if n_g == 1:
-                        e += _seg_rise(pre_i, pre_j)
+                face = (u, *on_u)
+                if not shape:
+                    moves += [(j, g, o, lb) for j in face]
+                    continue
+                # the side i..j joins the segment into i with the one out
+                # of j, and j..i the one into j with the one out of i; a
+                # face with one vertex has one segment, so it goes whole
+                # between the other face's two (or closes)
+                if not on_u:
+                    if u not in refused:
+                        e = lb + rise_pre[sides_u]
                         if on:
-                            e += _seg_rise(pre_i + 1 + pre_j, post_i)
-                    elif on:
-                        e += _seg_rise(pre_i, post_j) + _seg_rise(pre_j, post_i)
-                    else:
-                        e += _seg_rise(pre_j, sides) + _seg_rise(
-                            pre_j + 1 + sides, post_j
-                        )
-                    if e > spare:
+                            e += rise[pre_i + 1 + sides_u][post_i]
+                        if e <= spare:
+                            moves.append((u, g, o, e))
+                    continue
+                # the segment that starts at each vertex of the face, and
+                # so the one that ends there
+                post = [*map(sub, at_u, [0, *at_u]), sides_u - at_u[-1]]
+                for j, pre_j, post_j in zip(face, [post[-1], *post], post):
+                    if j in refused:
                         continue
+                    if on:
+                        e = lb + rise_pre[post_j] + rise_post[pre_j]
+                    else:
+                        e = lb + rise_pre[pre_j] + rise[pre_j + 1 + sides][post_j]
+                    if e <= spare:
+                        moves.append((j, g, o, e))
+        # a face lists its vertices in cycle order, not in vertex order
+        moves.sort()
+        bb_i = bb[i]
+        for j, g, o, e in moves:
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:

@@ -51,7 +51,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, mul, sub
 
-from .errors import ConsistencyError, DiagramError, InfeasibleError
+from .errors import ConsistencyError, DiagramError, InfeasibleError, _check_size
 
 # Genera and series orders past this are refused up front with
 # InfeasibleError, with no override.  Measured on a 2-vCPU Xeon VM with
@@ -147,8 +147,8 @@ def _kappa_row(g: int) -> tuple[int, ...]:
 
 def kappa(g: int, t: int) -> int:
     """Exact kappa_t^(g); zero outside 1 <= t <= g."""
-    if g < 1:
-        raise DiagramError("kappa requires g >= 1")
+    _check_size(g, "genus", minimum=1, message="kappa requires g >= 1")
+    _check_size(t, "t", minimum=None)
     if t < 1 or t > g:
         return 0
     return _kappa_row(g)[t]
@@ -171,8 +171,7 @@ def _expand(r, a: int, b: int) -> IntPolynomial:
 
 def _p_1bb(g: int) -> tuple[int, ...]:
     """The coefficients of P_g(u) = sum_t kappa_t^(g) u^(t-1)."""
-    if g < 1:
-        raise DiagramError("shape_poly_1bb requires g >= 1")
+    _check_size(g, "genus", minimum=1, message="shape_poly_1bb requires g >= 1")
     return _kappa_row(g)[1:]
 
 
@@ -201,13 +200,16 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _check_2bb_genus(g: int) -> None:
+    _check_size(g, "genus", message="shape_poly_2bb requires g >= 0")
+
+
 def _r_2bb(g: int) -> tuple[int, ...]:
     """The coefficients of R_g(u) = P_{g+1} - u sum_{i=1..g} P_i P_{g+1-i}
     by degree.  The rows of P_1..P_{g+1} come from one pass, and the pairs
     i and g+1-i are equal: each product is formed once, and taken twice
-    when i != g+1-i.  A genus past ``_MAX_2BB_GENUS`` is refused first."""
-    if g < 0:
-        raise DiagramError("shape_poly_2bb requires g >= 0")
+    when i != g+1-i.  A genus past ``_MAX_2BB_GENUS`` is refused first;
+    the callers check that g is an int >= 0."""
     if g > _MAX_2BB_GENUS:
         raise InfeasibleError(
             f"two-backbone genus above {_MAX_2BB_GENUS} is refused"
@@ -225,6 +227,7 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
     """Generating polynomial of connected two-backbone shapes of genus g:
     Q_g(z) = S_{g+1}/(1+z) - sum_{i=1..g} S_i S_{g+1-i}
            = z^(2g+3) (1+z)^(2g+1) R_g(z(1+z))."""
+    _check_2bb_genus(g)
     return _expand(_r_2bb(g), 2 * g + 3, 2 * g + 1)
 
 
@@ -232,10 +235,7 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
 
 
 def _check_order(order: int) -> None:
-    if type(order) is not int:
-        raise DiagramError("order must be an integer")
-    if order < 0:
-        raise DiagramError("order must be >= 0")
+    _check_size(order, "order")
     if order > _MAX_SIZE:
         raise InfeasibleError(f"order above {_MAX_SIZE} is refused")
 
@@ -285,8 +285,7 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
     equals the paper's C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the
     module docstring), with y^2 (y-1)^l expanded over the integers and
     divided by 2^l at the end."""
-    if l < 1:
-        raise DiagramError("fiber_gf requires l >= 1")
+    _check_size(l, "l", minimum=1, message="fiber_gf requires l >= 1")
     _check_order(order)
     if order < l + 2:
         return PowerSeries(order, ())
@@ -320,7 +319,8 @@ def w_gf(g: int, order: int) -> PowerSeries:
     the exterior arc that connects the backbones lies on neither.  Since
     (y-1)/2 = O(z), the fiber of an n-arc shape starts at z^n."""
     _check_order(order)
-    if 0 <= g and order < 2 * g + 3:  # a negative g fails in _r_2bb
+    _check_2bb_genus(g)
+    if order < 2 * g + 3:
         return PowerSeries(order, ())
     out = [0] * (order + 1)
     for t, a in enumerate(_r_2bb(g)):

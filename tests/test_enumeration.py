@@ -18,11 +18,14 @@ from chordshapes import (
     genus,
     is_connected,
     is_shape,
+    shape_poly_1bb,
+    shape_poly_2bb,
     w_gf,
 )
 from chordshapes.enumeration import _search_split, _swap_backbones
 from chordshapes.shapes import as_shape
 from conftest import all_matchings
+from test_series import Q2, S3
 
 Q3 = as_shape(Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True))
 Q4 = as_shape(
@@ -269,8 +272,52 @@ class TestMatchings:
                     canonical_code(d) for d in every if genus(d) <= g
                 ], (b, n, g, connected, "cap only")
 
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_visits_in_ascending_order(self, b, connected):
+        # a face lists its vertices in cycle order, so a node must sort its
+        # partners before it places them: every search of one arc count
+        # visits its diagrams in strictly ascending (lengths, arcs) order,
+        # also where the prunes leave a node nothing but its own face
+        for n in range(1, 6):
+            for cap, exact in ((10**6, None), (0, None), (1, None), (1, 1), (2, 2)):
+                keys = []
+                enumerate_matchings(
+                    EnumSpec(
+                        backbones=b,
+                        arcs_min=n,
+                        arcs_max=n,
+                        genus_cap=cap,
+                        genus_exact=exact,
+                        connected_only=connected,
+                    ),
+                    lambda d: keys.append((d.backbone_lengths, sorted(d.arcs))),
+                )
+                assert all(a < z for a, z in zip(keys, keys[1:])), (n, cap, exact)
+
 
 class TestShapes:
+    @pytest.mark.parametrize(
+        "b, g, top, hi",
+        [(1, 3, S3, 17), (2, 2, Q2, 16)],
+        ids=["S3", "Q2"],
+    )
+    def test_kernel_counts_one_genus_deeper(self, b, g, top, hi):
+        # the shapes past the families enumerate_shapes lists, counted by
+        # the kernel on every split with no shape kept: their lowest
+        # coefficients must equal the closed formula and the table
+        poly = shape_poly_1bb(g) if b == 1 else shape_poly_2bb(g)
+        for n in (2 * g + 1, 2 * g + 2) if b == 1 else (2 * g + 3, 2 * g + 4):
+            V = 2 * n
+            # a backbone needs 3 vertices, its rainbow's two and one for
+            # the arc that connects it to the other
+            splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, V - 2)]
+            count = sum(
+                _search_split(lengths, g, g, True, lambda arcs: None, None, hi - n)
+                for lengths in splits
+            )
+            assert count == poly[n] == top[n], (b, g, n)
+
     def test_genus_one_profile(self, shape_sets):
         shapes = shape_sets(1, 1)
         assert len(shapes) == 4

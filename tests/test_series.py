@@ -207,6 +207,29 @@ class TestKappa:
                 assert row[t] ** 2 >= row[t - 1] * row[t + 1]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # these five once raised an untyped TypeError
+        (lambda: shape_poly_1bb("3"), "genus must be an integer"),
+        (lambda: shape_poly_1bb(2.0), "genus must be an integer"),
+        (lambda: shape_poly_2bb(1.0), "genus must be an integer"),
+        (lambda: kappa(1.5, 1), "genus must be an integer"),
+        (lambda: fiber_gf(2.5, 10), "l must be an integer"),
+        # and these two returned a value
+        (lambda: kappa(True, 1), "genus must be an integer"),
+        (lambda: w_gf(True, 5), "genus must be an integer"),
+    ],
+    ids=[
+        "poly1-str", "poly1-float", "poly2-float", "kappa-float",
+        "fiber-float", "kappa-bool", "w-bool",
+    ],
+)
+def test_size_arguments_must_be_ints(call, message):
+    with pytest.raises(DiagramError, match=message):
+        call()
+
+
 class TestShapePolynomials:
     def test_s1(self):
         assert poly_dict(shape_poly_1bb(1)) == S1
