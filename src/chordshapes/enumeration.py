@@ -43,6 +43,25 @@ exceeds hi - n, and a candidate that would raise it past that has no
 completion.  On a complete shape the bound is exact, which the kernel
 checks at every leaf it emits.
 
+The budget also looks one arc ahead, since the bound never falls.  A
+vertex left alone on its face shares that face with no other unpaired
+vertex, so its arc must merge the face with another.  Its one segment
+has at least one side, and it is joined across one side of that arc,
+and the result again across the other, so the merge raises the bound by
+at least 1.  Two lone vertices paired with each other raise it by at
+least 1 in all, not 1 each, so the rule asks for 1 more, not 1 per
+lone face: a candidate that leaves a vertex alone on its new face is
+skipped when it would bring the bound to exactly hi - n.  With the bound at exactly hi - n, a segment of 2 or
+more sides must close too: joined to any other segment it raises the
+bound by at least 1, and only the arc between its two ends closes it.
+Two such segments that meet at a vertex of a face with 3 or more
+unpaired vertices have three distinct ends, and the middle one takes a
+single arc, so at most one of them closes.  (On a face of 2 vertices
+the arc between them closes both of its segments.)  So a candidate
+that brings the bound to exactly hi - n is skipped as well when one of
+its two new faces holds such a pair next to the segment the new arc
+joined; the pairs the arc did not touch are not looked at.
+
 Each node collects its admissible partners face by face: those on the
 first unpaired vertex's face from the one walk of that face, and, when a
 merge is admissible at all, those on every other face from one walk of
@@ -59,6 +78,7 @@ of a silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import sub
 from typing import Callable, Optional
 
@@ -133,6 +153,16 @@ def _seg_rise(x: int, y: int) -> int:
     to its final face's sides beyond 3."""
     rise = (x if x < 2 else 2) + (y if y < 2 else 2) - 1
     return rise if rise > 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _rise_table(V: int) -> tuple[tuple[int, ...], ...]:
+    """``_seg_rise`` of every pair of segment lengths a join can meet on
+    ``V`` vertices (a face has at most V sides, a join across a side at
+    most V + 1); it is symmetric, so row x holds the joins with a segment
+    of x.  Every split of one vertex count shares it; the tables are
+    kept for the process, each (V + 2)^2 small ints."""
+    return tuple(tuple(_seg_rise(x, y) for y in range(V + 2)) for x in range(V + 2))
 
 
 def _search_split(
@@ -212,9 +242,22 @@ def _search_split(
     closes into a face of q + 1 sides, which adds max(0, q - 2) as the
     segment did, so it changes nothing.  A merge joins i's segments with
     j's the same way, read from the walk of j's face.  ``_seg_rise`` is
-    each join's rise in ``lb``, read from a table of it built once per
-    split, so a candidate costs O(1).  At an emitted leaf ``lb`` must
-    equal ``spare``; anything else raises ``ConsistencyError``.
+    each join's rise in ``lb``, read from a table of it that the splits
+    of one vertex count share, so a candidate costs O(1).  A split at
+    ``p == 1`` or ``p == last - 1`` leaves ``on[0]`` or ``on[last]``
+    alone on its new face; the merge that must pair that vertex joins its
+    one segment (of at least the new arc's side) twice and raises ``lb``
+    by at least 1, so such a split is skipped when it would bring ``lb``
+    to exactly ``spare``.  The bound asks for 1, not 1 per lone vertex:
+    two lone vertices merged with each other cost at least 1 in all, so
+    lone faces do not add up.  A split that would bring ``lb`` to exactly
+    ``spare`` is skipped, too, when on a new face of 3 or more vertices
+    (``p > 2``, or ``last - p > 2``) the segment it joined and one next
+    to it both have 2 or more sides: such a segment raises ``lb``
+    whenever it is joined rather than closed by the arc between its
+    ends, and of two that share a vertex at most one closes.  At an
+    emitted leaf ``lb`` must equal ``spare``; anything else raises
+    ``ConsistencyError``.
     With ``spare`` None the search enumerates all matchings: no shape
     rule and no face-side prune.
 
@@ -272,10 +315,7 @@ def _search_split(
         return on, at, sides
 
     if shape:
-        # _seg_rise of every pair of segment lengths a join can meet (a face
-        # has at most V sides, a join across a side at most V + 1); it is
-        # symmetric, so rise[x] is the row of joins with a segment of x
-        rise = [[_seg_rise(x, y) for y in range(V + 2)] for x in range(V + 2)]
+        rise = _rise_table(V)
 
     def rec(lo: int, gp: int, odd: int, lb: int, ext: int) -> None:
         nonlocal count
@@ -339,7 +379,21 @@ def _search_split(
                         e += rise_post[at[p] - at[p - 1]]
                     if p < last:
                         e += rise_pre[at[p + 1] - at[p]]
-                    if e > spare:
+                    # at p == 1 or p == last - 1 a vertex is left alone on
+                    # its new face, and the merge that must pair it adds 1
+                    if e + (p == 1 or p == last - 1) > spare:
+                        continue
+                    # with the budget spent, a new face of 3 or more vertices
+                    # must not have its joined segment and one next to it
+                    # both of 2 or more sides
+                    if e == spare and (
+                        p > 2
+                        and at[p] - at[p - 1] + post_i
+                        and (at[1] - at[0] > 1 or at[p - 1] - at[p - 2] > 1)
+                        or last - p > 2
+                        and at[p + 1] - at[p] + pre_i
+                        and (at[p + 2] - at[p + 1] > 1 or at[last] - at[last - 1] > 1)
+                    ):
                         continue
                 moves.append((j, gp, split_odd[p & 1], e))
         if (merge_ok[0] or merge_ok[1]) and len(on) + 1 < V - 2 * len(placed):

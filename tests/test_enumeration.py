@@ -111,15 +111,17 @@ class TestMatchings:
     def test_placed_arcs_pinned(self):
         # node_budget counts placed arcs, so it pins how many the prunes
         # let through: 74 with the genus prune alone, 53 with face parity,
-        # 22 with the face-side budget
-        enumerate_shapes(1, 1, node_budget=22)
+        # 22 with the face-side budget, 17 with its look-ahead
+        enumerate_shapes(1, 1, node_budget=17)
         with pytest.raises(InfeasibleError, match="budget"):
-            enumerate_shapes(1, 1, node_budget=21)
+            enumerate_shapes(1, 1, node_budget=16)
         # (2, 1): 428,802 before the face-side budget, 29,604 before the
-        # splits past the middle came from swapping the backbones
-        enumerate_shapes(2, 1, node_budget=15_506)
+        # splits past the middle came from swapping the backbones, 15,506
+        # before the lone-vertex prune and 12,446 before the prune on two
+        # segments of 2 or more sides that meet
+        enumerate_shapes(2, 1, node_budget=11_063)
         with pytest.raises(InfeasibleError, match="budget"):
-            enumerate_shapes(2, 1, node_budget=15_505)
+            enumerate_shapes(2, 1, node_budget=11_062)
         # matchings mode: the genus and parity prunes alone
         def matchings(budget: int) -> int:
             return enumerate_matchings(
