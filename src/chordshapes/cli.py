@@ -13,7 +13,8 @@ parser is built once per process, on the first :func:`main` call, and
 (``genus`` reads the component genera off that same trace).
 
 Exit codes: 0 ok, 2 usage, 3 bad input, 4 infeasible bound, 5 internal
-consistency failure.
+consistency failure.  A reader that closes stdout early (``| head``)
+ends the request with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -50,6 +52,8 @@ EXIT_INCONSISTENT = 5
 # this many arcs (about 26 s at the 385 k placed arcs/s of a 2-vCPU Xeon
 # VM), so a search too large to finish ends with exit 4, not a hang.
 _MATCHINGS_BUDGET = 10**7
+
+_SURGERIES = {"theta": theta, "theta-inv": theta_inv, "eta": eta, "eta-inv": eta_inv}
 
 
 def _read_text(path: str) -> str:
@@ -155,13 +159,7 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_bij(args) -> int:
-    mapping = {
-        "theta": theta,
-        "theta-inv": theta_inv,
-        "eta": eta,
-        "eta-inv": eta_inv,
-    }
-    fn = mapping[args.direction]
+    fn = _SURGERIES[args.direction]
     blocks = []
     for d in _read_diagrams(args.input):
         out = fn(d)
@@ -304,9 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bij", help="apply a shape surgery")
     add_input(p)
-    p.add_argument(
-        "direction", choices=["theta", "theta-inv", "eta", "eta-inv"]
-    )
+    p.add_argument("direction", choices=_SURGERIES)
     p.set_defaults(func=_cmd_bij)
 
     p = sub.add_parser("poly", help="exact shape polynomial")
@@ -332,8 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="arcs per matching (--matchings); more than 500 is exit 4",
     )
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--profile", action="store_true")
-    p.add_argument("--list", action="store_true")
+    p.add_argument(
+        "--profile",
+        action="store_true",
+        help="print the shape count per arc count (ignored with --matchings)",
+    )
+    p.add_argument(
+        "--list",
+        action="store_true",
+        help="print each matching as it is visited (only with --matchings)",
+    )
     p.add_argument(
         "--node-budget",
         type=int,
@@ -370,7 +374,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point fd 1 at devnull, so that the
+        # interpreter's final flush of what is left cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InfeasibleError as exc:
         _error_record("infeasible", exc)
         return EXIT_INFEASIBLE

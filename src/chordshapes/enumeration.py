@@ -1,32 +1,44 @@
 """Independent brute-force oracle: exhaustive, genus-pruned generation.
 
 Matchings are built left to right, always pairing the first unpaired
-vertex with every admissible later vertex.  The formal genus of a
-partial diagram never exceeds the genus of any completion (each new arc
-changes the boundary count by one, so the genus stays or grows by one),
-which makes pruning on the partial genus sound.  Which of the two it is
-follows from one walk of the boundary cycle through the first unpaired
-vertex's gap, so the genus prune is decided before an arc is placed.
-The walk needs nothing beyond the pairing alpha and the fixed backbone
-order sigma, each vertex's successor on its backbone (the last one
-wrapping to the first): the boundary cycles are the cycles of sigma
-after alpha, so a walk steps from vertex to successor and jumps across
-every arc it meets.  The kernel stores no face: whether two gaps share
-a cycle, how many unpaired vertices a cycle holds and the arc sides
-between them are all read off walks, so placing an arc and undoing it
-set and clear the pairing and nothing else.  The rainbows of shape mode
-need no bookkeeping either: each splits its arcless backbone's cycle and
-leaves the genus and the count of odd cycles below as they were.  A
-complete matching leaves no cycle with an odd count of unpaired
-vertices, and only an arc that merges two cycles, raising the genus, can
-remove two of them, so a partial diagram with more than twice the
-remaining genus budget of odd cycles has no completion; that prune, too,
-is decided before the arc is placed.  Shape mode additionally rejects
-1-arcs within a backbone and parallel-adjacent arc pairs the moment both
-arcs exist.
+vertex with every admissible later vertex.  A partial diagram is a fat
+graph with one vertex per backbone; its boundary cycles (faces) are the
+cycles of the backbone order sigma (each vertex's successor on its
+backbone, the last one wrapping to the first) after the pairing alpha,
+an arcless backbone counting as one face.  Every unpaired vertex's gap
+(where an arc would go in) lies on exactly one face.  A new arc joins
+two gaps: if both lie on the same face it splits that face in two,
+keeping the formal genus, and otherwise it merges the two faces into
+one, raising the genus by one.  The kernel stores no face: it reads
+every face fact off a walk of sigma after alpha (see ``_search_split``),
+so every prune below is decided before an arc is placed.
 
-Shape mode also prunes on a face-side budget, decided before an arc is
-placed as well.  A shape has no 1-arc and no stack, so every face but
+Genus prune.  The formal genus of a partial diagram never falls as
+arcs are added, and each arc still to come raises it by at most one.
+So a candidate that would take the genus past ``genus_cap``, or leave
+too few arcs to reach ``genus_exact``, has no admissible completion.
+Testing both before the arc is placed prunes the same subtrees as
+tracing the genus after placing it.
+
+Parity prune.  Let ``odd`` count the faces with an odd number of
+unpaired vertices.  A split of a face of s unpaired vertices into p and
+s - 2 - p cannot lower it: for odd s exactly one side is odd, and for
+even s both sides are even or both odd.  A merge lowers it by at most
+2, two odd faces into one even face, and raises the genus by one.  A
+complete matching leaves every face empty, so ``odd == 0``, and any
+completion needs at least ``odd / 2`` more merges.  A candidate that
+would leave ``odd`` above twice the remaining genus budget is therefore
+skipped.  When every merge is pruned no other face is walked, and when
+only one parity of p is admissible only those positions are read.
+
+Shape rules.  Shape mode rejects 1-arcs within a backbone and
+parallel-adjacent arc pairs the moment both arcs exist: they refuse at
+most three partners of the first unpaired vertex, found once per node.
+The rainbows are planted first.  Each splits its arcless backbone's face
+and keeps all but its own two vertices inside, so the genus and ``odd``
+stay as they were.
+
+Face-side budget.  A shape has no 1-arc and no stack, so every face but
 the b one-sided plant faces has at least 3 sides.  A shape of genus g
 with n arcs (rainbows included) has r = n - b + 2 - 2g faces and 2n
 sides in all, so its non-plant faces exceed 3 sides by exactly
@@ -37,30 +49,40 @@ ends up inside one final face, and a final face built from k segments
 has sum(q) + k sides, as one side of a new arc follows each segment.
 For k = 1 its excess over 3 is q - 2 >= 0; for k >= 2 it is at least
 max(0, q - 2) summed over its segments, since a segment with q > 2 pays
-the 3 and the others add q + 1 >= 0.  So the sum over closed faces of
-max(0, sides - 3) plus the sum over segments of max(0, q - 2) never
-exceeds hi - n, and a candidate that would raise it past that has no
-completion.  On a complete shape the bound is exact, which the kernel
-checks at every leaf it emits.
+the 3 and the others add q + 1 >= 0.  So the bound ``lb``, the sum over
+closed faces of max(0, sides - 3) plus the sum over segments of
+max(0, q - 2), never exceeds hi - n, and a candidate that would raise
+it past that has no completion.  An arc changes only the segments at
+its two ends.  A split of i's face at j joins the segment into j with
+the one out of i across one side of the arc, and the segment out of j
+with the one into i across the other; a merge joins i's segments with
+j's the same way.  A join that leaves no vertex closes into a face of
+q + 1 sides, which adds max(0, q - 2) as the segment did, so it changes
+nothing.  Each join's rise in ``lb`` is read from a table that the
+splits of one vertex count share, so a candidate costs O(1).  The
+rainbows close their plant faces and leave segments of at most one
+side, so ``lb`` starts at 0.  On a complete shape the bound is exact,
+and every emitted leaf whose ``lb`` differs raises ``ConsistencyError``.
 
-The budget also looks one arc ahead, since the bound never falls.  A
-vertex left alone on its face shares that face with no other unpaired
-vertex, so its arc must merge the face with another.  Its one segment
-has at least one side, and it is joined across one side of that arc,
-and the result again across the other, so the merge raises the bound by
-at least 1.  Two lone vertices paired with each other raise it by at
-least 1 in all, not 1 each, so the rule asks for 1 more, not 1 per
-lone face: a candidate that leaves a vertex alone on its new face is
-skipped when it would bring the bound to exactly hi - n.  With the bound at exactly hi - n, a segment of 2 or
-more sides must close too: joined to any other segment it raises the
-bound by at least 1, and only the arc between its two ends closes it.
-Two such segments that meet at a vertex of a face with 3 or more
-unpaired vertices have three distinct ends, and the middle one takes a
-single arc, so at most one of them closes.  (On a face of 2 vertices
-the arc between them closes both of its segments.)  So a candidate
-that brings the bound to exactly hi - n is skipped as well when one of
-its two new faces holds such a pair next to the segment the new arc
-joined; the pairs the arc did not touch are not looked at.
+Look-ahead.  The bound never falls, so the budget also looks one arc
+ahead.  A vertex left alone on its face shares that face with no other
+unpaired vertex, so its arc must merge the face with another.  Its one
+segment has at least one side, and it is joined across one side of that
+arc, and the result again across the other, so the merge raises the
+bound by at least 1.  Two lone vertices paired with each other raise it
+by at least 1 in all, not 1 each, so the rule asks for 1 more, not 1
+per lone face: a candidate that leaves a vertex alone on its new face
+is skipped when it would bring the bound to exactly hi - n.  With the
+bound at exactly hi - n, a segment of 2 or more sides must close too:
+joined to any other segment it raises the bound by at least 1, and only
+the arc between its two ends closes it.  Two such segments that meet at
+a vertex of a face with 3 or more unpaired vertices have three distinct
+ends, and the middle one takes a single arc, so at most one of them
+closes.  (On a face of 2 vertices the arc between them closes both of
+its segments.)  So a candidate that brings the bound to exactly hi - n
+is skipped as well when one of its two new faces holds such a pair next
+to the segment the new arc joined; the pairs the arc did not touch are
+not looked at.
 
 Each node collects its admissible partners face by face: those on the
 first unpaired vertex's face from the one walk of that face, and, when a
@@ -79,7 +101,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram
@@ -175,102 +196,44 @@ def _search_split(
     spare: Optional[int],
 ) -> int:
     """Backtracking core for one backbone-length split of an even vertex
-    total.  Returns the number of matchings emitted.
+    total.  Returns the number of matchings emitted.  The prunes and why
+    they are sound are in the module docstring; this is the state they
+    read.
 
-    The partial diagram is a fat graph with one vertex per backbone, so
-    its formal genus is ``gp = (2 - b + d - r) / 2`` for ``d`` arcs and
-    ``r`` boundary cycles (faces), an arcless backbone counting as one
-    face.  The kernel keeps the diagram in two arrays: ``pair``, each
-    vertex's partner or 0 (the pairing alpha, an unpaired vertex fixed),
-    and ``succ``, the next vertex on the same backbone, wrapping at its
-    end (the backbone order sigma).  ``succ`` is built once per split
-    and never changes.  A face is a cycle of ``succ`` after ``pair``:
-    ``walk(i)`` starts at ``succ[i]`` and runs until it is back at
-    ``i``; at a paired vertex ``y`` it counts one arc side and goes on
-    from ``succ[pair[y]]``, and at an unpaired vertex it records the
-    vertex and the sides counted so far, then goes on from its ``succ``.
-    So it lists the face's other unpaired vertices in cycle order after
-    ``i``, in time linear in the face's vertices and sides, and on an
-    arcless backbone it lists the backbone with no side.  Every unpaired
-    vertex's gap (where it would go in) lies on exactly one face, and the
-    kernel stores no face: it reads every face fact off a walk.  A new
-    arc joins the gaps of ``i`` and ``j``: if both lie on the same face
-    it splits that face in two (r + 1, gp unchanged), with the vertices
-    strictly between ``i`` and ``j`` in cycle order on one side and the
-    rest on the other; otherwise it merges the two faces into one
-    (r - 1, gp + 1).  Each call walks the face of ``i``, the first
-    unpaired vertex, once, in cycle order from ``i``: the vertices it
-    lists are the split partners, by their position ``p`` on it, and the
-    face holds ``len(on) + 1`` unpaired vertices.  Only when a merge is
+    State.  ``pair`` holds each vertex's partner or 0 (the pairing alpha,
+    an unpaired vertex fixed), ``succ`` the next vertex on the same
+    backbone, wrapping at its end (the backbone order sigma), and
+    ``placed`` the arcs in the order they were placed.  ``succ`` is built
+    once per split and never changes.  The formal genus ``gp = (2 - b +
+    d - r) / 2`` for ``d`` arcs and ``r`` faces, the count ``odd`` of odd
+    faces, the face-side bound ``lb`` and ``ext``, the arcs between
+    backbones, go down the recursion as arguments.
+
+    Walk.  A face is a cycle of ``succ`` after ``pair``.  ``walk(i)``
+    starts at ``succ[i]`` and runs until it is back at ``i``.  At a
+    paired vertex ``y`` it counts one arc side of the current segment and
+    goes on from ``succ[pair[y]]``.  At an unpaired vertex it records the
+    vertex and the segment's sides, starts a new segment and goes on from
+    its ``succ``.  It returns ``(on, seg)``: ``on`` lists the face's other
+    unpaired vertices in cycle order after ``i``, ``seg[k]`` is the number
+    of arc sides in the segment that ends at ``on[k]``, and ``seg[-1]`` is
+    the segment back to ``i``.  A lone vertex gets ``on == []`` and one
+    segment, the whole face (no side on an arcless backbone).  A walk
+    takes time linear in the face's vertices and sides.  Each call walks
+    the face of ``i``, the first unpaired vertex, once: the vertices in
+    ``on`` are the split partners, by their position ``p``, and the face
+    holds ``len(on) + 1`` unpaired vertices.  Only when a merge is
     admissible are the other faces walked, each once, from one of the
-    unpaired vertices off i's face; a face of a size the parity prune
-    rejects is dropped whole, and every vertex of the others is a merge
-    partner.  The call collects its admissible moves ``(j, genus, odd,
-    lb)`` this way, face by face, and places them in ascending order of
-    ``j``: a face lists its vertices in cycle order, not vertex order.
-    The shape rules refuse at most three partners of ``i``, found once
-    per call.  The walks give the exact genus of the diagram with the
-    arc placed, so testing ``genus_cap`` and the ``genus_exact`` floor
-    before placing the arc prunes the same subtrees as tracing after
-    placing it.  Both
-    tests are sound: gp never decreases as arcs are added, and each of
-    the ``n_arcs - d`` arcs still to come raises it by at most one.
+    unpaired vertices off i's face.  Every segment a candidate joins is
+    read from ``seg`` or the other face's ``seg_u`` by index.
 
-    Parity prune: let ``odd`` count the faces with an odd number of
-    unpaired vertices.  A split of a face of size s into p and s - 2 - p
-    cannot lower ``odd`` (for odd s exactly one side is odd; for even s
-    both sides are even or both odd).  A merge lowers ``odd`` by at
-    most 2 (two odd faces into one even face) and raises gp by one.  A
-    complete matching has every face empty, so ``odd == 0``; any
-    completion therefore needs at least ``odd / 2`` more merges and ends
-    at genus at least ``gp + odd / 2``.  A candidate whose placement
-    leaves ``odd > 2 * (genus_cap - gp)`` is skipped before it is
-    placed; the shape rules only narrow the completions further.  When
-    every merge is pruned, no other face is walked, and when only one
-    parity of ``p`` is admissible, only the positions of that parity on
-    i's face are read.
-
-    Face-side prune (shape mode, ``spare`` = hi - n): ``lb`` is the
-    module docstring's lower bound on the final faces' excess over 3
-    sides, and a candidate that would make ``lb > spare`` is skipped
-    before it is placed.  The walk of i's face also counts the arc sides
-    from i's gap to each vertex on it and around the whole face, which
-    gives the length of every segment there.  An arc changes only the
-    segments at its two ends.  A split joins the segment into j with the
-    one out of i across one side of the arc, and the segment out of j
-    with the one into i across the other; a join that leaves no vertex
-    closes into a face of q + 1 sides, which adds max(0, q - 2) as the
-    segment did, so it changes nothing.  A merge joins i's segments with
-    j's the same way, read from the walk of j's face.  ``_seg_rise`` is
-    each join's rise in ``lb``, read from a table of it that the splits
-    of one vertex count share, so a candidate costs O(1).  A split at
-    ``p == 1`` or ``p == last - 1`` leaves ``on[0]`` or ``on[last]``
-    alone on its new face; the merge that must pair that vertex joins its
-    one segment (of at least the new arc's side) twice and raises ``lb``
-    by at least 1, so such a split is skipped when it would bring ``lb``
-    to exactly ``spare``.  The bound asks for 1, not 1 per lone vertex:
-    two lone vertices merged with each other cost at least 1 in all, so
-    lone faces do not add up.  A split that would bring ``lb`` to exactly
-    ``spare`` is skipped, too, when on a new face of 3 or more vertices
-    (``p > 2``, or ``last - p > 2``) the segment it joined and one next
-    to it both have 2 or more sides: such a segment raises ``lb``
-    whenever it is joined rather than closed by the arc between its
-    ends, and of two that share a vertex at most one closes.  At an
-    emitted leaf ``lb`` must equal ``spare``; anything else raises
-    ``ConsistencyError``.
-    With ``spare`` None the search enumerates all matchings: no shape
-    rule and no face-side prune.
-
-    Placing an arc sets ``pair`` at both ends and appends it to
-    ``placed``, and the undo clears both again, so ``pair`` and
-    ``placed`` are the whole mutable search state; ``gp``, ``odd``,
-    ``lb`` and ``ext`` (the arcs between backbones) go down the
-    recursion as arguments.  Shape mode plants the rainbows first.  A
-    rainbow splits its backbone's arcless face and keeps l - 2 of its l
-    unpaired vertices inside, which leaves gp and ``odd`` as they were,
-    and it closes its one-sided plant face and leaves segments of at
-    most one side, so ``lb`` starts at 0: planting is just the ``pair``
-    assignments and the rainbows' entries at the head of ``placed``.
+    Place and undo.  Placing an arc sets ``pair`` at both ends and
+    appends it to ``placed``; the undo clears both again, so ``pair`` and
+    ``placed`` are the whole mutable search state.  Shape mode plants
+    the rainbows first: each is just its two ``pair`` entries and its
+    entry at the head of ``placed``.  With ``spare`` (hi - n) None the
+    search enumerates all matchings: no shape rule and no face-side
+    prune.
     """
     V = sum(lengths)
     n_arcs = V // 2
@@ -294,25 +257,28 @@ def _search_split(
         v += l
     count = 0
 
-    def walk(i: int) -> tuple[list[int], list[int], int]:
+    def walk(i: int) -> tuple[list[int], list[int]]:
         """The other unpaired vertices on the face through the gap of
-        unpaired vertex i, in cycle order starting right after i, the arc
-        sides from i's gap to each and the face's side count (0 on an
+        unpaired vertex i, in cycle order starting right after i, and the
+        arc sides of the segment that ends at each, the last one back at
+        i; a lone vertex has one segment, the whole face (no side on an
         arcless backbone)."""
         on: list[int] = []
-        at: list[int] = []
-        sides = 0
+        seg: list[int] = []
+        q = 0
         y = succ[i]
         while y != i:
             x = pair[y]
             if x:
-                sides += 1
+                q += 1
                 y = succ[x]
             else:
                 on.append(y)
-                at.append(sides)
+                seg.append(q)
+                q = 0
                 y = succ[y]
-        return on, at, sides
+        seg.append(q)
+        return on, seg
 
     if shape:
         rise = _rise_table(V)
@@ -322,7 +288,7 @@ def _search_split(
         i = lo
         while pair[i]:
             i += 1
-        on, at, sides = walk(i)
+        on, seg = walk(i)
         # with (i, j) placed the genus is gp on a split (j on i's face) and
         # gp + 1 on a merge; decide both prunes for both cases up front,
         # the parity of the face sizes left behind being all that varies
@@ -360,8 +326,7 @@ def _search_split(
             )
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
-            pre_i = sides - at[-1] if on else sides
-            post_i = at[0] if on else sides
+            pre_i, post_i = seg[-1], seg[0]
             rise_pre, rise_post = rise[pre_i], rise[post_i]
         if split_ok[0] or split_ok[1]:
             # the positions p on i's face of the admissible parities
@@ -376,9 +341,9 @@ def _search_split(
                     # out of i, and j..i the one out of j with the one into
                     # i; a side with no other vertex closes its segment
                     if p:
-                        e += rise_post[at[p] - at[p - 1]]
+                        e += rise_post[seg[p]]
                     if p < last:
-                        e += rise_pre[at[p + 1] - at[p]]
+                        e += rise_pre[seg[p + 1]]
                     # at p == 1 or p == last - 1 a vertex is left alone on
                     # its new face, and the merge that must pair it adds 1
                     if e + (p == 1 or p == last - 1) > spare:
@@ -388,11 +353,11 @@ def _search_split(
                     # both of 2 or more sides
                     if e == spare and (
                         p > 2
-                        and at[p] - at[p - 1] + post_i
-                        and (at[1] - at[0] > 1 or at[p - 1] - at[p - 2] > 1)
+                        and seg[p] + post_i
+                        and (seg[1] > 1 or seg[p - 1] > 1)
                         or last - p > 2
-                        and at[p + 1] - at[p] + pre_i
-                        and (at[p + 2] - at[p + 1] > 1 or at[last] - at[last - 1] > 1)
+                        and seg[p + 1] + pre_i
+                        and (seg[p + 2] > 1 or seg[last] > 1)
                     ):
                         continue
                 moves.append((j, gp, split_odd[p & 1], e))
@@ -403,7 +368,7 @@ def _search_split(
             others = set(range(i + 1, V + 1)).difference(on, *placed)
             while others:
                 u = others.pop()
-                on_u, at_u, sides_u = walk(u)
+                on_u, seg_u = walk(u)
                 others.difference_update(on_u)
                 n_g = len(on_u) + 1
                 if not merge_ok[n_g & 1]:
@@ -419,22 +384,20 @@ def _search_split(
                 # between the other face's two (or closes)
                 if not on_u:
                     if u not in refused:
-                        e = lb + rise_pre[sides_u]
+                        e = lb + rise_pre[seg_u[0]]
                         if on:
-                            e += rise[pre_i + 1 + sides_u][post_i]
+                            e += rise[pre_i + 1 + seg_u[0]][post_i]
                         if e <= spare:
                             moves.append((u, g, o, e))
                     continue
-                # the segment that starts at each vertex of the face, and
-                # so the one that ends there
-                post = [*map(sub, at_u, [0, *at_u]), sides_u - at_u[-1]]
-                for j, pre_j, post_j in zip(face, [post[-1], *post], post):
+                # the segments that end and start at each vertex of the face
+                for j, pre_j, post_j in zip(face, [seg_u[-1], *seg_u], seg_u):
                     if j in refused:
                         continue
                     if on:
                         e = lb + rise_pre[post_j] + rise_post[pre_j]
                     else:
-                        e = lb + rise_pre[pre_j] + rise[pre_j + 1 + sides][post_j]
+                        e = lb + rise_pre[pre_j] + rise[pre_j + 1 + pre_i][post_j]
                     if e <= spare:
                         moves.append((j, g, o, e))
         # a face lists its vertices in cycle order, not in vertex order
@@ -481,12 +444,6 @@ def _search_split(
     return count
 
 
-def _all_splits(b: int, total: int) -> list[tuple[int, ...]]:
-    if b == 1:
-        return [(total,)]
-    return [(k, total - k) for k in range(1, total)]
-
-
 def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     """Visit every perfect-matching diagram meeting ``spec`` exactly once,
     in deterministic order; returns how many were visited.  More than 500
@@ -499,7 +456,9 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     budget = [spec.node_budget] * 2 if spec.node_budget is not None else None
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
-        for lengths in _all_splits(spec.backbones, 2 * n):
+        V = 2 * n
+        splits = [(V,)] if spec.backbones == 1 else [(k, V - k) for k in range(1, V)]
+        for lengths in splits:
             if visit is None:
                 emit = lambda arcs: None
             else:
@@ -516,13 +475,6 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
                 None,
             )
     return total
-
-
-def _shape_arc_range(b: int, g: int) -> tuple[int, int]:
-    """Arc-count bounds for shapes of genus g over b backbones."""
-    if b == 1:
-        return 2 * g + 1, 6 * g - 1
-    return 2 * g + 3, 6 * g + 4
 
 
 def _swap_backbones(arcs: tuple[Arc, ...], a: int, c: int) -> tuple[Arc, ...]:
@@ -575,7 +527,8 @@ def _enumerate_shapes(
     """:func:`enumerate_shapes` on arguments the caller has checked."""
     if b == 1 and g == 0:
         return []  # no proper one-backbone shape has genus 0
-    lo, hi = _shape_arc_range(b, g)
+    # the arc counts of the shapes of genus g over b backbones
+    lo, hi = (2 * g + 1, 6 * g - 1) if b == 1 else (2 * g + 3, 6 * g + 4)
     if hi > _MAX_SHAPE_ARCS:
         raise InfeasibleError(
             f"up to {hi} arcs: shapes are enumerated up to {_MAX_SHAPE_ARCS} "

@@ -31,17 +31,16 @@ matching (the shape's two rainbows included).  Since C = 1 + z C^2 and
 
     1 - z C^2 = 2 - C = s C,    C D = 1/s =: y,    X = (y - 1)/2,
 
-so F_l = z^2 y^2 ((y-1)/2)^l.  Its monomials y^k = (1 - 4z)^(-k/2) have
-the integer coefficients [z^n] y^k = binom(n + k/2 - 1, n) 4^n, which
-run from 1 by the exact term ratio 2(2n+k)/(n+1).  Summed over shapes,
-W_g = sum_n q_g(n) F_(n-2) = z^2 y^2 X^(-2) Q_g(X), and X(1 + X) =
-(y^2 - 1)/4 = z/(1 - 4z) =: v, so Q_g(X) = X^2 v^(2g+1) R_g(v) and, with
-R_g = sum_t r_t u^t,
+so F_l = z^2 y^2 ((y-1)/2)^l.  Summed over shapes, W_g = sum_n q_g(n)
+F_(n-2) = z^2 y^2 X^(-2) Q_g(X), and X(1 + X) = (y^2 - 1)/4 = z/(1 - 4z)
+=: v, so Q_g(X) = X^2 v^(2g+1) R_g(v) and, with R_g = sum_t r_t u^t,
 
-    W_g = sum_t r_t z^(2g+3+t) (1 - 4z)^(-(2g+2+t)),
+    W_g = sum_t r_t z^(2g+3+t) y^(2(2g+2+t)).
 
-whose terms [z^k] (1 - 4z)^(-m) = binom(k + m - 1, k) 4^k run from 1 by
-the exact ratio 4(k+m)/(k+1).  No series product is formed.
+Both are sums of monomials a z^at y^k.  Those have the integer
+coefficients [z^n] y^k = binom(n + k/2 - 1, n) 4^n, which run from 1 by
+the exact term ratio (4n + 2k)/(n + 1), so one loop expands them all
+and no series product is formed.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ from .errors import ConsistencyError, DiagramError, InfeasibleError, _check_size
 # InfeasibleError, with no override.  Measured on a 2-vCPU Xeon VM with
 # Python 3.11.7, shared with other work: shape_poly_1bb(1000) takes
 # 11-14 s, shape_poly_2bb(100) 0.06-0.17 s, w_gf(50, 1000) 0.04-0.05 s
-# and fiber_gf(900, 1000) 1.7-2.7 s; an order of 10**9 would not even
-# fit in memory.
+# and fiber_gf(900, 1000) 0.7 s; an order of 10**9 would not even fit in
+# memory.
 _MAX_SIZE = 1000
 # Two-backbone genera (shape_poly_2bb, w_gf) past this are refused too:
 # the g/2 products P_i P_(g+1-i) grow about as g^5, and on the same VM
@@ -276,6 +275,15 @@ class PowerSeries:
         )
 
 
+def _add_y_power(out: list[int], a: int, at: int, k: int) -> None:
+    """Add a z^at y^k = a z^at (1 - 4z)^(-k/2) into the coefficients
+    ``out``, up to its last.  The running term is a [z^n] y^k, so it
+    carries the coefficient and steps by the exact ratio (4n + 2k)/(n + 1)."""
+    for n in range(len(out) - at):
+        out[n + at] += a
+        a = a * (4 * n + 2 * k) // (n + 1)
+
+
 def fiber_gf(l: int, order: int) -> PowerSeries:
     """Generating function of matchings reducing to a fixed shape with l
     non-rainbow arcs; depends only on l.  First non-zero coefficient is
@@ -291,11 +299,7 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
         return PowerSeries(order, ())
     out = [0] * (order + 1)
     for j in range(l + 1):
-        rk = -comb(l, j) if (l - j) & 1 else comb(l, j)
-        a = 1  # [z^n] y^(j+2)
-        for n in range(order - 1):
-            out[n + 2] += rk * a
-            a = a * 2 * (2 * n + j + 2) // (n + 1)
+        _add_y_power(out, -comb(l, j) if (l - j) & 1 else comb(l, j), 2, j + 2)
     mask = (1 << l) - 1
     for n, c in enumerate(out):
         if c & mask:
@@ -323,10 +327,7 @@ def w_gf(g: int, order: int) -> PowerSeries:
     if order < 2 * g + 3:
         return PowerSeries(order, ())
     out = [0] * (order + 1)
-    for t, a in enumerate(_r_2bb(g)):
+    for t, r in enumerate(_r_2bb(g)):
         m = 2 * g + 2 + t
-        # a = r_t [z^k] (1 - 4z)^(-m), placed at z^(k + m + 1)
-        for k in range(order - m):
-            out[k + m + 1] += a
-            a = a * 4 * (k + m) // (k + 1)
+        _add_y_power(out, r, m + 1, 2 * m)  # r_t z^(m+1) (1 - 4z)^(-m)
     return PowerSeries(order, tuple(out))

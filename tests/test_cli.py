@@ -415,6 +415,31 @@ def test_undecodable_stdin_exit_code_3():
     assert json.loads(proc.stderr)["error"]["type"] == "input"
 
 
+def test_closed_stdout_exit_code_0():
+    # a reader that stops early (`| head -1`) once made this an input
+    # error: exit 3 with a "Broken pipe" record on stderr.  The search
+    # prints about 150 KB, more than a pipe holds, so the child is still
+    # writing when the pipe is closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chordshapes.cli",
+         "enumerate", "--backbones", "1", "--genus", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    try:
+        assert proc.stdout.readline() == b"10|1-10 2-4 3-5 6-8 7-9\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_missing_file_exit_code_3(capsys):
     code, _, err = run(capsys, "genus", "-i", "/nonexistent/nowhere.txt")
     assert code == 3

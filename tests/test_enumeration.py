@@ -122,6 +122,10 @@ class TestMatchings:
         enumerate_shapes(2, 1, node_budget=11_063)
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_shapes(2, 1, node_budget=11_062)
+        # (1, 2): the search whose look-ahead reads the most segments
+        enumerate_shapes(1, 2, node_budget=49_406)
+        with pytest.raises(InfeasibleError, match="budget"):
+            enumerate_shapes(1, 2, node_budget=49_405)
         # matchings mode: the genus and parity prunes alone
         def matchings(budget: int) -> int:
             return enumerate_matchings(

@@ -83,6 +83,13 @@ W_400_SHA256 = {
     2: "c172f27bcf71a8e527f72805b8476e122df2a44f51f0e314acfe69eecf63d422",
 }
 
+# SHA-256 of ",".join(map(str, fiber_gf(300, 400).coeffs)), computed when
+# each binomial coefficient of (y - 1)^300 multiplied every term of its
+# y^(j+2) series
+FIBER_300_400_SHA256 = (
+    "1f4fc60d75505983aee81ab1ce48ce5456084908f1b2d58b185c52f68edabbdc"
+)
+
 # SHA-256 of ",".join(map(str, shape_poly_2bb(g).coeffs)), computed when
 # Q_g was still formed as S_{g+1}/(1+z) minus the S_i S_{g+1-i} products
 Q_SHA256 = {
@@ -478,6 +485,13 @@ class TestFiberSeries:
     @pytest.mark.parametrize("l", (1, 37))
     def test_matches_literal_formula_at_order_400(self, l):
         assert fiber_gf(l, 400).coeffs == literal_fiber(l, 400)
+
+    def test_deep_fiber_pinned(self):
+        # far past the literal-formula checks: every term of the y^(j+2)
+        # expansion carries a binomial of l = 300, and the sum is divided
+        # by 2^300 at the end
+        text = ",".join(map(str, fiber_gf(300, 400).coeffs))
+        assert sha256(text.encode()).hexdigest() == FIBER_300_400_SHA256
 
     def test_no_series_product(self, monkeypatch):
         # fibers and their sums are expanded in y = (1 - 4z)^(-1/2)
