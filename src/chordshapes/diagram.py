@@ -331,25 +331,6 @@ def _planting(d: Diagram) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
     return pair, bounds
 
 
-def strip_plants(d: Diagram) -> Diagram:
-    """Remove the rainbows and their endpoints; inverse of :func:`plant`."""
-    if not d.planted:
-        raise DiagramError("diagram is not planted")
-    if any(e - s + 1 < 3 for s, e in d.bounds):
-        raise DiagramError(
-            "cannot strip a rainbow-only backbone (nothing underneath)"
-        )
-    rainbows = set(d.bounds)
-    starts = _starts(d)
-    new_lengths = tuple(l - 2 for l in d.backbone_lengths)
-    new_arcs = {
-        (i - 2 * bisect_right(starts, i) + 1, j - 2 * bisect_right(starts, j) + 1)
-        for i, j in d.arcs
-        if (i, j) not in rainbows
-    }
-    return Diagram(new_lengths, frozenset(new_arcs), planted=False)
-
-
 # -- connectivity --------------------------------------------------------
 
 
@@ -381,44 +362,3 @@ def is_connected(d: Diagram) -> bool:
     """True iff the graph of backbone edges plus arcs is connected."""
     roots = _backbone_roots(d)
     return len(set(roots)) == 1
-
-
-def components(d: Diagram) -> list[Diagram]:
-    """Split into connected components, preserving backbone order and
-    relative vertex order within each component."""
-    roots = _backbone_roots(d)
-    starts = _starts(d)
-    groups: dict[int, list[int]] = {}
-    for k, r in enumerate(roots):
-        groups.setdefault(r, []).append(k)
-    # vertex v of backbone k moves to v + shift[k] inside its component
-    shift = [0] * d.b
-    for ks in groups.values():
-        offset = 1
-        for k in ks:
-            shift[k] = offset - starts[k]
-            offset += d.backbone_lengths[k]
-    arcs: dict[int, set[Arc]] = {r: set() for r in groups}
-    for i, j in d.arcs:
-        ki, kj = bisect_right(starts, i) - 1, bisect_right(starts, j) - 1
-        arcs[roots[ki]].add((i + shift[ki], j + shift[kj]))
-    return [
-        Diagram(
-            tuple(d.backbone_lengths[k] for k in ks),
-            frozenset(arcs[r]),
-            planted=d.planted,
-        )
-        for r, ks in groups.items()
-    ]
-
-
-def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
-    """Lay ``b`` after ``a`` on fresh backbones (no arcs between them)."""
-    off = a.n_vertices
-    arcs = set(a.arcs) | {(i + off, j + off) for i, j in b.arcs}
-    return Diagram(
-        a.backbone_lengths + b.backbone_lengths,
-        frozenset(arcs),
-        planted=a.planted and b.planted,
-    )
-

@@ -579,6 +579,7 @@ def count_fiber(s: Shape, n_arcs: int) -> int:
     8 arcs is refused up front with ``InfeasibleError``."""
     if s.b != 2:
         raise DiagramError("fibers are counted for two-backbone shapes")
+    _check_size(n_arcs, "arc count", minimum=1)
     if n_arcs > _MAX_FIBER_ARCS:
         raise InfeasibleError(
             f"{n_arcs} arcs: fibers are counted up to {_MAX_FIBER_ARCS} arcs"

@@ -120,8 +120,8 @@ def _decompose(d: Diagram) -> tuple[BoundaryDecomposition, dict[int, int]]:
 
 
 def component_genera(d: Diagram, dec: BoundaryDecomposition) -> list[int]:
-    """Genus of each connected component of ``d``, in the order of
-    ``components(d)``, read off ``dec = boundary_components(d)``.
+    """Genus of each connected component of ``d``, ordered by each
+    component's first backbone, read off ``dec = boundary_components(d)``.
 
     A boundary cycle never leaves its component, so each component's
     Euler count takes its backbones, its non-empty cycles and half the

@@ -145,7 +145,9 @@ def _kappa_row(g: int) -> tuple[int, ...]:
 
 
 def kappa(g: int, t: int) -> int:
-    """Exact kappa_t^(g); zero outside 1 <= t <= g."""
+    """The paper's kappa_t^(g), exact, from its two-term recursion: the
+    coefficients of S_g's sum in the module docstring.  Zero outside
+    1 <= t <= g."""
     _check_size(g, "genus", minimum=1, message="kappa requires g >= 1")
     _check_size(t, "t", minimum=None)
     if t < 1 or t > g:
@@ -181,12 +183,14 @@ def shape_poly_1bb(g: int) -> IntPolynomial:
 
 
 def a_shape_poly(g: int) -> IntPolynomial:
-    """Generating polynomial of one-backbone A-shapes: S_g(z) z / (1+z)."""
+    """The paper's A_g: the generating polynomial of one-backbone A-shapes
+    of genus g by arc count, S_g(z) z / (1+z)."""
     return _expand(_p_1bb(g), 2 * g + 2, 2 * g - 1)
 
 
 def b_shape_poly(g: int) -> IntPolynomial:
-    """Generating polynomial of one-backbone B-shapes: S_g - A_g."""
+    """The paper's B_g: the generating polynomial of one-backbone B-shapes
+    of genus g by arc count, S_g - A_g."""
     return _expand(_p_1bb(g), 2 * g + 1, 2 * g - 1)
 
 
@@ -197,10 +201,6 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _check_2bb_genus(g: int) -> None:
-    _check_size(g, "genus", message="shape_poly_2bb requires g >= 0")
 
 
 def _r_2bb(g: int) -> tuple[int, ...]:
@@ -226,7 +226,7 @@ def shape_poly_2bb(g: int) -> IntPolynomial:
     """Generating polynomial of connected two-backbone shapes of genus g:
     Q_g(z) = S_{g+1}/(1+z) - sum_{i=1..g} S_i S_{g+1-i}
            = z^(2g+3) (1+z)^(2g+1) R_g(z(1+z))."""
-    _check_2bb_genus(g)
+    _check_size(g, "genus")
     return _expand(_r_2bb(g), 2 * g + 3, 2 * g + 1)
 
 
@@ -323,7 +323,7 @@ def w_gf(g: int, order: int) -> PowerSeries:
     the exterior arc that connects the backbones lies on neither.  Since
     (y-1)/2 = O(z), the fiber of an n-arc shape starts at z^n."""
     _check_order(order)
-    _check_2bb_genus(g)
+    _check_size(g, "genus")
     if order < 2 * g + 3:
         return PowerSeries(order, ())
     out = [0] * (order + 1)

@@ -4,11 +4,11 @@ A shape is a planted diagram without stacks, without 1-arcs inside a
 backbone, and without isolated vertices.  Projection plants a diagram
 and reduces it to the unique fixpoint of two moves: drop the inner arc
 of two stacked arcs, and drop a 1-arc within one backbone or an
-unpaired vertex.  :func:`reduce_planted` reaches that fixpoint in one
+unpaired vertex.  :func:`_reduce` reaches that fixpoint in one
 left-to-right scan over the paired vertices, so its cost grows with the
-arc count, not with the backbone lengths.  :func:`project_shape` runs
-the same scan on the planted pairing, computed by arithmetic, and builds
-no planted copy of its input.  Rainbows may absorb stacks but are never
+arc count, not with the backbone lengths.  :func:`project_shape` hands
+it the planted pairing, computed by arithmetic, and builds no planted
+copy of its input.  Rainbows may absorb stacks but are never
 deleted themselves, so the result keeps one rainbow per backbone and the
 same genus as the planted input.
 
@@ -142,8 +142,10 @@ def _planted(x: Shape | Diagram) -> Diagram:
 # -- projection ----------------------------------------------------------
 
 
-def reduce_planted(d: Diagram) -> Diagram:
-    """Reduce a planted diagram to its shape in one left-to-right scan.
+def _reduce(pair: dict[int, int], bounds: tuple[tuple[int, int], ...]) -> Diagram:
+    """Reduce a planted diagram, given by its pairing and its backbone
+    bounds, to its shape in one left-to-right scan; the arc over each
+    bound is that backbone's rainbow.
 
     The scan visits the paired vertices in order and keeps the surviving
     ones in prev/next links; an opening vertex is appended.  For a
@@ -170,15 +172,6 @@ def reduce_planted(d: Diagram) -> Diagram:
     - The output therefore has no 1-arc, no stack and no unpaired
       vertex.  That is the unique fixpoint of the two moves.
     """
-    if not d.planted:
-        raise DiagramError("reduction needs a planted diagram")
-    return _reduce(d.pairing(), d.bounds)
-
-
-def _reduce(pair: dict[int, int], bounds: tuple[tuple[int, int], ...]) -> Diagram:
-    """The scan of :func:`reduce_planted`, on a planted diagram given by
-    its pairing and its backbone bounds; the arc over each bound is that
-    backbone's rainbow."""
     rainbows = set(bounds)
     # the survivors and the sentinel 0 form a ring: prv[0] is the last
     # survivor; links of dropped vertices go stale and are never read
@@ -218,7 +211,7 @@ def _reduce(pair: dict[int, int], bounds: tuple[tuple[int, int], ...]) -> Diagra
 def project_shape(d: Diagram) -> Shape:
     """Reduce the planted ``d`` to its shape.
 
-    The scan of :func:`reduce_planted` runs on the planted pairing and
+    The scan of :func:`_reduce` runs on the planted pairing and
     bounds that :func:`plant` builds its diagram from, so no planted copy
     of ``d`` is built or validated.  The genus of the result equals the
     genus of the planted input.  A diagram with no surviving arcs yields

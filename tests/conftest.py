@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from chordshapes import (
     Diagram,
+    DiagramError,
     EnumSpec,
     build_table,
     enumerate_matchings,
     enumerate_shapes,
 )
+from chordshapes.shapes import _reduce
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +61,90 @@ def backbone_index(d: Diagram) -> dict[int, int]:
             index[v] = k
         start += l
     return index
+
+
+def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
+    """Lay ``b`` after ``a`` on fresh backbones (no arcs between them)."""
+    off = a.n_vertices
+    arcs = set(a.arcs) | {(i + off, j + off) for i, j in b.arcs}
+    return Diagram(
+        a.backbone_lengths + b.backbone_lengths,
+        frozenset(arcs),
+        planted=a.planted and b.planted,
+    )
+
+
+def strip_plants(d: Diagram) -> Diagram:
+    """Remove the rainbows and their endpoints; inverse of ``plant``.
+    Vertex v of backbone k (0-based) moves back to v - 2k - 1."""
+    if not d.planted:
+        raise DiagramError("diagram is not planted")
+    if any(l < 3 for l in d.backbone_lengths):
+        raise DiagramError(
+            "cannot strip a rainbow-only backbone (nothing underneath)"
+        )
+    k = backbone_index(d)
+    rainbows = set(d.bounds)
+    return Diagram(
+        tuple(l - 2 for l in d.backbone_lengths),
+        frozenset(
+            (i - 2 * k[i] - 1, j - 2 * k[j] - 1)
+            for i, j in d.arcs
+            if (i, j) not in rainbows
+        ),
+    )
+
+
+def components(d: Diagram) -> list[Diagram]:
+    """The connected components, ordered by each one's first backbone,
+    with the backbone order and the vertex order kept within each: a
+    search over the backbones that arcs join, apart from the package's
+    own connectivity code."""
+    k = backbone_index(d)
+    joined: list[set[int]] = [set() for _ in d.backbone_lengths]
+    for i, j in d.arcs:
+        joined[k[i]].add(k[j])
+        joined[k[j]].add(k[i])
+    label = [-1] * d.b
+    groups: list[list[int]] = []
+    for root in range(d.b):
+        if label[root] < 0:
+            label[root] = len(groups)
+            members, todo = [root], [root]
+            while todo:
+                for y in joined[todo.pop()]:
+                    if label[y] < 0:
+                        label[y] = label[root]
+                        members.append(y)
+                        todo.append(y)
+            groups.append(sorted(members))
+    # vertex v of backbone x moves to v + shift[x] inside its component
+    starts = [s for s, _ in d.bounds]
+    shift = [0] * d.b
+    for xs in groups:
+        offset = 1
+        for x in xs:
+            shift[x] = offset - starts[x]
+            offset += d.backbone_lengths[x]
+    arcs: list[set] = [set() for _ in groups]
+    for i, j in d.arcs:
+        arcs[label[k[i]]].add((i + shift[k[i]], j + shift[k[j]]))
+    return [
+        Diagram(
+            tuple(d.backbone_lengths[x] for x in xs),
+            frozenset(a),
+            planted=d.planted,
+        )
+        for xs, a in zip(groups, arcs)
+    ]
+
+
+def reduce_planted(d: Diagram) -> Diagram:
+    """The shape of the planted ``d``: the scan that projection runs, on
+    the pairing and bounds of a diagram that is already planted."""
+    if not d.planted:
+        raise DiagramError("reduction needs a planted diagram")
+    return _reduce(d.pairing(), d.bounds)
 
 
 @st.composite

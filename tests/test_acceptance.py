@@ -22,8 +22,6 @@ from chordshapes import (
     ShapeClass,
     boundary_components,
     canonical_code,
-    components,
-    disjoint_union,
     enumerate_matchings,
     enumerate_shapes,
     eta,
@@ -42,7 +40,7 @@ from chordshapes import (
 )
 
 import series_oracle as oracle
-from conftest import all_matchings
+from conftest import all_matchings, components, disjoint_union
 from test_series import KAPPA_TABLE, Q0, Q1, Q2, S1, S2, S3, poly_dict
 
 

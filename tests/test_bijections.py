@@ -10,7 +10,6 @@ from chordshapes import (
     as_shape,
     canonical_code,
     classify_loops,
-    disjoint_union,
     eta,
     eta_inv,
     is_connected,
@@ -20,7 +19,11 @@ from chordshapes import (
     theta,
     theta_inv,
 )
+from chordshapes.bijections import _eta, _eta_inv, _theta, _theta_inv
+from chordshapes.enumeration import _search_split
 
+from conftest import disjoint_union
+from test_series import Q2, S3
 from test_shapes import SHAPE_3B, SHAPE_4A, SHAPE_4B, SHAPE_5A
 
 Q3 = Diagram((3, 3), frozenset({(1, 3), (4, 6), (2, 5)}), planted=True)
@@ -197,3 +200,39 @@ class TestGenusOneExhaustive:
         a1 = [s for s in shape_sets(1, 1) if shape_class(s) is ShapeClass.A]
         images = {canonical_code(eta(s).diagram) for s in q0}
         assert images == {canonical_code(s.diagram) for s in a1}
+
+
+class TestGenusTwoExhaustive:
+    def test_theta_eta_maps_q2_prime_onto_genus_three(self):
+        # the 7-arc shapes of Q'_2 go through eta and then theta onto every
+        # 7-arc shape of genus 3.  The kernel lists both sides on every
+        # split, with the face-side budget of each family's top arc count
+        # (16 and 17); Q'_2's disconnected pairs are searched too, though
+        # a pair of genus-1 and genus-2 shapes needs 8 arcs
+        q_prime = []
+        for k in range(1, 14):
+            lengths = (k, 14 - k)
+            _search_split(
+                lengths, 2, 2, False,
+                lambda arcs, lengths=lengths: q_prime.append(
+                    Diagram(lengths, frozenset(arcs), planted=True)
+                ),
+                None, 16 - 7,
+            )
+        genus_three = []
+        _search_split(
+            (14,), 3, 3, True,
+            lambda arcs: genus_three.append(
+                Diagram((14,), frozenset(arcs), planted=True)
+            ),
+            None, 17 - 7,
+        )
+        assert len(q_prime) == Q2[7] == len(genus_three) == S3[7] == 1485
+        images = set()
+        for q in q_prime:
+            a = _eta(q)
+            b = _theta(a, q.backbone_lengths[0] + 1)
+            assert _eta_inv(a) == q
+            assert _theta_inv(b) == a
+            images.add(b)
+        assert images == set(genus_three)

@@ -20,19 +20,23 @@ from chordshapes import (
     EnumSpec,
     InfeasibleError,
     canonical_code,
-    components,
-    disjoint_union,
     enumerate_matchings,
     eta,
     genus,
     kappa,
     serialize_diagram,
-    strip_plants,
+    shape_poly_1bb,
     theta,
 )
 from chordshapes.cli import _exact_decimal, build_parser, main
 
-from conftest import diagram_strategy, fuzz_text
+from conftest import (
+    components,
+    diagram_strategy,
+    disjoint_union,
+    fuzz_text,
+    strip_plants,
+)
 
 CROSSING = "4\n1-3 2-4\n"
 SHAPE_Q3 = "3 3\n1-3 2-5 4-6\n"
@@ -185,19 +189,30 @@ def test_poly_deep_genus(capsys):
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="the interpreter puts no limit on integer digits",
 )
-def test_poly_past_digit_limit(capsys):
-    # kappa(700, 700) has more digits than str() converts: printing it
-    # ended in a ValueError traceback (exit 1)
-    code, out, _ = run(capsys, "poly", "--backbones", "1", "--genus", "700")
+def test_poly_past_digit_limit(capsys, monkeypatch):
+    # the largest coefficient of S_560, at z^2462, has 4316 digits, more
+    # than str() converts by default: printing it ended in a ValueError
+    # traceback (exit 1).  The polynomial the command prints is kept, so
+    # it is built once.
+    built = []
+
+    def keep(g):
+        built.append(shape_poly_1bb(g))
+        return built[-1]
+
+    monkeypatch.setattr("chordshapes.cli.shape_poly_1bb", keep)
+    code, out, _ = run(capsys, "poly", "--backbones", "1", "--genus", "560")
     assert code == 0
     coeffs = json.loads(out)
-    assert min(map(int, coeffs)) == 1401 and max(map(int, coeffs)) == 4199
-    top = kappa(700, 700)
+    assert min(map(int, coeffs)) == 1121 and max(map(int, coeffs)) == 3359
+    (poly,) = built
+    top = max(poly.coeffs)
+    assert poly.coeffs.index(top) == 2462
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
-        assert len(str(top)) > limit
-        assert coeffs["4199"] == str(top)
+        assert len(str(top)) == 4316 > limit
+        assert coeffs["2462"] == str(top)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -257,6 +272,21 @@ def test_series_negative_order_exit_code_3(capsys, argv):
     code, out, err = run(capsys, "series", *argv)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == {"type": "input", "message": "order must be >= 0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "w", "--genus", "-1", "--order", "5"),
+        ("poly", "--backbones", "2", "--genus", "-1"),
+    ],
+    ids=["series-w", "poly-2bb"],
+)
+def test_negative_two_backbone_genus_exit_code_3(capsys, argv):
+    # `series w` named shape_poly_2bb, a function it never called
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"type": "input", "message": "genus must be >= 0"}
 
 
 def test_enumerate_profile(capsys):
@@ -732,7 +762,8 @@ def test_bij_output_pinned(monkeypatch, shape_sets):
 _CAPPED_PRELUDE = """
 import io, json, resource, sys
 from chordshapes import (
-    canonical_code, classify_loops, components, genus, parse_diagram, project_shape
+    boundary_components, canonical_code, classify_loops, component_genera, genus,
+    parse_diagram, project_shape,
 )
 from chordshapes.cli import main
 try:
@@ -763,7 +794,7 @@ def run_capped(body: str, text: str, headroom_mib: int = 64) -> list[str]:
 _LONG_BACKBONES = """
 print(json.dumps({
     "genus": genus(d),
-    "components": [canonical_code(c) for c in components(d)],
+    "component_genera": component_genera(d, boundary_components(d)),
     "shape": canonical_code(project_shape(d).diagram),
 }))
 for cmd in ("genus", "loops", "shape"):
@@ -778,7 +809,7 @@ for cmd in ("genus", "loops", "shape"):
         (
             "99999999999\n",
             [
-                '{"genus": 0, "components": ["99999999999|"], "shape": "2|1-2"}',
+                '{"genus": 0, "component_genera": [0], "shape": "2|1-2"}',
                 '{"component_genera": [0], "cycles": [[]], "genus": 0, "r": 1}',
                 "exit 0",
                 '{"cycles": [[]], "genus": 0, "loops": {"alpha": 0, "beta": 0, '
@@ -793,7 +824,7 @@ for cmd in ("genus", "loops", "shape"):
         (
             "1000000 3\n1-1000002\n",
             [
-                '{"genus": 0, "components": ["1000000 3|1-1000002"], '
+                '{"genus": 0, "component_genera": [0], '
                 '"shape": "3 3|1-3 2-5 4-6"}',
                 '{"component_genera": [0], "cycles": [[1, 1000002]], '
                 '"genus": 0, "r": 1}',
@@ -816,15 +847,15 @@ def test_long_backbones_cost_arcs(text, expected):
 
 def test_many_backbones_cost_arcs():
     # 50,000 one-vertex backbones joined in pairs: a backbone lookup that
-    # costs O(b) per arc makes components and loops quadratic.  Memory
+    # costs O(b) per arc makes component genera and loops quadratic.  Memory
     # grows with the input here, so the cap is wider.
     pairs = 25_000
     text = " ".join(["1"] * 2 * pairs) + "\n" + " ".join(
         f"{2 * k + 1}-{2 * k + 2}" for k in range(pairs)
     )
     body = (
-        "print(genus(d), len(components(d)), classify_loops(d).beta,"
-        " project_shape(d).n_arcs)\n"
+        "print(genus(d), len(component_genera(d, boundary_components(d))),"
+        " classify_loops(d).beta, project_shape(d).n_arcs)\n"
     )
     expected = f"{1 - pairs} {pairs} {pairs} {3 * pairs}"
     assert run_capped(body, text, headroom_mib=256) == [expected]
@@ -928,11 +959,32 @@ def test_huge_sizes_exit_4(argv):
     assert run_capped(body, "2\n1-2\n") == ["exit 4"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=fuzz_text, cmd=st.sampled_from(["genus", "loops", "shape"]))
-def test_cli_fuzz_exits_with_documented_code(text, cmd):
+# about 100 examples per command
+@settings(max_examples=900, deadline=None)
+@given(
+    text=fuzz_text,
+    argv=st.sampled_from(
+        [
+            ["genus"],
+            ["loops"],
+            ["loops", "--planted"],
+            ["shape"],
+            *(["bij", d] for d in ("theta", "theta-inv", "eta", "eta-inv")),
+            ["fiber", "--arcs", "3"],
+        ]
+    ),
+)
+def test_cli_fuzz_exits_with_documented_code(text, argv):
     with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(
         io.StringIO()
-    ), redirect_stderr(io.StringIO()):
-        code = main([cmd])
+    ), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
     assert code in (0, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        # one JSON error record on one line, and no traceback
+        line, rest = err.getvalue().split("\n", 1)
+        record = json.loads(line)
+        assert rest == "" and list(record) == ["error"]
+        assert record["error"]["type"] == "input"

@@ -12,18 +12,22 @@ from chordshapes import (
     DiagramError,
     ParseError,
     canonical_code,
-    components,
     diagram_from_code,
-    disjoint_union,
     genus,
     is_connected,
     parse_diagram,
     plant,
     serialize_diagram,
-    strip_plants,
 )
 
-from conftest import backbone_index, diagram_strategy, fuzz_text
+from conftest import (
+    backbone_index,
+    components,
+    diagram_strategy,
+    disjoint_union,
+    fuzz_text,
+    strip_plants,
+)
 
 
 class TestParse:

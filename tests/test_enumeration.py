@@ -549,3 +549,18 @@ class TestFibers:
     def test_infeasible_size_refused(self):
         with pytest.raises(InfeasibleError, match="9 arcs: .* up to 8 arcs"):
             count_fiber(Q3, 9)
+
+    @pytest.mark.parametrize(
+        "n_arcs, message",
+        [
+            (2.0, "arc count must be an integer"),
+            (True, "arc count must be an integer"),
+            (0, "arc count must be >= 1"),
+            (-3, "arc count must be >= 1"),
+        ],
+    )
+    def test_bad_arc_count_refused(self, n_arcs, message):
+        # these once failed with the wording of EnumSpec's own fields
+        with pytest.raises(DiagramError) as exc:
+            count_fiber(Q3, n_arcs)
+        assert str(exc.value) == message

@@ -19,8 +19,6 @@ from chordshapes import (
     boundary_components,
     build_table,
     classify_loops,
-    components,
-    disjoint_union,
     fatgraph,
     genus,
     plant,
@@ -31,7 +29,9 @@ from chordshapes.cli import main
 from conftest import (
     all_matchings,
     backbone_index,
+    components,
     diagram_strategy,
+    disjoint_union,
     matching_strategy,
 )
 

@@ -15,11 +15,15 @@ from chordshapes import (
     plant,
     project_shape,
     shape_class,
+)
+
+from conftest import (
+    backbone_index,
+    diagram_strategy,
+    matching_strategy,
+    reduce_planted,
     strip_plants,
 )
-from chordshapes.shapes import reduce_planted
-
-from conftest import backbone_index, diagram_strategy, matching_strategy
 
 # the four one-backbone shapes of genus 1, hand-checked boundary traces
 SHAPE_3B = Diagram((6,), frozenset({(1, 6), (2, 4), (3, 5)}), planted=True)
