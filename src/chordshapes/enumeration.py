@@ -13,12 +13,16 @@ one, raising the genus by one.  The kernel stores no face: it reads
 every face fact off a walk of sigma after alpha (see ``_search_split``),
 so every prune below is decided before an arc is placed.
 
-Genus prune.  The formal genus of a partial diagram never falls as
-arcs are added, and each arc still to come raises it by at most one.
-So a candidate that would take the genus past ``genus_cap``, or leave
-too few arcs to reach ``genus_exact``, has no admissible completion.
-Testing both before the arc is placed prunes the same subtrees as
-tracing the genus after placing it.
+Genus prune.  A search keeps the matchings whose genus lies in a
+closed window, ``genus_min`` to ``genus_max``.  The formal genus of a
+partial diagram never falls as arcs are added, and each arc still to
+come raises it by at most one.  So a candidate that would take the
+genus past ``genus_max``, or leave too few arcs to reach ``genus_min``,
+has no admissible completion.  Testing both before the arc is placed
+prunes the same subtrees as tracing the genus after placing it, and no
+leaf is tested again: at a leaf no arc is left to come, so the floor
+prune has kept its genus at least ``genus_min`` and the cap prune at
+most ``genus_max``.
 
 Parity prune.  Let ``odd`` count the faces with an odd number of
 unpaired vertices.  A split of a face of s unpaired vertices into p and
@@ -126,11 +130,13 @@ _MAX_FIBER_ARCS = 8
 class EnumSpec:
     """What to enumerate.
 
-    ``genus_cap`` prunes partial diagrams; ``genus_exact`` additionally
-    filters leaves (and tightens pruning from below).  Both prunes are
-    decided before an arc is placed.  ``node_budget`` caps the number of
-    arcs the search places (an arc the prunes reject is never placed and
-    not counted).
+    The search keeps the diagrams whose genus lies in a closed window:
+    1 - b (the lowest formal genus) to ``genus_cap``, or, with
+    ``genus_exact``, that genus alone (none if the cap is below it).
+    ``genus_exact`` filters no leaf: the window's two prunes are decided
+    before an arc is placed.  ``node_budget`` caps the number of arcs
+    the search places (an arc the prunes reject is never placed and not
+    counted).
     """
 
     backbones: int
@@ -188,17 +194,17 @@ def _rise_table(V: int) -> tuple[tuple[int, ...], ...]:
 
 def _search_split(
     lengths: tuple[int, ...],
-    genus_cap: int,
-    genus_exact: Optional[int],
+    genus_min: int,
+    genus_max: int,
     connected_only: bool,
     emit: Callable[[tuple[Arc, ...]], None],
     budget: Optional[list[int]],
     spare: Optional[int],
-) -> int:
+) -> None:
     """Backtracking core for one backbone-length split of an even vertex
-    total.  Returns the number of matchings emitted.  The prunes and why
-    they are sound are in the module docstring; this is the state they
-    read.
+    total: emits the matchings of genus ``genus_min`` to ``genus_max``.
+    The prunes and why they are sound are in the module docstring; this
+    is the state they read.
 
     State.  ``pair`` holds each vertex's partner or 0 (the pairing alpha,
     an unpaired vertex fixed), ``succ`` the next vertex on the same
@@ -207,7 +213,8 @@ def _search_split(
     once per split and never changes.  The formal genus ``gp = (2 - b +
     d - r) / 2`` for ``d`` arcs and ``r`` faces, the count ``odd`` of odd
     faces, the face-side bound ``lb`` and ``ext``, the arcs between
-    backbones, go down the recursion as arguments.
+    backbones, go down the recursion as arguments; an arc (i, j) joins
+    the two backbones iff ``i <= lengths[0] < j``.
 
     Walk.  A face is a cycle of ``succ`` after ``pair``.  ``walk(i)``
     starts at ``succ[i]`` and runs until it is back at ``i``.  At a
@@ -240,22 +247,20 @@ def _search_split(
     b = len(lengths)
     shape = spare is not None
 
-    # bb: the backbone of each vertex; succ: the next vertex on the same
-    # backbone, wrapping at its end (sigma); pair: partner or 0
-    bb = [0] * (V + 2)
+    # succ: the next vertex on the same backbone, wrapping at its end
+    # (sigma); pair: partner or 0
     succ = list(range(1, V + 2))
     pair = [0] * (V + 2)
     placed: list[Arc] = []
     v = 0
-    for k, l in enumerate(lengths):
-        bb[v + 1 : v + l + 1] = [k] * l
+    for l in lengths:
         succ[v + l] = v + 1
-        if shape:  # the rainbow over backbone k
+        if shape:  # the rainbow over this backbone
             pair[v + 1] = v + l
             pair[v + l] = v + 1
             placed.append((v + 1, v + l))
         v += l
-    count = 0
+    end = lengths[0]  # the last vertex of the first backbone
 
     def walk(i: int) -> tuple[list[int], list[int]]:
         """The other unpaired vertices on the face through the gap of
@@ -284,7 +289,6 @@ def _search_split(
         rise = _rise_table(V)
 
     def rec(lo: int, gp: int, odd: int, lb: int, ext: int) -> None:
-        nonlocal count
         i = lo
         while pair[i]:
             i += 1
@@ -293,13 +297,13 @@ def _search_split(
         # gp + 1 on a merge; decide both prunes for both cases up front,
         # the parity of the face sizes left behind being all that varies
         rest = n_arcs - len(placed) - 1  # arcs still to place after (i, j)
-        slack = 2 * (genus_cap - gp)
-        # gp <= genus_cap holds here: it starts at 1 - b and a merge, the
-        # one step that raises it, is tried only while gp < genus_cap
-        same_ok = genus_exact is None or gp + rest >= genus_exact
-        other_ok = gp < genus_cap and (
-            genus_exact is None or gp + 1 + rest >= genus_exact
-        )
+        slack = 2 * (genus_max - gp)
+        # gp <= genus_max holds here: it starts at 1 - b, a merge, the one
+        # step that raises it, is tried only while gp < genus_max, and a
+        # window that ends below 1 - b leaves the root slack < 0 and no
+        # merge, so the root places nothing
+        same_ok = gp + rest >= genus_min
+        other_ok = gp < genus_max and gp + 1 + rest >= genus_min
         split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
         split_ok = (
             same_ok and split_odd[0] <= slack,
@@ -316,14 +320,11 @@ def _search_split(
         moves: list[tuple[int, int, int, int]] = []
         refused: tuple[int, ...] = ()
         if shape:
-            # the partners the shape rules refuse: i + 1 on i's backbone (a
-            # 1-arc), and the ones that would stack (i, j) on the arc out
-            # of i - 1 or of i + 1
-            refused = (
-                i + 1 if bb[i + 1] == bb[i] else 0,
-                pair[i - 1] - 1,
-                pair[i + 1] + 1,
-            )
+            # the partners the shape rules refuse: i + 1, a 1-arc (the
+            # rainbow pairs the last vertex of i's backbone, so i + 1 is on
+            # it), and the ones that would stack (i, j) on the arc out of
+            # i - 1 or of i + 1
+            refused = (i + 1, pair[i - 1] - 1, pair[i + 1] + 1)
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
             pre_i, post_i = seg[-1], seg[0]
@@ -402,7 +403,6 @@ def _search_split(
                         moves.append((j, g, o, e))
         # a face lists its vertices in cycle order, not in vertex order
         moves.sort()
-        bb_i = bb[i]
         for j, g, o, e in moves:
             if budget is not None:
                 budget[0] -= 1
@@ -411,21 +411,18 @@ def _search_split(
                         f"enumeration node budget of {budget[1]} placed arcs exceeded"
                     )
 
-            x = ext + (bb_i != bb[j])
+            x = ext + (i <= end < j)
             pair[i] = j
             pair[j] = i
             placed.append((i, j))
 
             if not rest:
-                if (genus_exact is None or g == genus_exact) and (
-                    not connected_only or b == 1 or x > 0
-                ):
+                if not connected_only or b == 1 or x > 0:
                     if shape and e != spare:
                         raise ConsistencyError(
                             f"face sides exceed 3 by {e} in all, "
                             f"not the {spare} the Euler count gives"
                         )
-                    count += 1
                     emit(tuple(placed))
             else:
                 rec(i + 1, g, o, e, x)
@@ -441,7 +438,6 @@ def _search_split(
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection
         del rec
-    return count
 
 
 def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
@@ -454,26 +450,24 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
         )
     # arcs the search may still place, and the budget it started with
     budget = [spec.node_budget] * 2 if spec.node_budget is not None else None
+    # the genus window: from the lowest formal genus, or the exact genus
+    if spec.genus_exact is None:
+        window = (1 - spec.backbones, spec.genus_cap)
+    else:
+        window = (spec.genus_exact, min(spec.genus_cap, spec.genus_exact))
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
         V = 2 * n
         splits = [(V,)] if spec.backbones == 1 else [(k, V - k) for k in range(1, V)]
         for lengths in splits:
-            if visit is None:
-                emit = lambda arcs: None
-            else:
-                def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
+
+            def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
+                nonlocal total
+                total += 1
+                if visit is not None:
                     visit(Diagram(_lengths, frozenset(arcs)))
 
-            total += _search_split(
-                lengths,
-                spec.genus_cap,
-                spec.genus_exact,
-                spec.connected_only,
-                emit,
-                budget,
-                None,
-            )
+            _search_split(lengths, *window, spec.connected_only, emit, budget, None)
     return total
 
 
@@ -525,9 +519,8 @@ def _enumerate_shapes(
     b: int, g: int, connected: bool, node_budget: Optional[int]
 ) -> list[Shape]:
     """:func:`enumerate_shapes` on arguments the caller has checked."""
-    if b == 1 and g == 0:
-        return []  # no proper one-backbone shape has genus 0
-    # the arc counts of the shapes of genus g over b backbones
+    # the arc counts of the shapes of genus g over b backbones (none for
+    # b = 1, g = 0: no proper one-backbone shape has genus 0)
     lo, hi = (2 * g + 1, 6 * g - 1) if b == 1 else (2 * g + 3, 6 * g + 4)
     if hi > _MAX_SHAPE_ARCS:
         raise InfeasibleError(

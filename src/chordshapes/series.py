@@ -148,7 +148,7 @@ def kappa(g: int, t: int) -> int:
     """The paper's kappa_t^(g), exact, from its two-term recursion: the
     coefficients of S_g's sum in the module docstring.  Zero outside
     1 <= t <= g."""
-    _check_size(g, "genus", minimum=1, message="kappa requires g >= 1")
+    _check_size(g, "genus", minimum=1)
     _check_size(t, "t", minimum=None)
     if t < 1 or t > g:
         return 0
@@ -172,7 +172,7 @@ def _expand(r, a: int, b: int) -> IntPolynomial:
 
 def _p_1bb(g: int) -> tuple[int, ...]:
     """The coefficients of P_g(u) = sum_t kappa_t^(g) u^(t-1)."""
-    _check_size(g, "genus", minimum=1, message="shape_poly_1bb requires g >= 1")
+    _check_size(g, "genus", minimum=1)
     return _kappa_row(g)[1:]
 
 

@@ -341,6 +341,20 @@ def test_enumerate_matchings_list(capsys):
     assert json.loads(last) == {"count": "440"}
 
 
+def test_enumerate_matchings_order_pinned(capsys):
+    # the 5502 connected 5-arc two-backbone matchings of genus 1 and the
+    # count line, as printed when the search filtered every leaf by genus:
+    # the genus window's prunes alone must keep the same codes in order
+    code, out, _ = run(
+        capsys, "enumerate", "--backbones", "2", "--genus", "1", "--matchings",
+        "--arcs", "5", "--list",
+    )
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == (
+        "c5d9e0b2441823a2a435d8a5bad4e02e09c515f73ab16d7350ad765005c21d10"
+    )
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     f = tmp_path / "q.txt"
     f.write_text(SHAPE_Q3)

@@ -47,6 +47,23 @@ def matching_count(b, arcs, g=None, cap=10 ** 6, connected=False):
     )
 
 
+def visited(b, arcs, cap, exact, connected):
+    """The codes ``enumerate_matchings`` visits, in order."""
+    codes = []
+    enumerate_matchings(
+        EnumSpec(
+            backbones=b,
+            arcs_min=arcs,
+            arcs_max=arcs,
+            genus_cap=cap,
+            genus_exact=exact,
+            connected_only=connected,
+        ),
+        lambda d: codes.append(canonical_code(d)),
+    )
+    return codes
+
+
 class TestMatchings:
     def test_one_backbone_two_arcs(self):
         assert matching_count(1, 2) == 3  # nested, crossing, disjoint
@@ -127,13 +144,13 @@ class TestMatchings:
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_shapes(1, 2, node_budget=49_405)
         # matchings mode: the genus and parity prunes alone
-        def matchings(budget: int) -> int:
+        def matchings(budget: int, cap: int = 1) -> int:
             return enumerate_matchings(
                 EnumSpec(
                     backbones=2,
                     arcs_min=5,
                     arcs_max=5,
-                    genus_cap=1,
+                    genus_cap=cap,
                     genus_exact=1,
                     connected_only=True,
                     node_budget=budget,
@@ -143,6 +160,11 @@ class TestMatchings:
         matchings(15_888)
         with pytest.raises(InfeasibleError, match="budget"):
             matchings(15_887)
+        # a cap above the exact genus prunes as the exact genus does: the
+        # window is that one genus (18,858 when the cap bounded it)
+        matchings(15_888, cap=2)
+        with pytest.raises(InfeasibleError, match="budget"):
+            matchings(15_887, cap=2)
 
     def test_arc_bound(self):
         # the search recurses once per arc: past 500 arcs it is refused from
@@ -183,6 +205,11 @@ class TestMatchings:
         with pytest.raises(InfeasibleError, match="budget of 0 placed arcs"):
             enumerate_shapes(2, 1, node_budget=0)
         assert enumerate_shapes(1, 0, node_budget=0) == []
+        # an exact genus below 1 - b, the lowest formal genus, is a window
+        # the root prunes whole; the search once placed arcs here and ran
+        # into its budget of 0
+        below = {**spec, "genus_cap": 0, "genus_exact": -5, "node_budget": 0}
+        assert enumerate_matchings(EnumSpec(**below)) == 0
 
     @pytest.mark.parametrize(
         "call, message",
@@ -245,38 +272,16 @@ class TestMatchings:
             )
             if connected:
                 assert all(is_connected(d) for d in every)
+            codes = [(canonical_code(d), genus(d)) for d in every]
             for g in range(3):
-                capped = []
-                enumerate_matchings(
-                    EnumSpec(
-                        backbones=b,
-                        arcs_min=n,
-                        arcs_max=n,
-                        genus_cap=g,
-                        genus_exact=g,
-                        connected_only=connected,
-                    ),
-                    lambda d: capped.append(canonical_code(d)),
-                )
-                assert capped == [
-                    canonical_code(d) for d in every if genus(d) == g
-                ], (b, n, g, connected)
+                same = [c for c, h in codes if h == g]
+                upto = [c for c, h in codes if h <= g]
+                assert visited(b, n, g, g, connected) == same, (b, n, g, connected)
+                # a cap above the exact genus keeps that genus alone
+                assert visited(b, n, g + 1, g, connected) == same, (b, n, g, connected)
                 # the cap alone keeps every genus up to it, so the parity
                 # prune must not cut a completion below the cap either
-                capped = []
-                enumerate_matchings(
-                    EnumSpec(
-                        backbones=b,
-                        arcs_min=n,
-                        arcs_max=n,
-                        genus_cap=g,
-                        connected_only=connected,
-                    ),
-                    lambda d: capped.append(canonical_code(d)),
-                )
-                assert capped == [
-                    canonical_code(d) for d in every if genus(d) <= g
-                ], (b, n, g, connected, "cap only")
+                assert visited(b, n, g, None, connected) == upto, (b, n, g, connected)
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("connected", [False, True])
@@ -286,7 +291,9 @@ class TestMatchings:
         # visits its diagrams in strictly ascending (lengths, arcs) order,
         # also where the prunes leave a node nothing but its own face
         for n in range(1, 6):
-            for cap, exact in ((10**6, None), (0, None), (1, None), (1, 1), (2, 2)):
+            for cap, exact in (
+                (10**6, None), (0, None), (1, None), (1, 1), (2, 2), (2, 1),
+            ):
                 keys = []
                 enumerate_matchings(
                     EnumSpec(
@@ -318,11 +325,10 @@ class TestShapes:
             # a backbone needs 3 vertices, its rainbow's two and one for
             # the arc that connects it to the other
             splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, V - 2)]
-            count = sum(
-                _search_split(lengths, g, g, True, lambda arcs: None, None, hi - n)
-                for lengths in splits
-            )
-            assert count == poly[n] == top[n], (b, g, n)
+            found = []
+            for lengths in splits:
+                _search_split(lengths, g, g, True, found.append, None, hi - n)
+            assert len(found) == poly[n] == top[n], (b, g, n)
 
     def test_genus_one_profile(self, shape_sets):
         shapes = shape_sets(1, 1)

@@ -153,9 +153,20 @@ class TestKappa:
         assert kappa(3, 0) == 0
         assert kappa(3, 4) == 0
 
-    def test_rejects_nonpositive_genus(self):
-        with pytest.raises(DiagramError):
-            kappa(0, 1)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kappa(0, 1),
+            lambda: shape_poly_1bb(0),
+            # these two once named shape_poly_1bb, which the caller never called
+            lambda: a_shape_poly(0),
+            lambda: b_shape_poly(0),
+        ],
+        ids=["kappa", "shape_poly_1bb", "a_shape_poly", "b_shape_poly"],
+    )
+    def test_rejects_nonpositive_genus(self, call):
+        with pytest.raises(DiagramError, match="^genus must be >= 1$"):
+            call()
 
     def test_genus_six_row(self):
         # as computed by the earlier top-down recursion
