@@ -94,11 +94,13 @@ merge is admissible at all, those on every other face from one walk of
 each, a face whose size the parity prune rejects dropped whole.  It then
 places them in ascending order.  The search is deterministic: splits
 ascending, partners ascending, so two runs yield identical sequences.
-Two-backbone shapes are searched on the splits up to the middle only:
-those on (c, a) for c > a are the ones on (a, c) with the two backbones
-swapped, relabelled and sorted.  An optional node budget, counted in
-placed arcs, turns oversized searches into an explicit failure instead
-of a silent truncation.
+A leaf reads its arcs off the pairing in ascending order, so each
+split's matchings come in canonical order, arcs and all.  Two-backbone
+shapes are searched on the splits up to the middle only: those on
+(c, a) for c > a are the ones on (a, c) with the two backbones swapped,
+relabelled and sorted.  An optional node budget, counted in placed
+arcs, turns oversized searches into an explicit failure instead of a
+silent truncation.
 """
 
 from __future__ import annotations
@@ -207,14 +209,14 @@ def _search_split(
     is the state they read.
 
     State.  ``pair`` holds each vertex's partner or 0 (the pairing alpha,
-    an unpaired vertex fixed), ``succ`` the next vertex on the same
-    backbone, wrapping at its end (the backbone order sigma), and
-    ``placed`` the arcs in the order they were placed.  ``succ`` is built
-    once per split and never changes.  The formal genus ``gp = (2 - b +
-    d - r) / 2`` for ``d`` arcs and ``r`` faces, the count ``odd`` of odd
-    faces, the face-side bound ``lb`` and ``ext``, the arcs between
-    backbones, go down the recursion as arguments; an arc (i, j) joins
-    the two backbones iff ``i <= lengths[0] < j``.
+    an unpaired vertex fixed) and ``succ`` the next vertex on the same
+    backbone, wrapping at its end (the backbone order sigma).  ``succ``
+    is built once per split and never changes.  The formal genus ``gp =
+    (2 - b + d - r) / 2`` for ``d`` arcs and ``r`` faces, the count
+    ``odd`` of odd faces, the face-side bound ``lb``, ``ext``, the arcs
+    between backbones, and ``rest``, the arcs still to place after the
+    one a call places, go down the recursion as arguments; an arc (i, j)
+    joins the two backbones iff ``i <= lengths[0] < j``.
 
     Walk.  A face is a cycle of ``succ`` after ``pair``.  ``walk(i)``
     starts at ``succ[i]`` and runs until it is back at ``i``.  At a
@@ -230,17 +232,17 @@ def _search_split(
     the face of ``i``, the first unpaired vertex, once: the vertices in
     ``on`` are the split partners, by their position ``p``, and the face
     holds ``len(on) + 1`` unpaired vertices.  Only when a merge is
-    admissible are the other faces walked, each once, from one of the
-    unpaired vertices off i's face.  Every segment a candidate joins is
-    read from ``seg`` or the other face's ``seg_u`` by index.
+    admissible are the other faces walked, each once, from its lowest
+    unpaired vertex.  Every segment a candidate joins is read from
+    ``seg`` or the other face's ``seg_u`` by index.
 
-    Place and undo.  Placing an arc sets ``pair`` at both ends and
-    appends it to ``placed``; the undo clears both again, so ``pair`` and
-    ``placed`` are the whole mutable search state.  Shape mode plants
-    the rainbows first: each is just its two ``pair`` entries and its
-    entry at the head of ``placed``.  With ``spare`` (hi - n) None the
-    search enumerates all matchings: no shape rule and no face-side
-    prune.
+    Place and undo.  Placing an arc sets ``pair`` at both ends, and the
+    undo clears both again, so ``pair`` is the whole mutable search
+    state.  Shape mode plants the rainbows first: each is just its two
+    ``pair`` entries.  A leaf reads its arcs off ``pair`` in ascending
+    order, the rainbows among them, so every emitted tuple is in
+    canonical order.  With ``spare`` (hi - n) None the search enumerates
+    all matchings: no shape rule and no face-side prune.
     """
     V = sum(lengths)
     n_arcs = V // 2
@@ -251,14 +253,12 @@ def _search_split(
     # (sigma); pair: partner or 0
     succ = list(range(1, V + 2))
     pair = [0] * (V + 2)
-    placed: list[Arc] = []
     v = 0
     for l in lengths:
         succ[v + l] = v + 1
         if shape:  # the rainbow over this backbone
             pair[v + 1] = v + l
             pair[v + l] = v + 1
-            placed.append((v + 1, v + l))
         v += l
     end = lengths[0]  # the last vertex of the first backbone
 
@@ -288,7 +288,7 @@ def _search_split(
     if shape:
         rise = _rise_table(V)
 
-    def rec(lo: int, gp: int, odd: int, lb: int, ext: int) -> None:
+    def rec(lo: int, gp: int, odd: int, lb: int, ext: int, rest: int) -> None:
         i = lo
         while pair[i]:
             i += 1
@@ -296,7 +296,6 @@ def _search_split(
         # with (i, j) placed the genus is gp on a split (j on i's face) and
         # gp + 1 on a merge; decide both prunes for both cases up front,
         # the parity of the face sizes left behind being all that varies
-        rest = n_arcs - len(placed) - 1  # arcs still to place after (i, j)
         slack = 2 * (genus_max - gp)
         # gp <= genus_max holds here: it starts at 1 - b, a merge, the one
         # step that raises it, is tried only while gp < genus_max, and a
@@ -362,15 +361,16 @@ def _search_split(
                     ):
                         continue
                 moves.append((j, gp, split_odd[p & 1], e))
-        if (merge_ok[0] or merge_ok[1]) and len(on) + 1 < V - 2 * len(placed):
-            # the unpaired vertices off i's face (V - 2 len(placed) are
-            # unpaired in all); each other face is walked once, from
-            # whichever of its vertices the set yields
-            others = set(range(i + 1, V + 1)).difference(on, *placed)
-            while others:
-                u = others.pop()
+        if (merge_ok[0] or merge_ok[1]) and len(on) < 2 * rest + 1:
+            # some unpaired vertex is off i's face (2 rest + 2 are unpaired
+            # in all); each other face is walked once, from its lowest
+            # unpaired vertex
+            seen = set(on)
+            for u in range(i + 1, V + 1):
+                if pair[u] or u in seen:
+                    continue
                 on_u, seg_u = walk(u)
-                others.difference_update(on_u)
+                seen.update(on_u)
                 n_g = len(on_u) + 1
                 if not merge_ok[n_g & 1]:
                     continue
@@ -414,7 +414,6 @@ def _search_split(
             x = ext + (i <= end < j)
             pair[i] = j
             pair[j] = i
-            placed.append((i, j))
 
             if not rest:
                 if not connected_only or b == 1 or x > 0:
@@ -423,17 +422,19 @@ def _search_split(
                             f"face sides exceed 3 by {e} in all, "
                             f"not the {spare} the Euler count gives"
                         )
-                    emit(tuple(placed))
+                    # ascending, the rainbows in place: canonical order
+                    emit(tuple((v, w) for v, w in enumerate(pair) if v < w))
             else:
-                rec(i + 1, g, o, e, x)
+                rec(i + 1, g, o, e, x, rest - 1)
 
-            placed.pop()
             pair[i] = 0
             pair[j] = 0
 
     try:
-        # b arcless backbones: r = b, d = 0, and the rainbows keep that
-        rec(1, 1 - b, sum(l & 1 for l in lengths), 0, 0)
+        # b arcless backbones: r = b, d = 0, and the rainbows keep that;
+        # the arcs left after the first are all but it and the rainbows
+        rest = n_arcs - (b if shape else 0) - 1
+        rec(1, 1 - b, sum(l & 1 for l in lengths), 0, 0, rest)
     finally:
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection
@@ -455,6 +456,10 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
         window = (1 - spec.backbones, spec.genus_cap)
     else:
         window = (spec.genus_exact, min(spec.genus_cap, spec.genus_exact))
+    if window[0] > window[1]:
+        # an exact genus above the cap: the floor prune alone would let
+        # each split run until too few arcs are left
+        return 0
     total = 0
     for n in range(spec.arcs_min, spec.arcs_max + 1):
         V = 2 * n
@@ -529,40 +534,33 @@ def _enumerate_shapes(
         )
 
     budget = [node_budget] * 2 if node_budget is not None else None
-    shapes: list[Shape] = []
-    last: tuple = ()
-
-    def keep(n: int, lengths: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
-        # each shape must come after the one before it in canonical order
-        nonlocal last
-        key = (n, lengths, arcs)
-        if key <= last:
-            raise ConsistencyError(f"shape emitted out of canonical order: {key}")
-        last = key
-        d = Diagram(lengths, frozenset(arcs), planted=True)
-        shapes.append(Shape(diagram=d, genus=g))
-
+    # the shapes of each split, the splits in ascending order of arc count
+    # and then of lengths: splits and partners ascend, so a searched
+    # split's shapes come in canonical order, and each mirrored split is
+    # sorted
+    found: dict[tuple[int, ...], list[tuple[Arc, ...]]] = {}
     for n in range(lo, hi + 1):
         V = 2 * n
-        # splits and partners ascend, so a searched split's shapes come in
-        # canonical order; each mirrored split is sorted before it is kept
         splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, n + 1)]
-        found: dict[tuple[int, ...], list[tuple[Arc, ...]]] = {}
         for lengths in splits:
-
-            def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
-                arcs = tuple(sorted(arcs))
-                found[_lengths].append(arcs)
-                keep(n, _lengths, arcs)
-
-            found[lengths] = []
-            _search_split(lengths, g, g, connected, emit, budget, hi - n)
+            leaves = found[lengths] = []
+            _search_split(lengths, g, g, connected, leaves.append, budget, hi - n)
         if b == 2:
             for c in range(n + 1, V - 2):
                 a = V - c
-                mirror = sorted(_swap_backbones(arcs, a, c) for arcs in found[a, c])
-                for arcs in mirror:
-                    keep(n, (c, a), arcs)
+                mirror = (_swap_backbones(arcs, a, c) for arcs in found[a, c])
+                found[c, a] = sorted(mirror)
+    shapes: list[Shape] = []
+    last: tuple = ()
+    for lengths, leaves in found.items():
+        for arcs in leaves:
+            # each shape must come after the one before it in canonical order
+            key = (len(arcs), lengths, arcs)
+            if key <= last:
+                raise ConsistencyError(f"shape emitted out of canonical order: {key}")
+            last = key
+            d = Diagram(lengths, frozenset(arcs), planted=True)
+            shapes.append(Shape(diagram=d, genus=g))
     return shapes
 
 

@@ -31,14 +31,12 @@ class ConsistencyError(ChordShapesError):
     """An internal exactness cross-check failed (library bug or corrupted data)."""
 
 
-def _check_size(
-    value, name: str, minimum: int | None = 0, message: str | None = None
-) -> None:
+def _check_size(value, name: str, minimum: int | None = 0) -> None:
     """Refuse a size-valued argument (a genus, a count, an arc number)
     with ``DiagramError``: one that is not an ``int`` (a ``bool`` or a
     float is refused, not truncated), then one below ``minimum`` unless
-    that is None.  ``message`` replaces the default bound message."""
+    that is None."""
     if type(value) is not int:
         raise DiagramError(f"{name} must be an integer")
     if minimum is not None and value < minimum:
-        raise DiagramError(message or f"{name} must be >= {minimum}")
+        raise DiagramError(f"{name} must be >= {minimum}")

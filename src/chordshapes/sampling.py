@@ -135,11 +135,7 @@ class BishapeSampler:
         table: Optional[ShapeTable] = None,
         arc_filter: Optional[int] = None,
     ):
-        _check_size(
-            genus,
-            "genus",
-            message=f"cannot sample shapes of genus {genus}: the genus must be >= 0",
-        )
+        _check_size(genus, "genus")
         if arc_filter is not None:
             _check_size(arc_filter, "arc filter", minimum=None)
         self.genus = genus

@@ -293,7 +293,7 @@ def fiber_gf(l: int, order: int) -> PowerSeries:
     equals the paper's C^(2l+2) z^(l+2) / (1 - z C^2)^(l+2) (see the
     module docstring), with y^2 (y-1)^l expanded over the integers and
     divided by 2^l at the end."""
-    _check_size(l, "l", minimum=1, message="fiber_gf requires l >= 1")
+    _check_size(l, "l", minimum=1)
     _check_order(order)
     if order < l + 2:
         return PowerSeries(order, ())

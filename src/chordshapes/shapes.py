@@ -111,7 +111,7 @@ def is_shape(d: Diagram) -> bool:
         return False
     arcs = d.arcs
     for i, j in arcs:
-        if (i + 1, j - 1) in arcs and i + 1 < j - 1:
+        if (i + 1, j - 1) in arcs:
             return False
         # every backbone's last vertex is paired with its first by the
         # rainbow, so an arc (i, i+1) never spans two backbones

@@ -556,7 +556,7 @@ def test_sample_negative_genus_exit_code_3(capsys):
     assert out == ""
     assert json.loads(err)["error"] == {
         "type": "input",
-        "message": "cannot sample shapes of genus -1: the genus must be >= 0",
+        "message": "genus must be >= 0",
     }
 
 

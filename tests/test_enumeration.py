@@ -144,14 +144,14 @@ class TestMatchings:
         with pytest.raises(InfeasibleError, match="budget"):
             enumerate_shapes(1, 2, node_budget=49_405)
         # matchings mode: the genus and parity prunes alone
-        def matchings(budget: int, cap: int = 1) -> int:
+        def matchings(budget: int, cap: int = 1, exact: int = 1) -> int:
             return enumerate_matchings(
                 EnumSpec(
                     backbones=2,
                     arcs_min=5,
                     arcs_max=5,
                     genus_cap=cap,
-                    genus_exact=1,
+                    genus_exact=exact,
                     connected_only=True,
                     node_budget=budget,
                 )
@@ -165,6 +165,9 @@ class TestMatchings:
         matchings(15_888, cap=2)
         with pytest.raises(InfeasibleError, match="budget"):
             matchings(15_887, cap=2)
+        # an exact genus above the cap is an empty window, searched on no
+        # split (the floor prune alone let 1,479 arcs be placed)
+        assert matchings(0, cap=2, exact=3) == 0
 
     def test_arc_bound(self):
         # the search recurses once per arc: past 500 arcs it is refused from
@@ -285,11 +288,24 @@ class TestMatchings:
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("connected", [False, True])
-    def test_visits_in_ascending_order(self, b, connected):
+    def test_visits_in_ascending_order(self, b, connected, monkeypatch):
         # a face lists its vertices in cycle order, so a node must sort its
         # partners before it places them: every search of one arc count
         # visits its diagrams in strictly ascending (lengths, arcs) order,
-        # also where the prunes leave a node nothing but its own face
+        # also where the prunes leave a node nothing but its own face; and
+        # every leaf the kernel emits lists its arcs in ascending order
+        emitted = []
+
+        def recording(*args):
+            *head, emit, budget, spare = args
+
+            def record(arcs):
+                emitted.append(arcs)
+                emit(arcs)
+
+            return _search_split(*head, record, budget, spare)
+
+        monkeypatch.setattr("chordshapes.enumeration._search_split", recording)
         for n in range(1, 6):
             for cap, exact in (
                 (10**6, None), (0, None), (1, None), (1, 1), (2, 2), (2, 1),
@@ -307,6 +323,8 @@ class TestMatchings:
                     lambda d: keys.append((d.backbone_lengths, sorted(d.arcs))),
                 )
                 assert all(a < z for a, z in zip(keys, keys[1:])), (n, cap, exact)
+        assert emitted
+        assert all(list(arcs) == sorted(arcs) for arcs in emitted)
 
 
 class TestShapes:
@@ -426,7 +444,7 @@ class TestShapes:
             _search_split((3, 3), 0, 0, True, emitted.append, None, spare)
             return emitted
 
-        assert search(1) == [((1, 3), (4, 6), (2, 5))]
+        assert search(1) == [((1, 3), (2, 5), (4, 6))]
         with pytest.raises(ConsistencyError, match="face sides"):
             search(2)
 
@@ -441,8 +459,7 @@ class TestShapes:
         def search(lengths):
             emitted = []
             _search_split(
-                lengths, g, g, connected,
-                lambda arcs: emitted.append(tuple(sorted(arcs))),
+                lengths, g, g, connected, emitted.append,
                 None, hi - sum(lengths) // 2,
             )
             return emitted

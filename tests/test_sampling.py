@@ -167,11 +167,12 @@ class TestBishape:
             raise AssertionError("table looked up")
 
         monkeypatch.setattr(sampling, "build_table", no_table)
-        message = "cannot sample shapes of genus -1: the genus must be >= 0"
-        with pytest.raises(DiagramError, match=message):
-            BishapeSampler(-1, seed=1)
-        with pytest.raises(DiagramError, match="genus -3"):
-            sample_stats(-3, 10, seed=1)
+        for call in (
+            lambda: BishapeSampler(-1, seed=1),
+            lambda: sample_stats(-3, 10, seed=1),
+        ):
+            with pytest.raises(DiagramError, match="^genus must be >= 0$"):
+                call()
 
     @pytest.mark.parametrize(
         "call, args, kwargs",

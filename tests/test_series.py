@@ -237,10 +237,12 @@ class TestKappa:
         # and these two returned a value
         (lambda: kappa(True, 1), "genus must be an integer"),
         (lambda: w_gf(True, 5), "genus must be an integer"),
+        # and this one named the function, not the argument
+        (lambda: fiber_gf(0, 10), "^l must be >= 1$"),
     ],
     ids=[
         "poly1-str", "poly1-float", "poly2-float", "kappa-float",
-        "fiber-float", "kappa-bool", "w-bool",
+        "fiber-float", "kappa-bool", "w-bool", "fiber-zero",
     ],
 )
 def test_size_arguments_must_be_ints(call, message):
