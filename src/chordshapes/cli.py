@@ -12,9 +12,10 @@ parser is built once per process, on the first :func:`main` call, and
 ``genus``, ``loops`` and ``shape`` trace each diagram's fat graph once
 (``genus`` reads the component genera off that same trace).
 
-Exit codes: 0 ok, 2 usage, 3 bad input, 4 infeasible bound, 5 internal
-consistency failure.  A reader that closes stdout early (``| head``)
-ends the request with exit 0 and nothing on stderr.
+Exit codes: 0 ok, 1 stdout closed or refusing writes, 2 usage, 3 bad
+input (a closed stdin too), 4 infeasible bound, 5 internal consistency
+failure.  A reader that closes stdout early (``| head``) ends the
+request with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .series import fiber_gf, shape_poly_1bb, shape_poly_2bb, w_gf
 from .shapes import Shape, _planted, as_shape, project_shape, shape_class
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
@@ -59,10 +61,14 @@ _SURGERIES = {"theta": theta, "theta-inv": theta_inv, "eta": eta, "eta-inv": eta
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed before the run
+                raise DiagramError("stdin is closed")
             return sys.stdin.read()
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise DiagramError(f"input is not valid text: {exc}") from exc
+    except OSError as exc:
+        raise DiagramError(str(exc)) from exc
 
 
 _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
@@ -348,11 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("sample", help="uniform two-backbone shapes")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument(
+        "--genus", type=int, required=True, help="0 or 1; larger genera exit 4"
+    )
+    p.add_argument("--count", type=int, required=True, help="number of draws")
     p.add_argument("--arcs", type=int, default=None, help="arc-count filter")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stats-only", action="store_true")
+    p.add_argument("--seed", type=int, default=None, help="seed of the draws")
+    p.add_argument(
+        "--stats-only",
+        action="store_true",
+        help="print only the statistics, not each drawn shape's code",
+    )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_sample)
 
@@ -374,21 +386,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if sys.stdout is None:  # fd 1 was closed before the run
+            raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader is gone: point fd 1 at devnull, so that the
-        # interpreter's final flush of what is left cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+    except OSError as exc:
+        # stdout failed (_read_text made read errors DiagramErrors): point
+        # fd 1 at devnull, so that the interpreter's final flush of what
+        # is left cannot raise again.  A reader that is gone is no error
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        _error_record("output", exc)
+        return EXIT_OUTPUT
     except InfeasibleError as exc:
         _error_record("infeasible", exc)
         return EXIT_INFEASIBLE
     except ConsistencyError as exc:
         _error_record("consistency", exc)
         return EXIT_INCONSISTENT
-    except (DiagramError, OSError) as exc:
+    except DiagramError as exc:
         _error_record("input", exc)
         return EXIT_INPUT
     except ChordShapesError as exc:  # pragma: no cover - safety net

@@ -16,13 +16,12 @@ guards, not the correctness argument.
 A sampler can only return the finite set of its images (at genus 1, the
 3696 table entries have 3664 connected images, which hold each of the
 1832 shapes twice), and a long run draws each of them many times.  The
-two entries of one q share q's ``Shape`` object, and an image's loop
-summary and canonical code are computed once, on first read, and kept
-on it (``Shape.loop_summary``, ``Shape.code``).
-:meth:`SampleStats.record` counts a draw against its image's loop
-summary and does nothing else; the sample count, the histograms and
-the alpha/beta sums are folded from those counts when they are read,
-in time linear in the number of distinct images, not of draws.
+two entries of one q share q's ``Shape`` object, which computes its
+loop profile and code once, on first read (``Shape.loop_profile``,
+``Shape.code``).  :meth:`SampleStats.record` counts a draw against its
+image and does nothing else; the sample count, the histograms and the
+alpha/beta sums are folded from those counts when they are read, in
+time linear in the number of distinct images, not of draws.
 
 Set-up checks each diagram once: each entry as the surgery that makes
 it returns it, each q for connectivity, and no diagram for its genus (an
@@ -123,7 +122,7 @@ class BishapeSampler:
     ``table`` defaults to ``build_table(1, genus + 1)``.  The two entries
     that map to the same shape share one image object, and a draw
     returns that object every time it lands on it, so an image's loop
-    summary and code are computed once per shape, on first read, not
+    profile and code are computed once per shape, on first read, not
     once per draw.
     """
 
@@ -190,30 +189,30 @@ _STATS_FIELDS = (
 class SampleStats:
     """Accumulated statistics of a sampling run.
 
-    :meth:`record` only counts how often each loop summary was drawn.
+    :meth:`record` only counts how often each image was drawn.
     ``n_samples``, ``arc_hist``, ``loop_length_hist`` and the alpha/beta
     sums are read-only: each read folds them from those counts, in time
     linear in the number of distinct images drawn (at most 1832 at genus
-    1), not in the number of draws.  The counts are keyed by the
-    summary object's ``id``, and each entry holds its summary, so that
-    ``id`` is never reused while the count lives; equal summaries held
-    in distinct objects fold into the same bins.  Runs on independent
-    seeds combine by adding these values.
+    1), not in the number of draws; only the loop statistics classify an
+    image's loops, on their first read.  The counts are keyed by the
+    image's ``id``, and each entry holds its image, so that ``id`` is
+    never reused while the count lives; equal images held in distinct
+    objects fold into the same bins.  Runs on independent seeds combine
+    by adding these values.
     """
 
     genus: int
     attempts: int = 0
     connected_hits: int = 0
-    # id(summary) -> [summary, draws]
+    # id(image) -> [image, draws]
     _tally: dict[int, list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def record(self, s: Shape) -> None:
-        summary = s.loop_summary
-        entry = self._tally.get(id(summary))
+        entry = self._tally.get(id(s))
         if entry is None:
-            self._tally[id(summary)] = [summary, 1]
+            self._tally[id(s)] = [s, 1]
         else:
             entry[1] += 1
 
@@ -224,33 +223,35 @@ class SampleStats:
     @property
     def arc_hist(self) -> dict[int, int]:
         hist: dict[int, int] = {}
-        for summary, n in self._tally.values():
-            hist[summary.arcs] = hist.get(summary.arcs, 0) + n
+        for s, n in self._tally.values():
+            hist[s.n_arcs] = hist.get(s.n_arcs, 0) + n
         return hist
 
     @property
     def loop_length_hist(self) -> dict[int, int]:
         hist: dict[int, int] = {}
-        for summary, n in self._tally.values():
-            for l in summary.loop_lengths:
-                hist[l] = hist.get(l, 0) + n
+        for s, n in self._tally.values():
+            profile = s.loop_profile
+            for kind, cyc in zip(profile.kinds, profile.boundary.cycles):
+                if kind not in ("plant", "empty"):
+                    hist[len(cyc)] = hist.get(len(cyc), 0) + n
         return hist
 
     @property
     def alpha_sum(self) -> int:
-        return sum(summary.alpha * n for summary, n in self._tally.values())
+        return sum(s.loop_profile.alpha * n for s, n in self._tally.values())
 
     @property
     def alpha_sq_sum(self) -> int:
-        return sum(summary.alpha**2 * n for summary, n in self._tally.values())
+        return sum(s.loop_profile.alpha**2 * n for s, n in self._tally.values())
 
     @property
     def beta_sum(self) -> int:
-        return sum(summary.beta * n for summary, n in self._tally.values())
+        return sum(s.loop_profile.beta * n for s, n in self._tally.values())
 
     @property
     def beta_sq_sum(self) -> int:
-        return sum(summary.beta**2 * n for summary, n in self._tally.values())
+        return sum(s.loop_profile.beta**2 * n for s, n in self._tally.values())
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in _STATS_FIELDS)

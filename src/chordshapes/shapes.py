@@ -17,7 +17,7 @@ rainbows-only planted diagram.  That degenerate value is reported with
 the ``empty_pure_preshape`` flag rather than rejected, even though it is
 not a proper shape (its rainbows are 1-arcs).
 
-A shape's canonical code and loop summary are computed the first time
+A shape's canonical code and loop profile are computed the first time
 they are read and then kept on the object, so a shape that is handed out
 many times, as a sampler's images are, is traced and serialised once.
 """
@@ -27,29 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from .diagram import Diagram, _planting, canonical_code
 from .errors import BijectionDomainError, DiagramError
-from .fatgraph import classify_loops, genus
+from .fatgraph import LoopProfile, classify_loops, genus
 
 
 class ShapeClass(Enum):
     A = "A"
     B = "B"
-
-
-class LoopSummary(NamedTuple):
-    """What sample statistics read of a shape's loop profile.
-
-    ``loop_lengths`` are the lengths of the loops that are neither plant
-    nor empty, in cycle order; ``alpha`` and ``beta`` count them by kind.
-    """
-
-    arcs: int
-    loop_lengths: tuple[int, ...]
-    alpha: int
-    beta: int
 
 
 @dataclass(frozen=True)
@@ -59,7 +45,7 @@ class Shape:
     ``n_arcs`` counts all arcs including the rainbows.  Proper shapes
     satisfy :func:`is_shape`; the rainbow-only projection result does
     not and is flagged instead.
-    ``code`` and ``loop_summary`` are computed on first read and kept;
+    ``code`` and ``loop_profile`` are computed on first read and kept;
     they take no part in equality, hashing or ``repr``.
     """
 
@@ -84,16 +70,9 @@ class Shape:
         return canonical_code(self.diagram)
 
     @cached_property
-    def loop_summary(self) -> LoopSummary:
-        """Arc count, non-plant loop lengths and alpha/beta counts, from
-        one :func:`classify_loops` trace."""
-        profile = classify_loops(self.diagram)
-        lengths = tuple(
-            len(cyc)
-            for kind, cyc in zip(profile.kinds, profile.boundary.cycles)
-            if kind not in ("plant", "empty")
-        )
-        return LoopSummary(self.n_arcs, lengths, profile.alpha, profile.beta)
+    def loop_profile(self) -> LoopProfile:
+        """The :func:`classify_loops` profile of the diagram."""
+        return classify_loops(self.diagram)
 
 
 def is_shape(d: Diagram) -> bool:

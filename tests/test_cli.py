@@ -484,6 +484,38 @@ def test_closed_stdout_exit_code_0():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "redirect, argv, code, kind",
+    [
+        # fd 0 closed: sys.stdin is None, once an AttributeError traceback
+        ("<&-", ["genus"], 3, "input"),
+        # fd 1 closed: sys.stdout is None, once an AttributeError traceback
+        (">&-", ["poly", "--backbones", "2", "--genus", "1"], 1, "output"),
+        # a stdout that refuses writes was once reported as bad input
+        pytest.param(
+            "> /dev/full", ["poly", "--backbones", "2", "--genus", "1"], 1,
+            "output", marks=pytest.mark.skipif(
+                not os.path.exists("/dev/full"), reason="no /dev/full"
+            ),
+        ),
+    ],
+    ids=["stdin-closed", "stdout-closed", "stdout-full"],
+)
+def test_standard_stream_errors(redirect, argv, code, kind):
+    # sh applies the redirection to the CLI it execs
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh",
+         sys.executable, "-m", "chordshapes.cli", *argv],
+        capture_output=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    # one record and no traceback
+    assert json.loads(proc.stderr)["error"]["type"] == kind
+
+
 def test_missing_file_exit_code_3(capsys):
     code, _, err = run(capsys, "genus", "-i", "/nonexistent/nowhere.txt")
     assert code == 3
@@ -558,6 +590,15 @@ def test_sample_negative_genus_exit_code_3(capsys):
         "type": "input",
         "message": "genus must be >= 0",
     }
+
+
+def test_sample_genus_2_exit_code_4(capsys):
+    # its table would need the two-backbone genus-2 shapes, past the
+    # enumeration bound
+    code, out, err = run(capsys, "sample", "--genus", "2", "--count", "1")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "infeasible"
 
 
 def test_sample_cache_dir_is_a_usage_error():

@@ -287,15 +287,25 @@ class TestTraceOnce:
         assert paired == [self.SHAPE]
 
     def test_sample_stats_record(self, traced):
-        s = as_shape(self.SHAPE)
-        traced.clear()
-        stats = SampleStats(genus=0)
-        stats.record(s)
-        assert traced == [self.SHAPE]
-        # the loop summary stays on the Shape: a second record re-traces nothing
-        stats.record(s)
-        assert traced == [self.SHAPE]
-        assert stats.n_samples == 2
+        chain = Diagram(
+            (8,), frozenset({(1, 8), (2, 4), (3, 6), (5, 7)}), planted=True
+        )
+        for first in ("loop_length_hist", "alpha_sum"):
+            s, t = as_shape(self.SHAPE), as_shape(chain)
+            traced.clear()
+            stats = SampleStats(genus=0)
+            for image in (s, t, s):
+                stats.record(image)
+            # counting draws classifies no loops
+            assert (stats.n_samples, stats.arc_hist) == (3, {3: 2, 4: 1})
+            assert traced == []
+            # the first loop statistic traces each distinct image once, and
+            # the profile stays on the Shape: later reads trace nothing
+            getattr(stats, first)
+            assert traced == [self.SHAPE, chain]
+            stats.loop_length_hist
+            stats.alpha_sum
+            assert traced == [self.SHAPE, chain]
 
     def test_table_reload(self, traced):
         # a table build, first or again, traces nothing: an entry's genus

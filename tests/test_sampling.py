@@ -10,6 +10,7 @@ from chordshapes import (
     ConsistencyError,
     Diagram,
     DiagramError,
+    InfeasibleError,
     SampleStats,
     Shape,
     ShapeClass,
@@ -160,6 +161,13 @@ class TestBishape:
         with pytest.raises(DiagramError, match=f"genus-{genus + 1} table"):
             BishapeSampler(genus, seed=1, table=make_table(*table))
 
+    def test_genus_2_is_infeasible(self):
+        # the genus-3 table is built from the two-backbone genus-2 shapes,
+        # which lie past the enumeration bound
+        for call in (lambda: BishapeSampler(2), lambda: sample_stats(2, 1)):
+            with pytest.raises(InfeasibleError):
+                call()
+
     def test_negative_genus_rejected_up_front(self, monkeypatch):
         # a negative genus used to look up a genus-0 one-backbone table and
         # fail in shape_poly_1bb, naming an internal function and genus 0
@@ -244,7 +252,9 @@ def _rebuilt(s: Shape) -> Shape:
 
 
 def _fresh_summary(s: Shape) -> tuple:
-    """The loop summary, from classify_loops on a newly built copy."""
+    """Arc count, non-plant loop lengths and alpha/beta counts, from
+    classify_loops on a newly built copy: what one draw adds to the
+    statistics."""
     d = _rebuilt(s).diagram
     prof = classify_loops(d)
     lengths = tuple(
@@ -256,7 +266,7 @@ def _fresh_summary(s: Shape) -> tuple:
 
 
 class TestStoredValues:
-    """Every image's stored loop summary and code equal a fresh
+    """Every image's stored loop profile and code equal a fresh
     computation and leave the Shape's value semantics alone."""
 
     @pytest.mark.parametrize("genus", [0, 1])
@@ -267,14 +277,15 @@ class TestStoredValues:
         for s in images:
             twin = Shape(s.diagram, s.genus)
             before = (hash(s), repr(s))
-            assert s.loop_summary == _fresh_summary(s)
+            fresh = classify_loops(_rebuilt(s).diagram)
+            assert s.loop_profile == fresh
             assert s.code == canonical_code(s.diagram)
             assert (hash(s), repr(s)) == before
             assert s == twin and twin == s
             assert hash(twin) == hash(s)
             back = pickle.loads(pickle.dumps(s))
             assert back == s
-            assert (back.code, back.loop_summary) == (s.code, s.loop_summary)
+            assert (back.code, back.loop_profile) == (s.code, fresh)
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_images_interned(self, make_table, shape_sets, genus):
@@ -330,7 +341,7 @@ class TestStoredValues:
 
 def _assert_stats_fold_to(stats: SampleStats, drawn: list[tuple]) -> None:
     """Check every statistic against sums taken draw by draw over the
-    loop summaries ``drawn``, histogram key order included."""
+    ``_fresh_summary`` tuples ``drawn``, histogram key order included."""
     n = len(drawn)
     arc_hist: dict[int, int] = {}
     loops: dict[int, int] = {}
