@@ -54,15 +54,15 @@ def theta(a: Shape | Diagram) -> Shape:
     d = _planted(a)
     if shape_class(d) is not ShapeClass.A:
         raise BijectionDomainError("input is not an A-shape")
-    out = _theta(d, _partner_of_2(d))
+    out = _theta(d)
     return Shape(out, genus(out))
 
 
-def _theta(d: Diagram, v: int) -> Diagram:
+def _theta(d: Diagram) -> Diagram:
     """:func:`theta` on a planted A-shape diagram the caller has
-    validated, whose vertex 2 is paired with ``v``; returns the B-shape
-    diagram."""
+    validated; returns the B-shape diagram."""
     m = d.n_vertices
+    v = _partner_of_2(d)
     gone = (v + 1, m - 1)
 
     def relabel(w: int) -> int:
@@ -121,8 +121,7 @@ def eta(q: Shape | Diagram) -> Shape:
 
 def _eta(d: Diagram) -> Diagram:
     """:func:`eta` on a planted two-backbone shape diagram the caller has
-    validated; returns the A-shape diagram.  Its vertex 2 is paired with
-    the first backbone's length plus one, the old left rainbow's end."""
+    validated; returns the A-shape diagram."""
     big = d.n_vertices
     arcs = {(i + 1, j + 1) for i, j in d.arcs}
     arcs.add((1, big + 2))

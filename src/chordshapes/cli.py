@@ -187,7 +187,7 @@ def _cmd_poly(args) -> int:
 def _cmd_series(args) -> int:
     if args.kind == "fiber":
         if args.l is None:
-            raise DiagramError("series fiber needs --l")
+            args.usage_error("fiber needs --l")
         s = fiber_gf(args.l, args.order)
     else:
         s = w_gf(args.genus, args.order)
@@ -198,7 +198,7 @@ def _cmd_series(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.matchings:
         if args.arcs is None:
-            raise DiagramError("enumerate --matchings needs --arcs")
+            args.usage_error("--matchings needs --arcs")
 
         def show(d: Diagram) -> None:
             print(canonical_code(d))
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--l", type=int, default=None, help="non-rainbow arcs (fiber)")
     p.add_argument("--genus", type=int, default=0)
-    p.set_defaults(func=_cmd_series)
+    p.set_defaults(func=_cmd_series, usage_error=p.error)
 
     p = sub.add_parser("enumerate", help="exhaustive shape/matching search")
     p.add_argument("--backbones", type=int, choices=[1, 2], required=True)
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 4) once the search has placed this many arcs "
         "(with --matchings, 10**7 if not given)",
     )
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, usage_error=p.error)
 
     p = sub.add_parser("sample", help="uniform two-backbone shapes")
     p.add_argument(
@@ -377,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_record(kind: str, exc: Exception) -> None:
-    sys.stderr.write(
-        json.dumps({"error": {"type": kind, "message": str(exc)}}) + "\n"
-    )
+    if sys.stderr is not None:  # fd 2 was closed before the run
+        sys.stderr.write(
+            json.dumps({"error": {"type": kind, "message": str(exc)}}) + "\n"
+        )
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -35,17 +35,25 @@ would leave ``odd`` above twice the remaining genus budget is therefore
 skipped.  When every merge is pruned no other face is walked, and when
 only one parity of p is admissible only those positions are read.
 
-Shape rules.  Shape mode rejects 1-arcs within a backbone and
-parallel-adjacent arc pairs the moment both arcs exist: they refuse at
-most three partners of the first unpaired vertex, found once per node.
-The rainbows are planted first.  Each splits its arcless backbone's face
-and keeps all but its own two vertices inside, so the genus and ``odd``
-stay as they were.
+Shape rules.  A shape has no 1-arc within a backbone and no stack (two
+parallel adjacent arcs), so every face but its b plant faces has at
+least 3 sides.  Shape mode refuses a split (i, j), i the first unpaired
+vertex, that closes a face of fewer: one that closes the segment out of
+i, or the one from j back to i, with a side of the new arc.  As every
+arc placed so far, rainbows included, pairs i + 1 leftwards or not at
+all, this refuses exactly the 1-arcs, which close the 0-sided segment
+out of i (j = i + 1), and the stacks, which close a 1-sided segment into
+i across the arc out of i - 1.  A 1-sided segment out of i would cross
+the arc out of i + 1 back to i, so it ends at no partner.  A stack whose
+inner arc comes later is refused when that arc is placed.  Both refused
+partners lie on i's own face, so no merge makes a 1-arc or a stack.  The
+rainbows are planted first.  Each splits its arcless backbone's face and
+keeps all but its own two vertices inside, so the genus and ``odd`` stay
+as they were.
 
-Face-side budget.  A shape has no 1-arc and no stack, so every face but
-the b one-sided plant faces has at least 3 sides.  A shape of genus g
-with n arcs (rainbows included) has r = n - b + 2 - 2g faces and 2n
-sides in all, so its non-plant faces exceed 3 sides by exactly
+Face-side budget.  A shape of genus g with n arcs (rainbows included)
+has r = n - b + 2 - 2g faces, b of them one-sided plant faces, and 2n
+sides in all, so its other faces exceed 3 sides by exactly
 2n - b - 3(r - b) = hi - n in all, hi being the largest arc count:
 6g - 1 on one backbone, 6g + 4 on two.  Cut each face of a partial
 diagram at its unpaired vertices into segments.  A segment of q sides
@@ -213,10 +221,10 @@ def _search_split(
     backbone, wrapping at its end (the backbone order sigma).  ``succ``
     is built once per split and never changes.  The formal genus ``gp =
     (2 - b + d - r) / 2`` for ``d`` arcs and ``r`` faces, the count
-    ``odd`` of odd faces, the face-side bound ``lb``, ``ext``, the arcs
-    between backbones, and ``rest``, the arcs still to place after the
-    one a call places, go down the recursion as arguments; an arc (i, j)
-    joins the two backbones iff ``i <= lengths[0] < j``.
+    ``odd`` of odd faces, the face-side bound ``lb`` and ``rest``, the
+    arcs still to place after the one a call places, go down the
+    recursion as arguments.  A two-backbone leaf is connected iff some
+    vertex of the first backbone is paired past its end, ``lengths[0]``.
 
     Walk.  A face is a cycle of ``succ`` after ``pair``.  ``walk(i)``
     starts at ``succ[i]`` and runs until it is back at ``i``.  At a
@@ -288,7 +296,7 @@ def _search_split(
     if shape:
         rise = _rise_table(V)
 
-    def rec(lo: int, gp: int, odd: int, lb: int, ext: int, rest: int) -> None:
+    def rec(lo: int, gp: int, odd: int, lb: int, rest: int) -> None:
         i = lo
         while pair[i]:
             i += 1
@@ -312,18 +320,10 @@ def _search_split(
             other_ok and merge_odd[0] <= slack - 2,
             other_ok and merge_odd[1] <= slack - 2,
         )
-        if not (split_ok[0] or split_ok[1] or merge_ok[0] or merge_ok[1]):
-            return
         # the admissible moves (j, genus, odd faces, lb) with (i, j) placed,
         # collected face by face and placed in ascending order of j
         moves: list[tuple[int, int, int, int]] = []
-        refused: tuple[int, ...] = ()
         if shape:
-            # the partners the shape rules refuse: i + 1, a 1-arc (the
-            # rainbow pairs the last vertex of i's backbone, so i + 1 is on
-            # it), and the ones that would stack (i, j) on the arc out of
-            # i - 1 or of i + 1
-            refused = (i + 1, pair[i - 1] - 1, pair[i + 1] + 1)
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
             pre_i, post_i = seg[-1], seg[0]
@@ -332,11 +332,13 @@ def _search_split(
             # the positions p on i's face of the admissible parities
             step = 1 if split_ok[0] and split_ok[1] else 2
             for p in range(0 if split_ok[0] else 1, len(on), step):
-                j = on[p]
-                if j in refused:
-                    continue
                 e = lb
                 if shape:
+                    # the face rule: at p == 0 the side i..j closes the
+                    # segment out of i (no side: a 1-arc), at p == last
+                    # the side j..i the one into i (one side: a stack)
+                    if p == 0 and post_i < 2 or p == last and pre_i < 2:
+                        continue
                     # the side i..j joins the segment into j with the one
                     # out of i, and j..i the one out of j with the one into
                     # i; a side with no other vertex closes its segment
@@ -360,7 +362,7 @@ def _search_split(
                         and (seg[p + 2] > 1 or seg[last] > 1)
                     ):
                         continue
-                moves.append((j, gp, split_odd[p & 1], e))
+                moves.append((on[p], gp, split_odd[p & 1], e))
         if (merge_ok[0] or merge_ok[1]) and len(on) < 2 * rest + 1:
             # some unpaired vertex is off i's face (2 rest + 2 are unpaired
             # in all); each other face is walked once, from its lowest
@@ -384,17 +386,14 @@ def _search_split(
                 # face with one vertex has one segment, so it goes whole
                 # between the other face's two (or closes)
                 if not on_u:
-                    if u not in refused:
-                        e = lb + rise_pre[seg_u[0]]
-                        if on:
-                            e += rise[pre_i + 1 + seg_u[0]][post_i]
-                        if e <= spare:
-                            moves.append((u, g, o, e))
+                    e = lb + rise_pre[seg_u[0]]
+                    if on:
+                        e += rise[pre_i + 1 + seg_u[0]][post_i]
+                    if e <= spare:
+                        moves.append((u, g, o, e))
                     continue
                 # the segments that end and start at each vertex of the face
                 for j, pre_j, post_j in zip(face, [seg_u[-1], *seg_u], seg_u):
-                    if j in refused:
-                        continue
                     if on:
                         e = lb + rise_pre[post_j] + rise_post[pre_j]
                     else:
@@ -411,12 +410,11 @@ def _search_split(
                         f"enumeration node budget of {budget[1]} placed arcs exceeded"
                     )
 
-            x = ext + (i <= end < j)
             pair[i] = j
             pair[j] = i
 
             if not rest:
-                if not connected_only or b == 1 or x > 0:
+                if not connected_only or b == 1 or max(pair[1 : end + 1]) > end:
                     if shape and e != spare:
                         raise ConsistencyError(
                             f"face sides exceed 3 by {e} in all, "
@@ -425,7 +423,7 @@ def _search_split(
                     # ascending, the rainbows in place: canonical order
                     emit(tuple((v, w) for v, w in enumerate(pair) if v < w))
             else:
-                rec(i + 1, g, o, e, x, rest - 1)
+                rec(i + 1, g, o, e, rest - 1)
 
             pair[i] = 0
             pair[j] = 0
@@ -434,7 +432,7 @@ def _search_split(
         # b arcless backbones: r = b, d = 0, and the rainbows keep that;
         # the arcs left after the first are all but it and the rainbows
         rest = n_arcs - (b if shape else 0) - 1
-        rec(1, 1 - b, sum(l & 1 for l in lengths), 0, 0, rest)
+        rec(1, 1 - b, sum(l & 1 for l in lengths), 0, rest)
     finally:
         # rec refers to itself, a cycle that would keep the arrays and
         # emit's results alive until the next full garbage collection

@@ -74,10 +74,9 @@ class ShapeTable:
 def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
     """The table of one-backbone shapes of genus g >= 1 and their images,
     built forward from Q'_(g-1) as the module docstring says; only
-    ``b = 1`` is built.  The cut vertex of theta(eta(q)) is read off q's
-    first backbone length.  The entries, sorted by (arc count, sorted
-    arcs), must rise strictly and number ``shape_poly_1bb(g)(1)``, or the
-    build raises ``ConsistencyError``.
+    ``b = 1`` is built.  The entries, sorted by (arc count, sorted arcs),
+    must rise strictly and number ``shape_poly_1bb(g)(1)``, or the build
+    raises ``ConsistencyError``.
 
     ``cache_dir`` is accepted and not used.  It is kept only because the
     benchmark harness (``bench/worker.py``) passes it, and ROADMAP item 4
@@ -92,7 +91,7 @@ def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
         d = q.diagram
         image = q if is_connected(d) else None
         a = _eta(d)
-        for entry in (a, _theta(a, d.backbone_lengths[0] + 1)):
+        for entry in (a, _theta(a)):
             keyed.append(((entry.n_arcs, sorted(entry.arcs)), Shape(entry, g), image))
     keyed.sort(key=lambda e: e[0])
     for (key, _, _), (after, _, _) in zip(keyed, keyed[1:]):

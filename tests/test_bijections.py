@@ -231,7 +231,7 @@ class TestGenusTwoExhaustive:
         images = set()
         for q in q_prime:
             a = _eta(q)
-            b = _theta(a, q.backbone_lengths[0] + 1)
+            b = _theta(a)
             assert _eta_inv(a) == q
             assert _theta_inv(b) == a
             images.add(b)

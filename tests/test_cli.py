@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordshapes import (
+    ConsistencyError,
     Diagram,
     EnumSpec,
     InfeasibleError,
@@ -297,6 +298,20 @@ def test_enumerate_profile(capsys):
     assert json.loads(out) == {"3": "1", "4": "2", "5": "1"}
 
 
+def test_enumerate_listing_pinned(capsys):
+    # each shape's code in canonical order, then the count line
+    code, out, _ = run(capsys, "enumerate", "--backbones", "2", "--genus", "0")
+    assert code == 0
+    assert out == '3 3|1-3 2-5 4-6\n4 4|1-4 2-6 3-7 5-8\n{"count": "2"}\n'
+    code, out, _ = run(
+        capsys, "enumerate", "--backbones", "2", "--genus", "1", "--connected"
+    )
+    assert code == 0
+    assert sha256(out.encode()).hexdigest() == (
+        "6133da81d3173b1d0b793b6649fdf56580ec6d72f4c6d27f13c1bc05fa88cc16"
+    )
+
+
 def test_enumerate_matchings(capsys):
     code, out, _ = run(
         capsys,
@@ -514,6 +529,57 @@ def test_standard_stream_errors(redirect, argv, code, kind):
     assert proc.stdout == b""
     # one record and no traceback
     assert json.loads(proc.stderr)["error"]["type"] == kind
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["genus", "-i", "/nonexistent/nowhere.txt"], 3),
+        (["poly", "--backbones", "2", "--genus", "999"], 4),
+    ],
+    ids=["input", "infeasible"],
+)
+def test_closed_stderr_keeps_exit_code(argv, code):
+    # fd 2 closed: sys.stderr is None, so no record is written and the
+    # exit code alone reports the error
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh",
+         sys.executable, "-m", "chordshapes.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == b""
+
+
+def test_consistency_error_exit_code_5(capsys, monkeypatch):
+    def broken(g):
+        raise ConsistencyError("x")
+
+    monkeypatch.setattr("chordshapes.cli.shape_poly_2bb", broken)
+    code, out, err = run(capsys, "poly", "--backbones", "2", "--genus", "1")
+    assert code == 5
+    assert out == ""
+    assert err == '{"error": {"type": "consistency", "message": "x"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "fiber", "--order", "4"],
+        ["enumerate", "--backbones", "1", "--genus", "0", "--matchings"],
+    ],
+    ids=["series-fiber-without-l", "matchings-without-arcs"],
+)
+def test_mode_dependent_option_is_a_usage_error(capsys, argv):
+    # an option one mode needs is missing like any other: usage, exit 2
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: chordshapes " + argv[0])
 
 
 def test_missing_file_exit_code_3(capsys):

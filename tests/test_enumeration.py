@@ -329,24 +329,30 @@ class TestMatchings:
 
 class TestShapes:
     @pytest.mark.parametrize(
-        "b, g, top, hi",
-        [(1, 3, S3, 17), (2, 2, Q2, 16)],
+        "b, g, top, hi, placed",
+        [(1, 3, S3, 17, (6685, 84137)), (2, 2, Q2, 16, (6476, 79279))],
         ids=["S3", "Q2"],
     )
-    def test_kernel_counts_one_genus_deeper(self, b, g, top, hi):
+    def test_kernel_counts_one_genus_deeper(self, b, g, top, hi, placed):
         # the shapes past the families enumerate_shapes lists, counted by
         # the kernel on every split with no shape kept: their lowest
-        # coefficients must equal the closed formula and the table
+        # coefficients must equal the closed formula and the table, and
+        # the arcs placed to find them are pinned, so a shape rule that
+        # refuses a partner too late places more
         poly = shape_poly_1bb(g) if b == 1 else shape_poly_2bb(g)
-        for n in (2 * g + 1, 2 * g + 2) if b == 1 else (2 * g + 3, 2 * g + 4):
+        for n, want in zip(
+            (2 * g + 1, 2 * g + 2) if b == 1 else (2 * g + 3, 2 * g + 4), placed
+        ):
             V = 2 * n
             # a backbone needs 3 vertices, its rainbow's two and one for
             # the arc that connects it to the other
             splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, V - 2)]
             found = []
+            budget = [want] * 2
             for lengths in splits:
-                _search_split(lengths, g, g, True, found.append, None, hi - n)
+                _search_split(lengths, g, g, True, found.append, budget, hi - n)
             assert len(found) == poly[n] == top[n], (b, g, n)
+            assert budget[0] == 0, (b, g, n)
 
     def test_genus_one_profile(self, shape_sets):
         shapes = shape_sets(1, 1)
