@@ -13,11 +13,13 @@ one backbone, its A/B class.  Each public map is a private
 diagram-level surgery (``_theta``, ``_theta_inv``, ``_eta``,
 ``_eta_inv``) with an input check on top: it raises
 ``BijectionDomainError`` outside its domain, on one backbone through
-:func:`shapes.shape_class`, which reads an unplanted diagram with its
-outermost arc as the rainbow.  The private surgeries skip that input
-check only because their caller has validated the input already: the
-sampler's forward build hands ``_eta`` the two-backbone shapes of the
-enumeration kernel and ``_theta`` the A-shapes that ``_eta`` returned.
+:func:`shapes.shape_class`.  Every check and surgery reads a diagram's
+outermost arcs as its rainbows and never its ``planted`` flag, so the
+check reads the diagram it is given.  The private surgeries skip that
+input check only because their caller has validated the input already:
+the sampler's forward build hands ``_eta`` the two-backbone shapes of
+the enumeration kernel and ``_theta`` the A-shapes that ``_eta``
+returned.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .shapes import (
     ShapeClass,
     _class_of,
     _partner_of_2,
-    _planted,
+    _diagram,
     is_shape,
     shape_class,
 )
@@ -51,7 +53,7 @@ def theta(a: Shape | Diagram) -> Shape:
     Removes the arc joining the successor of vertex 2's partner to the
     last vertex before the right plant, drops its endpoints, relabels.
     """
-    d = _planted(a)
+    d = _diagram(a)
     if shape_class(d) is not ShapeClass.A:
         raise BijectionDomainError("input is not an A-shape")
     out = _theta(d)
@@ -59,8 +61,8 @@ def theta(a: Shape | Diagram) -> Shape:
 
 
 def _theta(d: Diagram) -> Diagram:
-    """:func:`theta` on a planted A-shape diagram the caller has
-    validated; returns the B-shape diagram."""
+    """:func:`theta` on an A-shape diagram the caller has validated;
+    returns the B-shape diagram."""
     m = d.n_vertices
     v = _partner_of_2(d)
     gone = (v + 1, m - 1)
@@ -80,7 +82,7 @@ def theta_inv(b: Shape | Diagram) -> Shape:
     Inserts a new arc with one endpoint just after vertex 2's partner
     and the other just before the right plant.
     """
-    d = _planted(b)
+    d = _diagram(b)
     if shape_class(d) is not ShapeClass.B:
         raise BijectionDomainError("input is not a B-shape")
     out = _theta_inv(d)
@@ -88,8 +90,8 @@ def theta_inv(b: Shape | Diagram) -> Shape:
 
 
 def _theta_inv(d: Diagram) -> Diagram:
-    """:func:`theta_inv` on a planted B-shape diagram the caller has
-    validated; returns the A-shape diagram."""
+    """:func:`theta_inv` on a B-shape diagram the caller has validated;
+    returns the A-shape diagram."""
     m = d.n_vertices
     v = _partner_of_2(d)
 
@@ -110,7 +112,7 @@ def eta(q: Shape | Diagram) -> Shape:
     inputs (pairs of one-backbone shapes laid on two backbones) are part
     of the domain; their formal genus feeds the same bookkeeping.
     """
-    d = _planted(q)
+    d = _diagram(q)
     if d.b != 2 or not is_shape(d):
         raise BijectionDomainError(
             "input is not a (possibly disconnected) two-backbone shape"
@@ -120,7 +122,7 @@ def eta(q: Shape | Diagram) -> Shape:
 
 
 def _eta(d: Diagram) -> Diagram:
-    """:func:`eta` on a planted two-backbone shape diagram the caller has
+    """:func:`eta` on a two-backbone shape diagram the caller has
     validated; returns the A-shape diagram."""
     big = d.n_vertices
     arcs = {(i + 1, j + 1) for i, j in d.arcs}
@@ -136,15 +138,14 @@ def eta_inv(a: Shape | Diagram) -> Diagram:
     become the rainbows of the new backbones.  The result may be
     disconnected; it always satisfies the shape predicate.
     """
-    d = _planted(a)
+    d = _diagram(a)
     if shape_class(d) is not ShapeClass.A:
         raise BijectionDomainError("input is not an A-shape")
     return _eta_inv(d)
 
 
 def _eta_inv(d: Diagram) -> Diagram:
-    """:func:`eta_inv` on a planted A-shape diagram the caller has
-    validated."""
+    """:func:`eta_inv` on an A-shape diagram the caller has validated."""
     m = d.n_vertices
     v = _partner_of_2(d)
     arcs = frozenset(

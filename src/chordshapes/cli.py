@@ -37,6 +37,7 @@ from .errors import (
     ConsistencyError,
     DiagramError,
     InfeasibleError,
+    ParseError,
 )
 from .fatgraph import boundary_components, classify_loops, component_genera
 from .sampling import sample_stats
@@ -76,12 +77,23 @@ _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 
 def _read_diagrams(path: str) -> list[Diagram]:
     """Parse one diagram per paragraph; paragraphs are separated by lines
-    holding only whitespace, so CRLF input and indented blanks work."""
+    holding only whitespace, so CRLF input and indented blanks work.  A
+    parse error names the line of the whole input, not of its paragraph."""
     text = _read_text(path)
-    paragraphs = [p for p in _BLANK_LINE.split(text) if p.strip()]
-    if not paragraphs:
+    parts = _BLANK_LINE.split(text)
+    diagrams = []
+    for k, p in enumerate(parts):
+        if not p.strip():
+            continue
+        try:
+            diagrams.append(parse_diagram(p))
+        except ParseError as exc:
+            # each separator before the paragraph holds two newlines
+            offset = sum(q.count("\n") + 2 for q in parts[:k])
+            raise ParseError(exc.message, exc.line + offset, exc.column) from None
+    if not diagrams:
         raise DiagramError("no diagram in input")
-    return [parse_diagram(p) for p in paragraphs]
+    return diagrams
 
 
 def _exact_decimal(n: int) -> str:
@@ -199,6 +211,8 @@ def _cmd_enumerate(args) -> int:
     if args.matchings:
         if args.arcs is None:
             args.usage_error("--matchings needs --arcs")
+        if args.profile:
+            args.usage_error("--profile counts shapes, not --matchings")
 
         def show(d: Diagram) -> None:
             print(canonical_code(d))
@@ -220,6 +234,10 @@ def _cmd_enumerate(args) -> int:
         _emit({"count": str(count)})
         return EXIT_OK
 
+    if args.arcs is not None:
+        args.usage_error("--arcs needs --matchings")
+    if args.list:
+        args.usage_error("--list needs --matchings")
     shapes = enumerate_shapes(
         args.backbones,
         args.genus,
@@ -331,13 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--arcs",
         type=int,
         default=None,
-        help="arcs per matching (--matchings); more than 500 is exit 4",
+        help="arcs per matching (needed by, and only with, --matchings); "
+        "more than 500 is exit 4",
     )
     p.add_argument("--connected", action="store_true")
     p.add_argument(
         "--profile",
         action="store_true",
-        help="print the shape count per arc count (ignored with --matchings)",
+        help="print the shape count per arc count (not with --matchings)",
     )
     p.add_argument(
         "--list",

@@ -11,10 +11,12 @@ class DiagramError(ChordShapesError, ValueError):
 
 
 class ParseError(DiagramError):
-    """Malformed diagram text.  Carries the 1-based line and column of the offence."""
+    """Malformed diagram text.  Carries the bare message and the 1-based
+    line and column of the offence."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -1,17 +1,19 @@
 """Uniform sampling of shapes of fixed genus, plus sample statistics.
 
 Two-backbone sampling at genus g draws a uniform index into the
-complete, canonically ordered table of one-backbone shapes of genus
-g+1 and returns the two-backbone image of that entry, rejecting it when
-the image is disconnected.  The table is built forward through the
+complete, canonically ordered list of one-backbone shapes of genus g+1
+and returns the two-backbone image of that entry, rejecting it when the
+image is disconnected.  The table is built forward through the
 surgeries: the enumeration kernel lists Q'_g, the two-backbone shapes of
 genus g with the disconnected pairs included, and each q gives the
 A-entry eta(q) and the B-entry theta(eta(q)).  The image of both is q,
-or None when q is disconnected.  Every connected two-backbone shape of
-genus g is the image of exactly two entries, and rejection does not
-depend on which connected shape would be produced, so the output is
-exactly uniform; the chi-square checks in the test suite are regression
-guards, not the correctness argument.
+or None when q is disconnected.  A draw reads only the image, so the
+table keeps the images alone, in the entries' canonical order; an entry
+is dropped once it is keyed for that order.  Every connected
+two-backbone shape of genus g is the image of exactly two entries, and
+rejection does not depend on which connected shape would be produced,
+so the output is exactly uniform; the chi-square checks in the test
+suite are regression guards, not the correctness argument.
 
 A sampler can only return the finite set of its images (at genus 1, the
 3696 table entries have 3664 connected images, which hold each of the
@@ -55,28 +57,26 @@ from .shapes import Shape
 
 @dataclass(frozen=True)
 class ShapeTable:
-    """The one-backbone shapes of one genus in canonical order, and the
-    two-backbone image of each: the connected shape the entry maps to,
-    one object shared by its two entries, or None.
-
-    :func:`build_table` checks each entry once, as the surgery that
-    makes it returns it; the table checks nothing again.
+    """The sampler's table for one genus: for each one-backbone shape of
+    that genus, in canonical order, its two-backbone image (the connected
+    shape the entry maps to, one object shared by its two entries) or
+    None.  A draw reads nothing else, so the entries themselves are not
+    kept; :func:`build_table` checks each once, as the surgery that makes
+    it returns it.
     """
 
     genus: int
-    shapes: tuple[Shape, ...]
     images: tuple[Optional[Shape], ...]
 
     def __len__(self) -> int:
-        return len(self.shapes)
+        return len(self.images)
 
 
 def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
-    """The table of one-backbone shapes of genus g >= 1 and their images,
-    built forward from Q'_(g-1) as the module docstring says; only
-    ``b = 1`` is built.  The entries, sorted by (arc count, sorted arcs),
-    must rise strictly and number ``shape_poly_1bb(g)(1)``, or the build
-    raises ``ConsistencyError``.
+    """The table of genus g >= 1, built forward from Q'_(g-1) as the
+    module docstring says; only ``b = 1`` is built.  The entries, keyed
+    by (arc count, sorted arcs), must rise strictly and number
+    ``shape_poly_1bb(g)(1)``, or the build raises ``ConsistencyError``.
 
     ``cache_dir`` is accepted and not used.  It is kept only because the
     benchmark harness (``bench/worker.py``) passes it, and ROADMAP item 4
@@ -92,9 +92,9 @@ def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
         image = q if is_connected(d) else None
         a = _eta(d)
         for entry in (a, _theta(a)):
-            keyed.append(((entry.n_arcs, sorted(entry.arcs)), Shape(entry, g), image))
+            keyed.append(((entry.n_arcs, sorted(entry.arcs)), image))
     keyed.sort(key=lambda e: e[0])
-    for (key, _, _), (after, _, _) in zip(keyed, keyed[1:]):
+    for (key, _), (after, _) in zip(keyed, keyed[1:]):
         if key >= after:
             raise ConsistencyError(f"the genus-{g} table holds {key} twice")
     expected = shape_poly_1bb(g)(1)
@@ -103,20 +103,17 @@ def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
             f"{len(keyed)} entries in the genus-{g} table, the shape "
             f"polynomial predicts {expected}"
         )
-    return ShapeTable(
-        g, tuple(s for _, s, _ in keyed), tuple(image for _, _, image in keyed)
-    )
+    return ShapeTable(g, tuple(image for _, image in keyed))
 
 
 class BishapeSampler:
     """Uniform generator of connected two-backbone shapes of fixed genus.
 
-    The image of each one-backbone table entry comes with the table, so
-    a draw is an unbiased index draw plus a rejection test.
-    ``attempts`` and ``connected_hits`` expose the acceptance
-    measurement; ``filter_rejects`` counts the connected draws that
-    ``arc_filter`` turned away, so ``connected_hits`` is the number of
-    draws returned plus ``filter_rejects``.
+    The table is the list of images, so a draw is an unbiased index draw
+    plus a rejection test.  ``attempts`` and ``connected_hits`` expose
+    the acceptance measurement; ``filter_rejects`` counts the connected
+    draws that ``arc_filter`` turned away, so ``connected_hits`` is the
+    number of draws returned plus ``filter_rejects``.
 
     ``table`` defaults to ``build_table(1, genus + 1)``.  The two entries
     that map to the same shape share one image object, and a draw

@@ -111,10 +111,15 @@ def as_shape(d: Diagram) -> Shape:
     return Shape(diagram=planted, genus=genus(planted))
 
 
+def _diagram(x: Shape | Diagram) -> Diagram:
+    """The diagram of ``x``, as it is given."""
+    return x.diagram if isinstance(x, Shape) else x
+
+
 def _planted(x: Shape | Diagram) -> Diagram:
     """The diagram of ``x``, with the outermost arc of every backbone
     read as its rainbow."""
-    d = x.diagram if isinstance(x, Shape) else x
+    d = _diagram(x)
     return d if d.planted else Diagram(d.backbone_lengths, d.arcs, planted=True)
 
 
@@ -218,7 +223,7 @@ def shape_class(s: Shape | Diagram) -> ShapeClass:
     shape is of class A iff v+1 exists, is not the right plant, and is
     paired with the last vertex before the right plant; otherwise B.
     """
-    if s.b != 1 or not is_shape(d := _planted(s)):
+    if s.b != 1 or not is_shape(d := _diagram(s)):
         raise BijectionDomainError("input is not a proper one-backbone shape")
     return _class_of(d)
 

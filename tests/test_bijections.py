@@ -87,6 +87,21 @@ class TestDomain:
         with pytest.raises(BijectionDomainError):
             fn(Diagram(diagram.backbone_lengths, diagram.arcs))
 
+    @pytest.mark.parametrize("fn", [theta, theta_inv, eta, eta_inv, shape_class])
+    @pytest.mark.parametrize(
+        "diagram",
+        [
+            Diagram((4,), frozenset({(1, 3), (2, 4)})),
+            Diagram((3,), frozenset()),
+        ],
+        ids=["crossing", "no-arcs"],
+    )
+    def test_no_rainbows_is_a_domain_error(self, fn, diagram):
+        # outermost arcs that are not rainbows put the input outside the
+        # domain; no planted copy is built to fail with a DiagramError
+        with pytest.raises(BijectionDomainError):
+            fn(diagram)
+
 
 class TestTheta:
     def test_four_arc_a_to_three_arc_b(self):

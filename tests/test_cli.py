@@ -101,6 +101,29 @@ def test_genus_batch_mode(tmp_path, capsys, monkeypatch):
         assert out2 == out
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("4\n1-3 2-4\n\n4\n1-3 2-x\n", "line 5, column 5"),
+        # comment and whitespace lines, a run of blank lines and CRLF ends
+        (
+            "# first\r\n4\r\n1-3 2-4\r\n\r\n \t\n\n# second\n4 # four\n"
+            "1-4 2-3\n\n\n\n# third\n4\n1-3 2-x\n",
+            "line 15, column 5",
+        ),
+    ],
+    ids=["two-diagrams", "comments-and-blanks"],
+)
+def test_batch_parse_error_names_the_input_line(capsys, monkeypatch, text, where):
+    # line numbers count from the top of the input, not of the paragraph
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "genus")
+    assert code == 3
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(where + ": ")
+
+
 def test_loops_subcommand(tmp_path, capsys):
     f = tmp_path / "d.txt"
     f.write_text("6\n1-6 2-4 3-5\n")
@@ -135,6 +158,19 @@ def test_bij_eta(tmp_path, capsys):
     code, out, _ = run(capsys, "bij", "-i", str(f), "eta")
     assert code == 0
     assert out == "8\n1-8 2-4 3-6 5-7\n"
+
+
+@pytest.mark.parametrize("direction", ["theta", "theta-inv", "eta", "eta-inv"])
+@pytest.mark.parametrize("text", [CROSSING, "3\n\n"], ids=["crossing", "no-arcs"])
+def test_bij_no_rainbows_is_a_domain_error(capsys, monkeypatch, direction, text):
+    # outermost arcs that are not rainbows are outside every surgery's domain
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "bij", direction)
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "input"
+    assert error["message"].startswith("input is not a ")
 
 
 def test_bij_batch_output_reparses(tmp_path, capsys):
@@ -580,6 +616,25 @@ def test_mode_dependent_option_is_a_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: chordshapes " + argv[0])
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--arcs", "3"], "--arcs needs --matchings"),
+        (["--list"], "--list needs --matchings"),
+        (["--matchings", "--arcs", "3", "--profile"], "--profile counts shapes"),
+    ],
+    ids=["arcs-without-matchings", "list-without-matchings", "profile-with-matchings"],
+)
+def test_option_its_mode_ignores_is_a_usage_error(capsys, extra, message):
+    # these used to be dropped silently, with every shape printed
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--backbones", "2", "--genus", "0", *extra])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_missing_file_exit_code_3(capsys):

