@@ -30,14 +30,13 @@ from pathlib import Path
 from typing import Optional
 
 from .bijections import eta, eta_inv, theta, theta_inv
-from .diagram import Diagram, canonical_code, parse_diagram, serialize_diagram
+from .diagram import Diagram, _parse, canonical_code, serialize_diagram
 from .enumeration import EnumSpec, count_fiber, enumerate_matchings, enumerate_shapes
 from .errors import (
     ChordShapesError,
     ConsistencyError,
     DiagramError,
     InfeasibleError,
-    ParseError,
 )
 from .fatgraph import boundary_components, classify_loops, component_genera
 from .sampling import sample_stats
@@ -79,18 +78,13 @@ def _read_diagrams(path: str) -> list[Diagram]:
     """Parse one diagram per paragraph; paragraphs are separated by lines
     holding only whitespace, so CRLF input and indented blanks work.  A
     parse error names the line of the whole input, not of its paragraph."""
-    text = _read_text(path)
-    parts = _BLANK_LINE.split(text)
     diagrams = []
-    for k, p in enumerate(parts):
-        if not p.strip():
-            continue
-        try:
-            diagrams.append(parse_diagram(p))
-        except ParseError as exc:
-            # each separator before the paragraph holds two newlines
-            offset = sum(q.count("\n") + 2 for q in parts[:k])
-            raise ParseError(exc.message, exc.line + offset, exc.column) from None
+    line = 1  # the paragraph's first line in the whole input
+    for p in _BLANK_LINE.split(_read_text(path)):
+        if p.strip():
+            diagrams.append(_parse(p, first_line=line))
+        # the separator after it holds two newlines
+        line += p.count("\n") + 2
     if not diagrams:
         raise DiagramError("no diagram in input")
     return diagrams
@@ -200,9 +194,13 @@ def _cmd_series(args) -> int:
     if args.kind == "fiber":
         if args.l is None:
             args.usage_error("fiber needs --l")
+        if args.genus is not None:
+            args.usage_error("fiber takes no --genus")
         s = fiber_gf(args.l, args.order)
     else:
-        s = w_gf(args.genus, args.order)
+        if args.l is not None:
+            args.usage_error("w takes no --l")
+        s = w_gf(0 if args.genus is None else args.genus, args.order)
     _emit(_coeffs_json(s))
     return EXIT_OK
 
@@ -337,8 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="fiber or matching generating function")
     p.add_argument("kind", choices=["fiber", "w"])
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--l", type=int, default=None, help="non-rainbow arcs (fiber)")
-    p.add_argument("--genus", type=int, default=0)
+    p.add_argument(
+        "--l",
+        type=int,
+        default=None,
+        help="non-rainbow arcs (needed by, and only with, fiber)",
+    )
+    p.add_argument(
+        "--genus", type=int, default=None, help="only with w; 0 if not given"
+    )
     p.set_defaults(func=_cmd_series, usage_error=p.error)
 
     p = sub.add_parser("enumerate", help="exhaustive shape/matching search")

@@ -172,7 +172,9 @@ def parse_diagram(text: str) -> Diagram:
     Line 1 holds the backbone lengths, line 2 the arcs as ``i-j`` tokens
     (1-based global indices).  ``#`` starts a comment, a blank or absent
     arc line means no arcs, and ``|`` may replace the newline so that a
-    whole diagram fits on one line.
+    whole diagram fits on one line.  A ``|`` ends one part of a line, and
+    its comment; an error's column counts from the start of the line,
+    across any ``|``.
 
     A well-formed arc line is read in a few whole-line passes and checked
     once, by the :class:`Diagram` constructor.  Only a line that those
@@ -182,32 +184,37 @@ def parse_diagram(text: str) -> Diagram:
     return _parse(text)
 
 
-def _parse(text: str, planted: bool = False) -> Diagram:
+def _parse(text: str, planted: bool = False, first_line: int = 1) -> Diagram:
     """The diagram of :func:`parse_diagram`'s format, built with the
-    given ``planted`` flag."""
-    lines = text.replace("|", "\n").split("\n")
-    significant: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0]
-        if stripped.strip():
-            significant.append((lineno, stripped))
+    given ``planted`` flag; an error numbers the text's first line
+    ``first_line``."""
+    # the parts of the lines, split at each "|", that hold more than a
+    # comment: (line, column before the part, text without its comment)
+    significant: list[tuple[int, int, str]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=first_line):
+        col = 0
+        for part in raw.split("|"):
+            stripped = part.split("#", 1)[0]
+            if stripped.strip():
+                significant.append((lineno, col, stripped))
+            col += len(part) + 1
 
     if not significant:
-        raise ParseError("no backbone-length line", 1, 1)
+        raise ParseError("no backbone-length line", first_line, 1)
     if len(significant) > 2:
-        lineno, _ = significant[2]
-        raise ParseError("unexpected extra line", lineno, 1)
+        lineno, col, _ = significant[2]
+        raise ParseError("unexpected extra line", lineno, col + 1)
 
-    lineno, lengths_line = significant[0]
+    lineno, col, lengths_line = significant[0]
     lengths: list[int] = []
     for m in _TOKEN_RE.finditer(lengths_line):
-        tok = m.group(0)
-        length = _number(tok, lineno, m.start() + 1) if tok.isdecimal() else 0
+        tok, column = m.group(0), col + m.start() + 1
+        length = _number(tok, lineno, column) if tok.isdecimal() else 0
         if length < 1:
             raise ParseError(
                 f"backbone length {tok!r} is not a positive integer",
                 lineno,
-                m.start() + 1,
+                column,
             )
         lengths.append(length)
     n = sum(lengths)
@@ -215,7 +222,7 @@ def _parse(text: str, planted: bool = False) -> Diagram:
     arcs: set[Arc] = set()
     used: set[int] = set()
     if len(significant) == 2:
-        lineno, arc_line = significant[1]
+        lineno, col, arc_line = significant[1]
         # \d and \s are the classes of str.isdecimal and str.split, so a
         # line that matches holds only tokens that the loop below reads;
         # a repeated arc shrinks the set, and the constructor refuses a
@@ -234,37 +241,34 @@ def _parse(text: str, planted: bool = False) -> Diagram:
         # the line was refused: find the first bad token, or rebuild the
         # arcs for the constructor to refuse a planted diagram's rainbows
         for m in _TOKEN_RE.finditer(arc_line):
-            tok = m.group(0)
+            tok, column = m.group(0), col + m.start() + 1
             # str.isdecimal accepts exactly the Unicode decimal digits
             # that int() reads, and rejects the empty string
             a, dash, b = tok.partition("-")
             if not (dash and a.isdecimal() and b.isdecimal()):
-                raise ParseError(
-                    f"malformed arc token {tok!r}", lineno, m.start() + 1
-                )
+                raise ParseError(f"malformed arc token {tok!r}", lineno, column)
             try:
                 i, j = int(a), int(b)
             except ValueError:  # past the digit limit: name the long side
-                col = m.start() + 1
-                _number(a, lineno, col)
-                _number(b, lineno, col)
+                _number(a, lineno, column)
+                _number(b, lineno, column)
                 raise
             if i == j:
-                raise ParseError(f"self-pairing {tok!r}", lineno, m.start() + 1)
+                raise ParseError(f"self-pairing {tok!r}", lineno, column)
             if i > j:
                 i, j = j, i
             if not (1 <= i and j <= n):
                 raise ParseError(
                     f"arc endpoint out of range 1..{_decimal(n)} in {tok!r}",
                     lineno,
-                    m.start() + 1,
+                    column,
                 )
             if i in used or j in used:
                 raise ParseError(
                     f"vertex {i if i in used else j} already paired"
                     f" (arc token {tok!r})",
                     lineno,
-                    m.start() + 1,
+                    column,
                 )
             used.add(i)
             used.add(j)

@@ -32,8 +32,11 @@ even s both sides are even or both odd.  A merge lowers it by at most
 complete matching leaves every face empty, so ``odd == 0``, and any
 completion needs at least ``odd / 2`` more merges.  A candidate that
 would leave ``odd`` above twice the remaining genus budget is therefore
-skipped.  When every merge is pruned no other face is walked, and when
-only one parity of p is admissible only those positions are read.
+skipped.  A split at even p keeps ``odd`` as it is, so odd p is
+admissible only where even p is, and a merge lowers ``odd`` by 2 exactly
+when both its faces are odd.  When every merge is pruned no other face
+is walked, and when odd p is not admissible only the even positions are
+read.
 
 Shape rules.  A shape has no 1-arc within a backbone and no stack (two
 parallel adjacent arcs), so every face but its b plant faces has at
@@ -70,11 +73,12 @@ the one out of i across one side of the arc, and the segment out of j
 with the one into i across the other; a merge joins i's segments with
 j's the same way.  A join that leaves no vertex closes into a face of
 q + 1 sides, which adds max(0, q - 2) as the segment did, so it changes
-nothing.  Each join's rise in ``lb`` is read from a table that the
-splits of one vertex count share, so a candidate costs O(1).  The
-rainbows close their plant faces and leave segments of at most one
-side, so ``lb`` starts at 0.  On a complete shape the bound is exact,
-and every emitted leaf whose ``lb`` differs raises ``ConsistencyError``.
+nothing.  A join's rise in ``lb`` reads each segment's sides only up to
+2, so the walk counts no further and the rise is read from one constant
+6 x 3 table: a candidate costs O(1).  The rainbows close their plant
+faces and leave segments of at most one side, so ``lb`` starts at 0.
+On a complete shape the bound is exact, and every emitted leaf whose
+``lb`` differs raises ``ConsistencyError``.
 
 Look-ahead.  The bound never falls, so the budget also looks one arc
 ahead.  A vertex left alone on its face shares that face with no other
@@ -114,7 +118,6 @@ silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram
@@ -172,34 +175,14 @@ class EnumSpec:
             _check_size(self.node_budget, "node budget")
 
 
-def _odd_steps(odd: int, n_f: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The count of odd faces once an arc leaves a face of ``n_f`` unpaired
-    vertices (its own two ends among them): on a split, indexed by the
-    parity of p, the vertices between the ends; on a merge, by the parity
-    of the other face's size.  These are ``odd - n_f&1 + p&1 +
-    (n_f-2-p)&1`` and ``odd - n_f&1 - n_g&1 + (n_f+n_g)&1``."""
-    if n_f & 1:
-        return (odd, odd), (odd, odd - 2)
-    return (odd, odd + 2), (odd, odd)
-
-
-def _seg_rise(x: int, y: int) -> int:
-    """How much the face-side bound grows when segments of x and y arc
-    sides become one across a new arc's side: h(x + 1 + y) - h(x) - h(y)
-    for h(q) = max(0, q - 2), the most a segment of q sides is sure to add
-    to its final face's sides beyond 3."""
-    rise = (x if x < 2 else 2) + (y if y < 2 else 2) - 1
-    return rise if rise > 0 else 0
-
-
-@lru_cache(maxsize=None)
-def _rise_table(V: int) -> tuple[tuple[int, ...], ...]:
-    """``_seg_rise`` of every pair of segment lengths a join can meet on
-    ``V`` vertices (a face has at most V sides, a join across a side at
-    most V + 1); it is symmetric, so row x holds the joins with a segment
-    of x.  Every split of one vertex count shares it; the tables are
-    kept for the process, each (V + 2)^2 small ints."""
-    return tuple(tuple(_seg_rise(x, y) for y in range(V + 2)) for x in range(V + 2))
+# How much the face-side bound grows when segments of x and y arc sides
+# become one across a new arc's side: h(x + 1 + y) - h(x) - h(y) for h(q) =
+# max(0, q - 2), the most a segment of q sides is sure to add to its final
+# face's sides beyond 3.  It reads x and y only up to 2, so the walk counts
+# sides up to 2 and _RISE[x][y] is max(0, x + y - 1).  A double join reads
+# row x + 1 + y, up to 5, against z; the rows past 2 repeat row 2, as the
+# capped x + 1 + y reaches 2 exactly when the uncapped one does.
+_RISE = ((0, 0, 1), (0, 1, 2)) + ((1, 2, 3),) * 4
 
 
 def _search_split(
@@ -228,13 +211,14 @@ def _search_split(
 
     Walk.  A face is a cycle of ``succ`` after ``pair``.  ``walk(i)``
     starts at ``succ[i]`` and runs until it is back at ``i``.  At a
-    paired vertex ``y`` it counts one arc side of the current segment and
-    goes on from ``succ[pair[y]]``.  At an unpaired vertex it records the
-    vertex and the segment's sides, starts a new segment and goes on from
-    its ``succ``.  It returns ``(on, seg)``: ``on`` lists the face's other
-    unpaired vertices in cycle order after ``i``, ``seg[k]`` is the number
-    of arc sides in the segment that ends at ``on[k]``, and ``seg[-1]`` is
-    the segment back to ``i``.  A lone vertex gets ``on == []`` and one
+    paired vertex ``y`` it counts one arc side of the current segment, up
+    to 2 (all a rise reads), and goes on from ``succ[pair[y]]``.  At an
+    unpaired vertex it records the vertex and the segment's sides, starts
+    a new segment and goes on from its ``succ``.  It returns ``(on,
+    seg)``: ``on`` lists the face's other unpaired vertices in cycle
+    order after ``i``, ``seg[k]`` is the number of arc sides, up to 2, in
+    the segment that ends at ``on[k]``, and ``seg[-1]`` is the segment
+    back to ``i``.  A lone vertex gets ``on == []`` and one
     segment, the whole face (no side on an arcless backbone).  A walk
     takes time linear in the face's vertices and sides.  Each call walks
     the face of ``i``, the first unpaired vertex, once: the vertices in
@@ -273,9 +257,9 @@ def _search_split(
     def walk(i: int) -> tuple[list[int], list[int]]:
         """The other unpaired vertices on the face through the gap of
         unpaired vertex i, in cycle order starting right after i, and the
-        arc sides of the segment that ends at each, the last one back at
-        i; a lone vertex has one segment, the whole face (no side on an
-        arcless backbone)."""
+        arc sides, up to 2, of the segment that ends at each, the last one
+        back at i; a lone vertex has one segment, the whole face (no side
+        on an arcless backbone)."""
         on: list[int] = []
         seg: list[int] = []
         q = 0
@@ -283,7 +267,8 @@ def _search_split(
         while y != i:
             x = pair[y]
             if x:
-                q += 1
+                if q < 2:
+                    q += 1
                 y = succ[x]
             else:
                 on.append(y)
@@ -292,9 +277,6 @@ def _search_split(
                 y = succ[y]
         seg.append(q)
         return on, seg
-
-    if shape:
-        rise = _rise_table(V)
 
     def rec(lo: int, gp: int, odd: int, lb: int, rest: int) -> None:
         i = lo
@@ -311,15 +293,13 @@ def _search_split(
         # merge, so the root places nothing
         same_ok = gp + rest >= genus_min
         other_ok = gp < genus_max and gp + 1 + rest >= genus_min
-        split_odd, merge_odd = _odd_steps(odd, len(on) + 1)
-        split_ok = (
-            same_ok and split_odd[0] <= slack,
-            same_ok and split_odd[1] <= slack,
-        )
-        merge_ok = (
-            other_ok and merge_odd[0] <= slack - 2,
-            other_ok and merge_odd[1] <= slack - 2,
-        )
+        # a split at even p keeps odd, and one at odd p leaves odd_p, 2 more
+        # if i's face is even; a merge keeps odd unless both faces are odd,
+        # which lowers it by 2.  So odd p is admissible only if even p is
+        face_odd = not len(on) & 1
+        odd_p = odd if face_odd else odd + 2
+        split_ok = same_ok and odd <= slack
+        merge_ok = other_ok and odd - 2 * face_odd <= slack - 2
         # the admissible moves (j, genus, odd faces, lb) with (i, j) placed,
         # collected face by face and placed in ascending order of j
         moves: list[tuple[int, int, int, int]] = []
@@ -327,11 +307,11 @@ def _search_split(
             last = len(on) - 1
             # the segments that end and start at i (one if i is alone)
             pre_i, post_i = seg[-1], seg[0]
-            rise_pre, rise_post = rise[pre_i], rise[post_i]
-        if split_ok[0] or split_ok[1]:
-            # the positions p on i's face of the admissible parities
-            step = 1 if split_ok[0] and split_ok[1] else 2
-            for p in range(0 if split_ok[0] else 1, len(on), step):
+            rise_pre, rise_post = _RISE[pre_i], _RISE[post_i]
+        if split_ok:
+            # every position p on i's face, or the even ones if odd_p is
+            # too many
+            for p in range(0, len(on), 1 if odd_p <= slack else 2):
                 e = lb
                 if shape:
                     # the face rule: at p == 0 the side i..j closes the
@@ -362,8 +342,8 @@ def _search_split(
                         and (seg[p + 2] > 1 or seg[last] > 1)
                     ):
                         continue
-                moves.append((on[p], gp, split_odd[p & 1], e))
-        if (merge_ok[0] or merge_ok[1]) and len(on) < 2 * rest + 1:
+                moves.append((on[p], gp, odd_p if p & 1 else odd, e))
+        if merge_ok and len(on) < 2 * rest + 1:
             # some unpaired vertex is off i's face (2 rest + 2 are unpaired
             # in all); each other face is walked once, from its lowest
             # unpaired vertex
@@ -373,10 +353,10 @@ def _search_split(
                     continue
                 on_u, seg_u = walk(u)
                 seen.update(on_u)
-                n_g = len(on_u) + 1
-                if not merge_ok[n_g & 1]:
+                o = odd - 2 if face_odd and not len(on_u) & 1 else odd
+                if o > slack - 2:
                     continue
-                g, o = gp + 1, merge_odd[n_g & 1]
+                g = gp + 1
                 face = (u, *on_u)
                 if not shape:
                     moves += [(j, g, o, lb) for j in face]
@@ -388,7 +368,7 @@ def _search_split(
                 if not on_u:
                     e = lb + rise_pre[seg_u[0]]
                     if on:
-                        e += rise[pre_i + 1 + seg_u[0]][post_i]
+                        e += _RISE[pre_i + 1 + seg_u[0]][post_i]
                     if e <= spare:
                         moves.append((u, g, o, e))
                     continue
@@ -397,7 +377,7 @@ def _search_split(
                     if on:
                         e = lb + rise_pre[post_j] + rise_post[pre_j]
                     else:
-                        e = lb + rise_pre[pre_j] + rise[pre_j + 1 + pre_i][post_j]
+                        e = lb + rise_pre[pre_j] + _RISE[pre_j + 1 + pre_i][post_j]
                     if e <= spare:
                         moves.append((j, g, o, e))
         # a face lists its vertices in cycle order, not in vertex order

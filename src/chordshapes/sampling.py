@@ -36,9 +36,10 @@ unbiased integer draws (rejection sampling below the largest multiple
 is built into ``randrange``).  Parallel experiments should use
 independent seeds; their statistics combine by plain sums.
 
-A sampler given the table of another genus, and an arc filter that no
-connected shape of the genus meets, raise ``DiagramError`` up front
-instead of sampling the wrong family or rejecting forever.
+A sampler given the table of another genus, a table with no connected
+image, and an arc filter that no connected shape of the genus meets,
+raise ``DiagramError`` up front instead of sampling the wrong family or
+rejecting forever.
 """
 
 from __future__ import annotations
@@ -146,13 +147,14 @@ class BishapeSampler:
         self.connected_hits = 0
         self.filter_rejects = 0
         self._images = self.table.images
-        if arc_filter is not None and not any(
-            s is not None and s.n_arcs == arc_filter for s in self._images
+        # a draw returns only a connected image of the filter's arc count,
+        # so without one it would never return
+        if not any(
+            s is not None and (arc_filter is None or s.n_arcs == arc_filter)
+            for s in self._images
         ):
-            raise DiagramError(
-                f"no connected genus-{genus} two-backbone shape has "
-                f"{arc_filter} arcs"
-            )
+            has = "is in the table" if arc_filter is None else f"has {arc_filter} arcs"
+            raise DiagramError(f"no connected genus-{genus} two-backbone shape {has}")
 
     def draw(self) -> Shape:
         while True:

@@ -111,11 +111,15 @@ def test_genus_batch_mode(tmp_path, capsys, monkeypatch):
             "1-4 2-3\n\n\n\n# third\n4\n1-3 2-x\n",
             "line 15, column 5",
         ),
+        # a "|" ends a part of a line, and columns go on across it
+        ("4|1-3 2-x\n", "line 1, column 7"),
+        ("4\n1-3 2-4\n\n4|1-3 2-x\n", "line 4, column 7"),
     ],
-    ids=["two-diagrams", "comments-and-blanks"],
+    ids=["two-diagrams", "comments-and-blanks", "one-line", "one-line-second"],
 )
 def test_batch_parse_error_names_the_input_line(capsys, monkeypatch, text, where):
-    # line numbers count from the top of the input, not of the paragraph
+    # line numbers count from the top of the input, not of the paragraph,
+    # and columns from the start of the line
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "genus")
     assert code == 3
@@ -618,19 +622,36 @@ def test_mode_dependent_option_is_a_usage_error(capsys, argv):
     assert err.startswith("usage: chordshapes " + argv[0])
 
 
+ENUMERATE = ["enumerate", "--backbones", "2", "--genus", "0"]
+
+
 @pytest.mark.parametrize(
-    "extra, message",
+    "argv, message",
     [
-        (["--arcs", "3"], "--arcs needs --matchings"),
-        (["--list"], "--list needs --matchings"),
-        (["--matchings", "--arcs", "3", "--profile"], "--profile counts shapes"),
+        ([*ENUMERATE, "--arcs", "3"], "--arcs needs --matchings"),
+        ([*ENUMERATE, "--list"], "--list needs --matchings"),
+        (
+            [*ENUMERATE, "--matchings", "--arcs", "3", "--profile"],
+            "--profile counts shapes",
+        ),
+        (["series", "w", "--order", "6", "--l", "3"], "w takes no --l"),
+        (
+            ["series", "fiber", "--l", "1", "--order", "6", "--genus", "5"],
+            "fiber takes no --genus",
+        ),
     ],
-    ids=["arcs-without-matchings", "list-without-matchings", "profile-with-matchings"],
+    ids=[
+        "arcs-without-matchings",
+        "list-without-matchings",
+        "profile-with-matchings",
+        "series-w-with-l",
+        "series-fiber-with-genus",
+    ],
 )
-def test_option_its_mode_ignores_is_a_usage_error(capsys, extra, message):
-    # these used to be dropped silently, with every shape printed
+def test_option_its_mode_ignores_is_a_usage_error(capsys, argv, message):
+    # these used to be dropped silently, with the output printed
     with pytest.raises(SystemExit) as e:
-        main(["enumerate", "--backbones", "2", "--genus", "0", *extra])
+        main(argv)
     assert e.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""

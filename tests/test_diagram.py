@@ -156,6 +156,30 @@ class TestParse:
             parse_diagram(text)
         assert str(e.value) == message
 
+    # a "|" ends one part of a line, and its comment: columns count from
+    # the start of the line, across it
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4|1-3 2-x", "line 1, column 7: malformed arc token '2-x'"),
+            (
+                "4 0|1-2",
+                "line 1, column 3: backbone length '0' is not a positive integer",
+            ),
+            ("4|1-2|3-4", "line 1, column 7: unexpected extra line"),
+            (
+                "# c|4 |  1-5",
+                "line 1, column 10: arc endpoint out of range 1..4 in '1-5'",
+            ),
+            ("\n4 # x|1-2 3-3", "line 2, column 11: self-pairing '3-3'"),
+        ],
+    )
+    def test_positions_read_across_bars(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text)
+        assert str(e.value) == message
+        assert reference_parse(text) == message
+
     def test_non_ascii_decimal_digits_parse(self):
         d = parse_diagram("4 \u0663\n\uff11-\uff12 \u0663-\u0665")
         assert d == Diagram((4, 3), frozenset({(1, 2), (3, 5)}))
@@ -385,31 +409,35 @@ def reference_parse(text: str) -> Diagram | str:
     """The text format read token by token, written apart from the
     package's parser: the diagram, or the message of the ParseError that
     its first bad line or token raises."""
+    # the parts between "|"s that hold more than a comment, each with its
+    # line and the index in that line where it starts
     significant = []
-    for lineno, raw in enumerate(text.replace("|", "\n").split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            significant.append((lineno, body))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        for part in re.finditer(r"[^|]+", raw):
+            body = part.group(0).split("#", 1)[0]
+            if body.strip():
+                significant.append((lineno, part.start(), body))
     if not significant:
         return "line 1, column 1: no backbone-length line"
     if len(significant) > 2:
-        return f"line {significant[2][0]}, column 1: unexpected extra line"
-    lineno, body = significant[0]
+        lineno, start, _ = significant[2]
+        return f"line {lineno}, column {start + 1}: unexpected extra line"
+    lineno, start, body = significant[0]
     lengths = []
     for m in re.finditer(r"\S+", body):
         tok = m.group(0)
         if not (tok.isdecimal() and int(tok) > 0):
             return (
-                f"line {lineno}, column {m.start() + 1}:"
+                f"line {lineno}, column {start + m.start() + 1}:"
                 f" backbone length {tok!r} is not a positive integer"
             )
         lengths.append(int(tok))
     arcs = set()
     used = set()
-    for lineno, body in significant[1:]:
+    for lineno, start, body in significant[1:]:
         for m in re.finditer(r"\S+", body):
             tok = m.group(0)
-            where = f"line {lineno}, column {m.start() + 1}: "
+            where = f"line {lineno}, column {start + m.start() + 1}: "
             a, dash, b = tok.partition("-")
             if not (dash and a.isdecimal() and b.isdecimal()):
                 return where + f"malformed arc token {tok!r}"

@@ -22,7 +22,7 @@ from chordshapes import (
     shape_poly_2bb,
     w_gf,
 )
-from chordshapes.enumeration import _search_split, _swap_backbones
+from chordshapes.enumeration import _RISE, _search_split, _swap_backbones
 from chordshapes.shapes import as_shape
 from conftest import all_matchings
 from test_series import Q2, S3
@@ -444,6 +444,25 @@ class TestShapes:
             assert sum(len(c) - 3 for c in cycles) == hi - s.n_arcs - 2 * b
             plant = {(start,) for start, _ in d.bounds}
             assert {c for c in cycles if len(c) < 3} == plant, canonical_code(d)
+
+    def test_rise_table_matches_its_definition(self):
+        # the face-side bound's rise on joining segments of x and y arc
+        # sides across a new arc's side is h(x + 1 + y) - h(x) - h(y) for
+        # h(q) = max(0, q - 2); the kernel counts sides only up to 2 and
+        # reads a double join's row at the capped x + 1 + y
+        def h(q):
+            return max(0, q - 2)
+
+        def c(q):
+            return min(q, 2)
+
+        lengths = range(25)
+        for x in lengths:
+            for y in lengths:
+                assert _RISE[c(x)][c(y)] == h(x + 1 + y) - h(x) - h(y), (x, y)
+                for z in lengths:
+                    rise = h(x + 1 + y + 1 + z) - h(x + 1 + y) - h(z)
+                    assert _RISE[c(x) + 1 + c(y)][c(z)] == rise, (x, y, z)
 
     def test_leaf_check_raises(self):
         # a leaf whose face sides disagree with the Euler count raises,

@@ -14,6 +14,7 @@ from chordshapes import (
     SampleStats,
     Shape,
     ShapeClass,
+    ShapeTable,
     build_table,
     canonical_code,
     classify_loops,
@@ -139,6 +140,13 @@ class TestBishape:
         # genus-0 connected two-backbone shapes have 3 or 4 arcs only
         with pytest.raises(DiagramError, match="99 arcs"):
             BishapeSampler(0, seed=5, table=make_table(1, 1), arc_filter=99)
+
+    @pytest.mark.parametrize("images", [(None,), ()], ids=["no-connected", "empty"])
+    def test_table_without_connected_image_fails_fast(self, images):
+        # a draw returns only a connected image: with none it would reject
+        # forever, and with no image at all it would draw from an empty range
+        with pytest.raises(DiagramError, match="no connected genus-0"):
+            BishapeSampler(0, seed=5, table=ShapeTable(1, images))
 
     def test_filter_rejects_counted_apart(self, make_table):
         t = make_table(1, 2)
