@@ -256,7 +256,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sample(args) -> int:
     def show(s: Shape) -> None:
-        print(s.code)
+        sys.stdout.write(s.code + "\n")
 
     stats = sample_stats(
         args.genus,

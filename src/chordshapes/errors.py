@@ -11,12 +11,11 @@ class DiagramError(ChordShapesError, ValueError):
 
 
 class ParseError(DiagramError):
-    """Malformed diagram text.  Carries the bare message and the 1-based
-    line and column of the offence."""
+    """Malformed diagram text.  The message leads with the 1-based line
+    and column of the offence, which ``line`` and ``column`` also hold."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
-        self.message = message
         self.line = line
         self.column = column
 

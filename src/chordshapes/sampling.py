@@ -31,9 +31,13 @@ entry has genus g+1 by the bijection, an image the genus the kernel
 searched).  At genus 1 that is 1848 q, 3696 entries and 3696 shape
 checks.
 
-Randomness comes from one ``random.Random(seed)`` per sampler, with
-unbiased integer draws (rejection sampling below the largest multiple
-is built into ``randrange``).  Parallel experiments should use
+Randomness comes from one ``random.Random(seed)`` per sampler.  The
+images are padded with empty slots up to 2**k, k the bit length of their
+count, and each attempt reads the slot at ``getrandbits(k)``; an empty
+slot is drawn again and counts no attempt.  That is the index draw of
+``randrange(len(images))`` itself, which redraws ``getrandbits(k)``
+values at or past the count, so a seeded stream is the one ``randrange``
+gives: the same bits in the same order.  Parallel experiments should use
 independent seeds; their statistics combine by plain sums.
 
 A sampler given the table of another genus, a table with no connected
@@ -54,6 +58,9 @@ from .enumeration import _enumerate_shapes
 from .errors import ConsistencyError, DiagramError, _check_size
 from .series import shape_poly_1bb
 from .shapes import Shape
+
+# an empty slot of the padded image table: a draw that lands on it draws again
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,13 @@ def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
 class BishapeSampler:
     """Uniform generator of connected two-backbone shapes of fixed genus.
 
-    The table is the list of images, so a draw is an unbiased index draw
-    plus a rejection test.  ``attempts`` and ``connected_hits`` expose
-    the acceptance measurement; ``filter_rejects`` counts the connected
-    draws that ``arc_filter`` turned away, so ``connected_hits`` is the
-    number of draws returned plus ``filter_rejects``.
+    The table is the list of images, so a draw is a uniform index draw
+    (one ``getrandbits`` call per attempt over the images padded to a
+    power of two, as the module docstring says) plus a rejection test.
+    ``attempts`` and ``connected_hits`` expose the acceptance
+    measurement; ``filter_rejects`` counts the connected draws that
+    ``arc_filter`` turned away, so ``connected_hits`` is the number of
+    draws returned plus ``filter_rejects``.
 
     ``table`` defaults to ``build_table(1, genus + 1)``.  The two entries
     that map to the same shape share one image object, and a draw
@@ -155,11 +164,19 @@ class BishapeSampler:
         ):
             has = "is in the table" if arc_filter is None else f"has {arc_filter} arcs"
             raise DiagramError(f"no connected genus-{genus} two-backbone shape {has}")
+        self._k = len(self._images).bit_length()
+        self._padded = tuple(self._images) + (_MISS,) * (
+            (1 << self._k) - len(self._images)
+        )
+        self._bits = self.rng.getrandbits
 
     def draw(self) -> Shape:
+        bits, k, padded = self._bits, self._k, self._padded
         while True:
+            image = padded[bits(k)]
+            if image is _MISS:
+                continue  # past the images: randrange's own redraw
             self.attempts += 1
-            image = self._images[self.rng.randrange(len(self._images))]
             if image is None:
                 continue  # disconnected image: reject, genus-independent
             self.connected_hits += 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import random
 
 import pytest
 
@@ -162,6 +163,47 @@ class TestBishape:
             unfiltered.draw()
         assert unfiltered.filter_rejects == 0
         assert unfiltered.connected_hits == 500
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 5, 3696])
+    @pytest.mark.parametrize("filtered", [False, True], ids=["all", "filtered"])
+    def test_draws_follow_randrange_reference(self, make_table, size, filtered):
+        # the reference is the draw rule written out on randrange, with no
+        # call into the sampler: the same objects, counters and generator
+        # state after 2000 draws, on tables whose padding to the next power
+        # of two past their size adds 1 to 400 empty slots (size 4: 4);
+        # the images of size 5 are a list, which the padding must take too
+        if size == 3696:
+            genus, table, wanted = 1, make_table(1, 2), 7
+        else:
+            a, _, b, _ = make_table(1, 1).images  # 3 and 4 arcs
+            small = {1: (a,), 2: (b, a), 4: (a, None, b, a), 5: [a, None, b, b, a]}
+            genus, table, wanted = 0, ShapeTable(1, small[size]), a.n_arcs
+        assert len(table) == size
+        arcs = wanted if filtered else None
+        images = table.images
+        for seed in range(20):
+            ref = random.Random(seed)
+            attempts = connected_hits = filter_rejects = 0
+            expected = []
+            while len(expected) < 2000:
+                attempts += 1
+                image = images[ref.randrange(len(images))]
+                if image is None:
+                    continue
+                connected_hits += 1
+                if arcs is not None and image.n_arcs != arcs:
+                    filter_rejects += 1
+                    continue
+                expected.append(image)
+            sampler = BishapeSampler(genus, seed=seed, table=table, arc_filter=arcs)
+            for want in expected:
+                assert sampler.draw() is want
+            assert (
+                sampler.attempts,
+                sampler.connected_hits,
+                sampler.filter_rejects,
+            ) == (attempts, connected_hits, filter_rejects)
+            assert sampler.rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("genus, table", [(1, (1, 1)), (0, (1, 2))])
     def test_table_of_another_family_rejected(self, make_table, genus, table):
