@@ -40,7 +40,6 @@ from .fatgraph import (
 from .sampling import (
     BishapeSampler,
     SampleStats,
-    ShapeTable,
     build_table,
     sample_stats,
 )
@@ -113,7 +112,6 @@ __all__ = [
     # sampling
     "BishapeSampler",
     "SampleStats",
-    "ShapeTable",
     "build_table",
     "sample_stats",
     # errors

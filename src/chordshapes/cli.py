@@ -383,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=int, required=True, help="number of draws")
     p.add_argument("--arcs", type=int, default=None, help="arc-count filter")
-    p.add_argument("--seed", type=int, default=None, help="seed of the draws")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of the draws, >= 0; a negative seed exits 3, as it would "
+        "repeat the stream of its absolute value",
+    )
     p.add_argument(
         "--stats-only",
         action="store_true",

@@ -247,12 +247,7 @@ def _parse(text: str, planted: bool = False, first_line: int = 1) -> Diagram:
             a, dash, b = tok.partition("-")
             if not (dash and a.isdecimal() and b.isdecimal()):
                 raise ParseError(f"malformed arc token {tok!r}", lineno, column)
-            try:
-                i, j = int(a), int(b)
-            except ValueError:  # past the digit limit: name the long side
-                _number(a, lineno, column)
-                _number(b, lineno, column)
-                raise
+            i, j = _number(a, lineno, column), _number(b, lineno, column)
             if i == j:
                 raise ParseError(f"self-pairing {tok!r}", lineno, column)
             if i > j:

@@ -25,11 +25,13 @@ image and does nothing else; the sample count, the histograms and the
 alpha/beta sums are folded from those counts when they are read, in
 time linear in the number of distinct images, not of draws.
 
-Set-up checks each diagram once: each entry as the surgery that makes
-it returns it, each q for connectivity, and no diagram for its genus (an
+The table is a plain tuple of those images.  Its build checks
+each diagram once: each entry as the surgery that makes it returns it
+and each q for connectivity; no diagram is traced for its genus (an
 entry has genus g+1 by the bijection, an image the genus the kernel
 searched).  At genus 1 that is 1848 q, 3696 entries and 3696 shape
-checks.
+checks.  A sampler checks each image's stored ``Shape.genus`` against
+its own genus, and traces nothing.
 
 Randomness comes from one ``random.Random(seed)`` per sampler.  The
 images are padded with empty slots up to 2**k, k the bit length of their
@@ -39,18 +41,21 @@ slot is drawn again and counts no attempt.  That is the index draw of
 values at or past the count, so a seeded stream is the one ``randrange``
 gives: the same bits in the same order.  Parallel experiments should use
 independent seeds; their statistics combine by plain sums.
+``random.Random`` seeds with the absolute value of an integer, so -5
+would draw the stream of 5: :func:`sample_stats` refuses a seed that is
+not an integer >= 0.
 
-A sampler given the table of another genus, a table with no connected
-image, and an arc filter that no connected shape of the genus meets,
-raise ``DiagramError`` up front instead of sampling the wrong family or
-rejecting forever.
+A sampler given a table that holds an image of another genus, a table
+with no connected image, and an arc filter that no connected shape of
+the genus meets, raise ``DiagramError`` up front instead of sampling the
+wrong family or rejecting forever.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bijections import _eta, _theta
 from .diagram import is_connected
@@ -63,28 +68,14 @@ from .shapes import Shape
 _MISS = object()
 
 
-@dataclass(frozen=True)
-class ShapeTable:
-    """The sampler's table for one genus: for each one-backbone shape of
-    that genus, in canonical order, its two-backbone image (the connected
-    shape the entry maps to, one object shared by its two entries) or
-    None.  A draw reads nothing else, so the entries themselves are not
-    kept; :func:`build_table` checks each once, as the surgery that makes
-    it returns it.
-    """
-
-    genus: int
-    images: tuple[Optional[Shape], ...]
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-
-def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
+def build_table(b: int, g: int, cache_dir=None) -> tuple[Optional[Shape], ...]:
     """The table of genus g >= 1, built forward from Q'_(g-1) as the
-    module docstring says; only ``b = 1`` is built.  The entries, keyed
-    by (arc count, sorted arcs), must rise strictly and number
-    ``shape_poly_1bb(g)(1)``, or the build raises ``ConsistencyError``.
+    module docstring says; only ``b = 1`` is built.  It is the tuple of
+    the entries' images, in the entries' canonical order: each a
+    two-backbone ``Shape`` of genus g - 1 (one object shared by the two
+    entries that map to it) or None.  The entries, keyed by (arc count,
+    sorted arcs), must rise strictly and number ``shape_poly_1bb(g)(1)``,
+    or the build raises ``ConsistencyError``.
 
     ``cache_dir`` is accepted and not used.  It is kept only because the
     benchmark harness (``bench/worker.py``) passes it, and ROADMAP item 4
@@ -111,7 +102,7 @@ def build_table(b: int, g: int, cache_dir=None) -> ShapeTable:
             f"{len(keyed)} entries in the genus-{g} table, the shape "
             f"polynomial predicts {expected}"
         )
-    return ShapeTable(g, tuple(image for _, image in keyed))
+    return tuple(image for _, image in keyed)
 
 
 class BishapeSampler:
@@ -125,11 +116,16 @@ class BishapeSampler:
     ``arc_filter`` turned away, so ``connected_hits`` is the number of
     draws returned plus ``filter_rejects``.
 
-    ``table`` defaults to ``build_table(1, genus + 1)``.  The two entries
-    that map to the same shape share one image object, and a draw
-    returns that object every time it lands on it, so an image's loop
-    profile and code are computed once per shape, on first read, not
-    once per draw.
+    ``table``, a sequence of images, defaults to ``build_table(1, genus
+    + 1)``; one that holds an image whose stored genus is not ``genus``
+    is refused.  The two entries that map to the same shape share one
+    image object, and a draw returns that object every time it lands on
+    it, so an image's loop profile and code are computed once per shape,
+    on first read, not once per draw.
+
+    ``seed`` goes to ``random.Random`` as given, so a negative seed draws
+    the stream of its absolute value; :func:`sample_stats` and the CLI
+    refuse one.
     """
 
     def __init__(
@@ -137,7 +133,7 @@ class BishapeSampler:
         genus: int,
         *,
         seed: Optional[int] = None,
-        table: Optional[ShapeTable] = None,
+        table: Optional[Sequence[Optional[Shape]]] = None,
         arc_filter: Optional[int] = None,
     ):
         _check_size(genus, "genus")
@@ -146,28 +142,25 @@ class BishapeSampler:
         self.genus = genus
         self.rng = random.Random(seed)
         self.arc_filter = arc_filter
-        self.table = table if table is not None else build_table(1, genus + 1)
-        if self.table.genus != genus + 1:
-            raise DiagramError(
-                f"a genus-{genus} sampler reads the one-backbone genus-"
-                f"{genus + 1} table, not the genus-{self.table.genus} one"
-            )
+        images = tuple(table) if table is not None else build_table(1, genus + 1)
+        shapes = [s for s in images if s is not None]
+        for s in shapes:
+            if s.genus != genus:
+                raise DiagramError(
+                    f"a genus-{genus} sampler reads the one-backbone genus-"
+                    f"{genus + 1} table, whose images have genus {genus}, "
+                    f"not {s.genus}"
+                )
+        # a draw returns only a connected image of the filter's arc count,
+        # so without one it would never return
+        if not any(arc_filter is None or s.n_arcs == arc_filter for s in shapes):
+            has = "is in the table" if arc_filter is None else f"has {arc_filter} arcs"
+            raise DiagramError(f"no connected genus-{genus} two-backbone shape {has}")
         self.attempts = 0
         self.connected_hits = 0
         self.filter_rejects = 0
-        self._images = self.table.images
-        # a draw returns only a connected image of the filter's arc count,
-        # so without one it would never return
-        if not any(
-            s is not None and (arc_filter is None or s.n_arcs == arc_filter)
-            for s in self._images
-        ):
-            has = "is in the table" if arc_filter is None else f"has {arc_filter} arcs"
-            raise DiagramError(f"no connected genus-{genus} two-backbone shape {has}")
-        self._k = len(self._images).bit_length()
-        self._padded = tuple(self._images) + (_MISS,) * (
-            (1 << self._k) - len(self._images)
-        )
+        self._k = len(images).bit_length()
+        self._padded = images + (_MISS,) * ((1 << self._k) - len(images))
         self._bits = self.rng.getrandbits
 
     def draw(self) -> Shape:
@@ -186,21 +179,7 @@ class BishapeSampler:
             return image
 
 
-_STATS_FIELDS = (
-    "genus",
-    "n_samples",
-    "attempts",
-    "connected_hits",
-    "arc_hist",
-    "loop_length_hist",
-    "alpha_sum",
-    "alpha_sq_sum",
-    "beta_sum",
-    "beta_sq_sum",
-)
-
-
-@dataclass
+@dataclass(eq=False)
 class SampleStats:
     """Accumulated statistics of a sampling run.
 
@@ -220,9 +199,7 @@ class SampleStats:
     attempts: int = 0
     connected_hits: int = 0
     # id(image) -> [image, draws]
-    _tally: dict[int, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _tally: dict[int, list] = field(default_factory=dict, init=False, repr=False)
 
     def record(self, s: Shape) -> None:
         entry = self._tally.get(id(s))
@@ -267,20 +244,6 @@ class SampleStats:
     @property
     def beta_sq_sum(self) -> int:
         return sum(s.loop_profile.beta**2 * n for s, n in self._tally.values())
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in _STATS_FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        values = ", ".join(
-            f"{name}={value!r}" for name, value in zip(_STATS_FIELDS, self._fields())
-        )
-        return f"SampleStats({values})"
 
     @property
     def acceptance_fraction(self) -> float:
@@ -337,8 +300,11 @@ def sample_stats(
 ) -> SampleStats:
     """Draw ``n`` connected two-backbone shapes of genus ``g`` and report
     loop statistics, arc-count and loop-length histograms and the
-    acceptance fraction of the rejection step."""
+    acceptance fraction of the rejection step.  ``seed``, when given,
+    must be an integer >= 0."""
     _check_size(n, "sample count")
+    if seed is not None:
+        _check_size(seed, "seed")
     sampler = BishapeSampler(g, seed=seed, arc_filter=arc_filter)
     stats = SampleStats(genus=g)
     for _ in range(n):

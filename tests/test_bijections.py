@@ -4,6 +4,7 @@ import pytest
 
 from chordshapes import (
     BijectionDomainError,
+    ConsistencyError,
     Diagram,
     Shape,
     ShapeClass,
@@ -19,6 +20,7 @@ from chordshapes import (
     theta,
     theta_inv,
 )
+from chordshapes import bijections
 from chordshapes.bijections import _eta, _eta_inv, _theta, _theta_inv
 from chordshapes.enumeration import _search_split
 
@@ -100,6 +102,29 @@ class TestDomain:
         # outermost arcs that are not rainbows put the input outside the
         # domain; no planted copy is built to fail with a DiagramError
         with pytest.raises(BijectionDomainError):
+            fn(diagram)
+
+
+class TestOutputCheck:
+    """Each surgery checks its output once; a checker made to misread a
+    valid output must make every family's check fire."""
+
+    @pytest.mark.parametrize(
+        "fn, diagram, name, fake, family",
+        [
+            (theta, SHAPE_4A, "_class_of", ShapeClass.A, "B-shape"),
+            (theta_inv, SHAPE_3B, "_class_of", ShapeClass.B, "A-shape"),
+            (eta, Q3, "_class_of", ShapeClass.B, "A-shape"),
+            (eta_inv, SHAPE_4A, "is_shape", False, "two-backbone shape"),
+        ],
+        ids=["theta", "theta_inv", "eta", "eta_inv"],
+    )
+    def test_output_outside_family_raises(
+        self, monkeypatch, fn, diagram, name, fake, family
+    ):
+        fn(diagram)  # the real check passes
+        monkeypatch.setattr(bijections, name, lambda d: fake)
+        with pytest.raises(ConsistencyError, match=f"^surgery left the {family} family$"):
             fn(diagram)
 
 

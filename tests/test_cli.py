@@ -722,6 +722,18 @@ def test_sample_negative_count_exit_code_3(capsys, monkeypatch, make_table):
     }
 
 
+def test_sample_negative_seed_exit_code_3(capsys):
+    # random.Random seeds with |seed|, so --seed -5 once printed the
+    # stream of --seed 5
+    code, out, err = run(capsys, "sample", "--genus", "0", "--count", "1", "--seed", "-5")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": "seed must be >= 0",
+    }
+
+
 def test_sample_negative_genus_exit_code_3(capsys):
     # a negative genus used to look up a genus-0 one-backbone table and
     # fail in shape_poly_1bb, naming an internal function and genus 0
