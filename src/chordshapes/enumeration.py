@@ -107,17 +107,20 @@ each, a face whose size the parity prune rejects dropped whole.  It then
 places them in ascending order.  The search is deterministic: splits
 ascending, partners ascending, so two runs yield identical sequences.
 A leaf reads its arcs off the pairing in ascending order, so each
-split's matchings come in canonical order, arcs and all.  Two-backbone
-shapes are searched on the splits up to the middle only: those on
-(c, a) for c > a are the ones on (a, c) with the two backbones swapped,
-relabelled and sorted.  An optional node budget, counted in placed
-arcs, turns oversized searches into an explicit failure instead of a
-silent truncation.
+split's matchings come in canonical order, arcs and all.  One driver,
+``_search``, walks the arc counts and the backbone splits for every
+search here: the matchings on every split, and the shapes on the splits
+with 3 or more vertices per backbone, the two-backbone ones up to the
+middle only, those on (c, a) for c > a being the ones on (a, c) with the
+two backbones swapped, relabelled and sorted.  An optional node budget,
+counted in placed arcs over all splits, turns oversized searches into an
+explicit failure instead of a silent truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .diagram import Arc, Diagram
@@ -125,6 +128,7 @@ from .errors import ConsistencyError, DiagramError, InfeasibleError, _check_size
 from .shapes import Shape, project_shape
 
 Visit = Callable[[Diagram], None]
+Emit = Callable[[tuple[int, ...], tuple[Arc, ...]], None]
 
 # The search recurses once per arc, and Python allows 1000 nested calls by
 # default, so no search takes diagrams of more arcs than this.  The bound
@@ -419,6 +423,42 @@ def _search_split(
         del rec
 
 
+def _search(
+    b: int, lo: int, hi: int, window: tuple[int, int], connected: bool,
+    top: Optional[int], emit: Emit, node_budget: Optional[int],
+) -> None:
+    """The one driver of ``_search_split``: ``emit(lengths, arcs)`` for
+    each matching of ``lo`` to ``hi`` arcs over ``b`` backbones with its
+    genus in ``window``, in canonical order, every split placing arcs
+    from one node budget.  With ``top`` None every split is searched.
+    With ``top``, the largest arc count of a shape family, shapes are
+    searched with ``spare = top - n``; a two-backbone one has 3 or more
+    vertices on each backbone, and the splits (c, a) with c > a are
+    (a, c)'s shapes with the backbones swapped, sorted.
+    """
+    # the arcs the search may still place, and the budget it started with
+    budget = None if node_budget is None else [node_budget] * 2
+    mirror = b == 2 and top is not None
+    for n in range(lo, hi + 1):
+        V = 2 * n
+        spare = None if top is None else top - n
+        ks = range(3, n + 1) if mirror else range(1, V)
+        # the leaves of each split: buffered only where mirrored, as every
+        # other split emits them as the kernel finds them
+        found = []
+        for lengths in [(V,)] if b == 1 else [(k, V - k) for k in ks]:
+            leaves: list[tuple[Arc, ...]] = []
+            visit = leaves.append if mirror else partial(emit, lengths)
+            _search_split(lengths, *window, connected, visit, budget, spare)
+            found.append((lengths, leaves))
+        # then (c, a) for c ascending past the middle split (n, n)
+        for (a, c), leaves in found[-2::-1] if mirror else ():
+            found.append(((c, a), sorted(_swap_backbones(x, a, c) for x in leaves)))
+        for lengths, leaves in found:
+            for arcs in leaves:
+                emit(lengths, arcs)
+
+
 def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
     """Visit every perfect-matching diagram meeting ``spec`` exactly once,
     in deterministic order; returns how many were visited.  More than 500
@@ -427,8 +467,6 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
         raise InfeasibleError(
             f"{spec.arcs_max} arcs: the search takes at most {_MAX_ARCS}"
         )
-    # arcs the search may still place, and the budget it started with
-    budget = [spec.node_budget] * 2 if spec.node_budget is not None else None
     # the genus window: from the lowest formal genus, or the exact genus
     if spec.genus_exact is None:
         window = (1 - spec.backbones, spec.genus_cap)
@@ -439,18 +477,15 @@ def enumerate_matchings(spec: EnumSpec, visit: Optional[Visit] = None) -> int:
         # each split run until too few arcs are left
         return 0
     total = 0
-    for n in range(spec.arcs_min, spec.arcs_max + 1):
-        V = 2 * n
-        splits = [(V,)] if spec.backbones == 1 else [(k, V - k) for k in range(1, V)]
-        for lengths in splits:
 
-            def emit(arcs: tuple[Arc, ...], _lengths=lengths) -> None:
-                nonlocal total
-                total += 1
-                if visit is not None:
-                    visit(Diagram(_lengths, frozenset(arcs)))
+    def emit(lengths: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
+        nonlocal total
+        total += 1
+        if visit is not None:
+            visit(Diagram(lengths, frozenset(arcs)))
 
-            _search_split(lengths, *window, spec.connected_only, emit, budget, None)
+    b, lo, hi = spec.backbones, spec.arcs_min, spec.arcs_max
+    _search(b, lo, hi, window, spec.connected_only, None, emit, spec.node_budget)
     return total
 
 
@@ -511,34 +546,22 @@ def _enumerate_shapes(
             f"arcs (b = 1, g <= 2 and b = 2, g <= 1)"
         )
 
-    budget = [node_budget] * 2 if node_budget is not None else None
-    # the shapes of each split, the splits in ascending order of arc count
-    # and then of lengths: splits and partners ascend, so a searched
-    # split's shapes come in canonical order, and each mirrored split is
-    # sorted
-    found: dict[tuple[int, ...], list[tuple[Arc, ...]]] = {}
-    for n in range(lo, hi + 1):
-        V = 2 * n
-        splits = [(V,)] if b == 1 else [(k, V - k) for k in range(3, n + 1)]
-        for lengths in splits:
-            leaves = found[lengths] = []
-            _search_split(lengths, g, g, connected, leaves.append, budget, hi - n)
-        if b == 2:
-            for c in range(n + 1, V - 2):
-                a = V - c
-                mirror = (_swap_backbones(arcs, a, c) for arcs in found[a, c])
-                found[c, a] = sorted(mirror)
     shapes: list[Shape] = []
     last: tuple = ()
-    for lengths, leaves in found.items():
-        for arcs in leaves:
-            # each shape must come after the one before it in canonical order
-            key = (len(arcs), lengths, arcs)
-            if key <= last:
-                raise ConsistencyError(f"shape emitted out of canonical order: {key}")
-            last = key
-            d = Diagram(lengths, frozenset(arcs), planted=True)
-            shapes.append(Shape(diagram=d, genus=g))
+
+    def keep(lengths: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
+        # the driver emits the splits in ascending order of arc count and
+        # then of lengths, and each split's shapes in canonical order, so
+        # each shape must come after the one before it
+        nonlocal last
+        key = (len(arcs), lengths, arcs)
+        if key <= last:
+            raise ConsistencyError(f"shape emitted out of canonical order: {key}")
+        last = key
+        shapes.append(Shape(Diagram(lengths, frozenset(arcs), planted=True), g))
+
+    # the family's whole arc range, with the face-side budget of its top
+    _search(b, lo, hi, (g, g), connected, hi, keep, node_budget)
     return shapes
 
 
@@ -553,21 +576,13 @@ def count_fiber(s: Shape, n_arcs: int) -> int:
         raise InfeasibleError(
             f"{n_arcs} arcs: fibers are counted up to {_MAX_FIBER_ARCS} arcs"
         )
-    hits = [0]
+    hits = 0
 
-    def visit(d: Diagram) -> None:
-        if project_shape(d).diagram == s.diagram:
-            hits[0] += 1
+    def visit(lengths: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
+        nonlocal hits
+        if project_shape(Diagram(lengths, frozenset(arcs))).diagram == s.diagram:
+            hits += 1
 
-    enumerate_matchings(
-        EnumSpec(
-            backbones=2,
-            arcs_min=n_arcs,
-            arcs_max=n_arcs,
-            genus_cap=s.genus,
-            genus_exact=s.genus,
-            connected_only=True,
-        ),
-        visit,
-    )
-    return hits[0]
+    # the connected matchings of the shape's own genus
+    _search(2, n_arcs, n_arcs, (s.genus, s.genus), True, None, visit, None)
+    return hits

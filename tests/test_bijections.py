@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 import pytest
 
 from chordshapes import (
@@ -22,7 +25,7 @@ from chordshapes import (
 )
 from chordshapes import bijections
 from chordshapes.bijections import _eta, _eta_inv, _theta, _theta_inv
-from chordshapes.enumeration import _search_split
+from chordshapes.enumeration import _search
 
 from conftest import disjoint_union
 from test_series import Q2, S3
@@ -242,37 +245,51 @@ class TestGenusOneExhaustive:
         assert images == {canonical_code(s.diagram) for s in a1}
 
 
+def forward_build(n: int) -> int:
+    """Build the genus-3 one-backbone shapes of n arcs forward from Q'_2,
+    the two-backbone genus-2 shapes with the disconnected pairs: eta on
+    its (n - 1)-arc shapes gives the A-shapes, and theta after eta on its
+    n-arc shapes the B-shapes.  Each entry must invert, and the images
+    must be the kernel's list; returns how many there are.  Both sides
+    are listed through the driver's arc window, with the face-side
+    budget of each family's top arc count (16 and 17).  A shape is kept
+    as its arcs packed into bytes, not as a ``Diagram``, so 9 arcs
+    (198,451 shapes) fit in a small heap:
+
+        PYTHONPATH=src:tests python -c \
+            'from test_bijections import forward_build; print(forward_build(9))'
+    """
+
+    def packed(arcs) -> bytes:
+        return bytes(chain.from_iterable(sorted(arcs)))
+
+    images = []
+
+    def build(lengths, arcs, b_shape):
+        q = Diagram(lengths, frozenset(arcs), planted=True)
+        a = _eta(q)
+        assert _eta_inv(a) == q
+        if b_shape:
+            b = _theta(a)
+            assert _theta_inv(b) == a
+            a = b
+        images.append(packed(a.arcs))
+
+    for m in (n - 1, n):
+        _search(2, m, m, (2, 2), False, 16, partial(build, b_shape=m == n), None)
+    genus_three = []
+    _search(
+        1, n, n, (3, 3), True, 17,
+        lambda lengths, arcs: genus_three.append(packed(arcs)), None,
+    )
+    images.sort()
+    assert images == genus_three
+    return len(images)
+
+
 class TestGenusTwoExhaustive:
     def test_theta_eta_maps_q2_prime_onto_genus_three(self):
-        # the 7-arc shapes of Q'_2 go through eta and then theta onto every
-        # 7-arc shape of genus 3.  The kernel lists both sides on every
-        # split, with the face-side budget of each family's top arc count
-        # (16 and 17); Q'_2's disconnected pairs are searched too, though
-        # a pair of genus-1 and genus-2 shapes needs 8 arcs
-        q_prime = []
-        for k in range(1, 14):
-            lengths = (k, 14 - k)
-            _search_split(
-                lengths, 2, 2, False,
-                lambda arcs, lengths=lengths: q_prime.append(
-                    Diagram(lengths, frozenset(arcs), planted=True)
-                ),
-                None, 16 - 7,
-            )
-        genus_three = []
-        _search_split(
-            (14,), 3, 3, True,
-            lambda arcs: genus_three.append(
-                Diagram((14,), frozenset(arcs), planted=True)
-            ),
-            None, 17 - 7,
-        )
-        assert len(q_prime) == Q2[7] == len(genus_three) == S3[7] == 1485
-        images = set()
-        for q in q_prime:
-            a = _eta(q)
-            b = _theta(a)
-            assert _eta_inv(a) == q
-            assert _theta_inv(b) == a
-            images.add(b)
-        assert images == set(genus_three)
+        # Q'_2 starts at 7 arcs, so at 7 arcs every genus-3 shape is a
+        # B-shape; a pair of genus-1 and genus-2 shapes needs 8 arcs
+        assert forward_build(7) == S3[7] == 1485
+        assert forward_build(8) == S3[8] == 26928

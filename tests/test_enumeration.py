@@ -22,7 +22,7 @@ from chordshapes import (
     shape_poly_2bb,
     w_gf,
 )
-from chordshapes.enumeration import _RISE, _search_split, _swap_backbones
+from chordshapes.enumeration import _RISE, _search, _search_split, _swap_backbones
 from chordshapes.shapes import as_shape
 from conftest import all_matchings
 from test_series import Q2, S3
@@ -353,6 +353,66 @@ class TestShapes:
                 _search_split(lengths, g, g, True, found.append, budget, hi - n)
             assert len(found) == poly[n] == top[n], (b, g, n)
             assert budget[0] == 0, (b, g, n)
+
+    def test_disconnected_genus_two_through_the_window(self):
+        # Q'_2, the two-backbone genus-2 shapes with the disconnected pairs,
+        # listed by the driver's arc window below the family's 11-arc cap:
+        # eta and theta give S_3 = (1 + z) Q'_2, and a pair puts a genus-1
+        # and a genus-2 shape on the two backbones in either order
+        s1, s2, s3 = (shape_poly_1bb(g) for g in (1, 2, 3))
+        for n, every, apart in ((7, 1485, 0), (8, 25443, 42)):
+            found = []
+            _search(
+                2, n, n, (2, 2), False, 16,
+                lambda lengths, arcs: found.append((lengths[0], arcs)), None,
+            )
+            # no arc joins the two backbones of a pair
+            pairs = sum(
+                all((i <= a) == (j <= a) for i, j in arcs) for a, arcs in found
+            )
+            ks = range(n + 1)
+            assert len(found) == every == sum((-1) ** (n - k) * s3[k] for k in ks)
+            assert pairs == apart == 2 * sum(s1[k] * s2[n - k] for k in ks)
+            assert every - apart == Q2[n]
+
+    def test_driver_split_policy(self, monkeypatch):
+        # the driver searches the shape splits (a, c) with 3 <= a <= c only,
+        # in ascending arc count and then lengths, with the face-side
+        # budget 10 - n of the (2, 1) family; every other split is a
+        # mirror.  It searches every matching split and mirrors none: the
+        # visits are exactly what the kernel emits, in the same order
+        calls = []
+
+        def recording(lengths, genus_min, genus_max, connected, emit, budget, spare):
+            leaves = []
+            calls.append((lengths, spare, leaves))
+
+            def record(arcs):
+                leaves.append(arcs)
+                emit(arcs)
+
+            return _search_split(
+                lengths, genus_min, genus_max, connected, record, budget, spare
+            )
+
+        monkeypatch.setattr("chordshapes.enumeration._search_split", recording)
+        enumerate_shapes(2, 1)
+        assert [(lengths, spare) for lengths, spare, _ in calls] == [
+            ((a, 2 * n - a), 10 - n) for n in range(5, 11) for a in range(3, n + 1)
+        ]
+        calls.clear()
+        visits = []
+        enumerate_matchings(
+            EnumSpec(backbones=2, arcs_min=1, arcs_max=4, genus_cap=1),
+            lambda d: visits.append((d.backbone_lengths, tuple(sorted(d.arcs)))),
+        )
+        assert [(lengths, spare) for lengths, spare, _ in calls] == [
+            ((k, 2 * n - k), None) for n in range(1, 5) for k in range(1, 2 * n)
+        ]
+        assert visits
+        assert visits == [
+            (lengths, arcs) for lengths, _, leaves in calls for arcs in leaves
+        ]
 
     def test_genus_one_profile(self, shape_sets):
         shapes = shape_sets(1, 1)
