@@ -116,17 +116,15 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _decomposition_json(dec) -> dict:
+    return {"genus": dec.genus, "r": dec.r, "cycles": dec.cycles}
+
+
 def _cmd_genus(args) -> int:
     for d in _read_diagrams(args.input):
         dec = boundary_components(d)
-        _emit(
-            {
-                "genus": dec.genus,
-                "r": dec.r,
-                "cycles": dec.cycles,
-                "component_genera": component_genera(d, dec),
-            }
-        )
+        genera = component_genera(d, dec)
+        _emit({**_decomposition_json(dec), "component_genera": genera})
     return EXIT_OK
 
 
@@ -135,12 +133,9 @@ def _cmd_loops(args) -> int:
         if args.planted:
             d = _planted(d)
         prof = classify_loops(d)
-        dec = prof.boundary
         _emit(
             {
-                "genus": dec.genus,
-                "r": dec.r,
-                "cycles": dec.cycles,
+                **_decomposition_json(prof.boundary),
                 "loops": {
                     "hairpin": prof.hairpin,
                     "interior": prof.interior,

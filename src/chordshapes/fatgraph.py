@@ -17,11 +17,15 @@ integral on degenerate inputs (an odd count raises ConsistencyError).
 
 A trace walks the paired vertices only, so it costs O(n log n) in the
 arc count n plus O(b log n) for the backbones, however long the
-backbones are.  Each public function traces phi once.  A boundary
-cycle never leaves its connected component, so ``component_genera``
-reads the genus of every component off that one trace: it assigns each
-cycle to the component of its first vertex and applies the Euler
-relation per component, without splitting the diagram.
+backbones are.  The trace builds the one ``BoundaryDecomposition``
+(cycles, r and genus) that every public function reads, and each public
+function still traces phi once: ``genus`` reads its genus,
+``boundary_components`` returns it and ``classify_loops`` classifies its
+cycles.  A boundary cycle never leaves its connected component, so
+``component_genera`` reads the genus of every component off that one
+trace: it assigns each cycle to the component of its first vertex and
+applies the Euler relation per component, without splitting the
+diagram.
 
 ``classify_loops`` reads the arcs of every loop off the pairing that
 its trace built, so one call pairs the diagram once.  Its crossing test
@@ -55,13 +59,15 @@ class BoundaryDecomposition:
     genus: int
 
 
-def _trace(d: Diagram) -> tuple[list[Cycle], dict[int, int]]:
-    """Cycles of phi = sigma o alpha plus empty cycles of arcless
-    backbones, and the pairing they were traced on.
+def _trace(d: Diagram) -> tuple[BoundaryDecomposition, dict[int, int]]:
+    """The one ``BoundaryDecomposition`` of ``d``, and the pairing it
+    was traced on.
 
-    sigma steps to the next paired vertex of the same backbone (cyclic);
-    each backbone's paired vertices are found by bisection in the sorted
-    paired vertices, so unpaired vertices are never walked.
+    Its cycles are those of phi = sigma o alpha, then one empty cycle per
+    arcless backbone.  sigma steps to the next paired vertex of the same
+    backbone (cyclic); each backbone's paired vertices are found by
+    bisection in the sorted paired vertices, so unpaired vertices are
+    never walked.
     """
     pair = d.pairing()
     paired = sorted(pair)
@@ -86,7 +92,9 @@ def _trace(d: Diagram) -> tuple[list[Cycle], dict[int, int]]:
             x = nxt[pair[x]]
         cycles.append(tuple(cyc))
     cycles += [()] * arcless
-    return cycles, pair
+    r = len(cycles)
+    dec = BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
+    return dec, pair
 
 
 def _formal_genus(r: int, b: int, n_arcs: int) -> int:
@@ -102,21 +110,12 @@ def genus(d: Diagram) -> int:
     Negative values are possible for disconnected diagrams, e.g. -1 for
     two disjoint planar components on two backbones.
     """
-    cycles, _ = _trace(d)
-    return _formal_genus(len(cycles), d.b, d.n_arcs)
+    return _trace(d)[0].genus
 
 
 def boundary_components(d: Diagram) -> BoundaryDecomposition:
     """Full boundary decomposition and genus, from one trace."""
-    return _decompose(d)[0]
-
-
-def _decompose(d: Diagram) -> tuple[BoundaryDecomposition, dict[int, int]]:
-    """:func:`boundary_components` and the pairing it was traced on."""
-    cycles, pair = _trace(d)
-    r = len(cycles)
-    dec = BoundaryDecomposition(tuple(cycles), r, _formal_genus(r, d.b, d.n_arcs))
-    return dec, pair
+    return _trace(d)[0]
 
 
 def component_genera(d: Diagram, dec: BoundaryDecomposition) -> list[int]:
@@ -229,7 +228,7 @@ def classify_loops(d: Diagram) -> LoopProfile:
     it traverses contain a crossing pair; a loop is alpha iff every arc
     it traverses has both endpoints on one backbone.
     """
-    dec, pair = _decompose(d)
+    dec, pair = _trace(d)
     starts = _starts(d)
     exterior: set[int] = set()
     for i, j in d.arcs:
@@ -238,23 +237,19 @@ def classify_loops(d: Diagram) -> LoopProfile:
     plant_heads = set(starts) if d.planted else set()
 
     kinds: list[str] = []
-    alphas: list[bool] = []
     pks: list[bool] = []
     for cyc in dec.cycles:
+        pk = False
         if not cyc:
             kinds.append("empty")
-            alphas.append(True)
-            pks.append(False)
-            continue
-        if len(cyc) == 1:
+        elif len(cyc) == 1:
             kinds.append("plant" if cyc[0] in plant_heads else "hairpin")
-            pks.append(False)
         elif len(cyc) == 2:
             kinds.append("interior")
-            pks.append(False)
         else:
             kinds.append("multi")
-            arcs = {(min(v, pair[v]), max(v, pair[v])) for v in cyc}
-            pks.append(_has_crossing(arcs))
-        alphas.append(exterior.isdisjoint(cyc))
-    return LoopProfile(dec, tuple(kinds), tuple(alphas), tuple(pks))
+            pk = _has_crossing({(min(v, pair[v]), max(v, pair[v])) for v in cyc})
+        pks.append(pk)
+    # an empty cycle is disjoint from every set, so it stays alpha
+    alphas = tuple(exterior.isdisjoint(cyc) for cyc in dec.cycles)
+    return LoopProfile(dec, tuple(kinds), alphas, tuple(pks))

@@ -230,6 +230,22 @@ def test_loop_classes_match_per_arc_reference(d):
     assert prof.beta == sum(1 for _, a in loops if not a)
 
 
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        diagram_strategy(max_backbones=4),
+        diagram_strategy(max_backbones=4).map(plant),
+    )
+)
+def test_entry_points_report_one_decomposition(d):
+    # genus, boundary_components and classify_loops each trace d on their
+    # own, and all three must report the same record
+    dec = boundary_components(d)
+    assert classify_loops(d).boundary == dec
+    assert genus(d) == dec.genus
+    assert dec.r == len(dec.cycles)
+
+
 def pairwise_crossing(arcs) -> bool:
     """Whether two of ``arcs`` cross, by comparing every pair."""
     return any(i < r < j < s for i, j in arcs for r, s in arcs)

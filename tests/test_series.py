@@ -224,6 +224,14 @@ class TestKappa:
             for t in range(1, len(row) - 1):
                 assert row[t] ** 2 >= row[t - 1] * row[t + 1]
 
+    def test_inexact_recursion_raises(self, monkeypatch):
+        # every entry is an exact quotient by m = 2g + t of terms of the
+        # row below; a remainder raises (also under python -O), and the
+        # first row built is g = 2
+        monkeypatch.setattr(series, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ConsistencyError, match="not divisible at g=2, t=1"):
+            list(series._kappa_rows(2))
+
 
 @pytest.mark.parametrize(
     "call, message",
