@@ -7,118 +7,98 @@ uniform sampling of shapes of fixed genus.
 
 ``__all__`` is the public surface: the names below, and nothing else,
 are kept stable.
+
+Importing the package loads none of its modules.  The first use of a
+public name, or of a library module's name (``chordshapes.series``),
+imports its home module (PEP 562), so a process pays to compile and set
+up only the modules it uses; ``from chordshapes import *`` loads them
+all and binds the same names as an eager import would.
 """
 
-from .bijections import eta, eta_inv, theta, theta_inv
-from .diagram import (
-    Arc,
-    Diagram,
-    canonical_code,
-    diagram_from_code,
-    is_connected,
-    parse_diagram,
-    plant,
-    serialize_diagram,
-)
-from .enumeration import EnumSpec, count_fiber, enumerate_matchings, enumerate_shapes
-from .errors import (
-    BijectionDomainError,
-    ChordShapesError,
-    ConsistencyError,
-    DiagramError,
-    InfeasibleError,
-    ParseError,
-)
-from .fatgraph import (
-    BoundaryDecomposition,
-    LoopProfile,
-    boundary_components,
-    classify_loops,
-    component_genera,
-    genus,
-)
-from .sampling import (
-    BishapeSampler,
-    SampleStats,
-    build_table,
-    sample_stats,
-)
-from .series import (
-    IntPolynomial,
-    PowerSeries,
-    a_shape_poly,
-    b_shape_poly,
-    fiber_gf,
-    kappa,
-    shape_poly_1bb,
-    shape_poly_2bb,
-    w_gf,
-)
-from .shapes import (
-    Shape,
-    ShapeClass,
-    as_shape,
-    is_shape,
-    project_shape,
-    shape_class,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
+# each library module and the public names it defines, in __all__ order
+_EXPORTS = {
     # diagrams and their text format
-    "Arc",
-    "Diagram",
-    "canonical_code",
-    "diagram_from_code",
-    "is_connected",
-    "parse_diagram",
-    "plant",
-    "serialize_diagram",
+    "diagram": (
+        "Arc",
+        "Diagram",
+        "canonical_code",
+        "diagram_from_code",
+        "is_connected",
+        "parse_diagram",
+        "plant",
+        "serialize_diagram",
+    ),
     # fat graph: boundary cycles, genus, loops
-    "BoundaryDecomposition",
-    "LoopProfile",
-    "boundary_components",
-    "classify_loops",
-    "component_genera",
-    "genus",
+    "fatgraph": (
+        "BoundaryDecomposition",
+        "LoopProfile",
+        "boundary_components",
+        "classify_loops",
+        "component_genera",
+        "genus",
+    ),
     # shapes
-    "Shape",
-    "ShapeClass",
-    "as_shape",
-    "is_shape",
-    "project_shape",
-    "shape_class",
+    "shapes": (
+        "Shape",
+        "ShapeClass",
+        "as_shape",
+        "is_shape",
+        "project_shape",
+        "shape_class",
+    ),
     # surgeries
-    "eta",
-    "eta_inv",
-    "theta",
-    "theta_inv",
+    "bijections": ("eta", "eta_inv", "theta", "theta_inv"),
     # shape polynomials and generating functions
-    "IntPolynomial",
-    "PowerSeries",
-    "a_shape_poly",
-    "b_shape_poly",
-    "fiber_gf",
-    "kappa",
-    "shape_poly_1bb",
-    "shape_poly_2bb",
-    "w_gf",
+    "series": (
+        "IntPolynomial",
+        "PowerSeries",
+        "a_shape_poly",
+        "b_shape_poly",
+        "fiber_gf",
+        "kappa",
+        "shape_poly_1bb",
+        "shape_poly_2bb",
+        "w_gf",
+    ),
     # enumeration oracle
-    "EnumSpec",
-    "count_fiber",
-    "enumerate_matchings",
-    "enumerate_shapes",
+    "enumeration": (
+        "EnumSpec",
+        "count_fiber",
+        "enumerate_matchings",
+        "enumerate_shapes",
+    ),
     # sampling
-    "BishapeSampler",
-    "SampleStats",
-    "build_table",
-    "sample_stats",
+    "sampling": ("BishapeSampler", "SampleStats", "build_table", "sample_stats"),
     # errors
-    "BijectionDomainError",
-    "ChordShapesError",
-    "ConsistencyError",
-    "DiagramError",
-    "InfeasibleError",
-    "ParseError",
-]
+    "errors": (
+        "BijectionDomainError",
+        "ChordShapesError",
+        "ConsistencyError",
+        "DiagramError",
+        "InfeasibleError",
+        "ParseError",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later uses skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

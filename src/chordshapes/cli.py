@@ -12,6 +12,15 @@ parser is built once per process, on the first :func:`main` call, and
 ``genus``, ``loops`` and ``shape`` trace each diagram's fat graph once
 (``genus`` reads the component genera off that same trace).
 
+A process loads only the modules its command uses: ``bijections``,
+``enumeration``, ``sampling`` and ``series`` are imported inside the
+commands that call them, so ``genus``, ``loops`` and ``shape`` never
+compile them.  ``diagram``, ``errors``, ``fatgraph`` and ``shapes`` stay
+imported at module level: every diagram command reads them, and the
+benchmark's tracer (``bench/tracing.py``) finds the calls it times by
+the sibling functions bound in each module's namespace, so a function
+moved into a command would drop out of the per-layer spans.
+
 Exit codes: 0 ok, 1 stdout closed or refusing writes, 2 usage, 3 bad
 input (a closed stdin too), 4 infeasible bound, 5 internal consistency
 failure.  A reader that closes stdout early (``| head``) ends the
@@ -29,9 +38,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bijections import eta, eta_inv, theta, theta_inv
 from .diagram import Diagram, _parse, canonical_code, serialize_diagram
-from .enumeration import EnumSpec, count_fiber, enumerate_matchings, enumerate_shapes
 from .errors import (
     ChordShapesError,
     ConsistencyError,
@@ -39,8 +46,6 @@ from .errors import (
     InfeasibleError,
 )
 from .fatgraph import boundary_components, classify_loops, component_genera
-from .sampling import sample_stats
-from .series import fiber_gf, shape_poly_1bb, shape_poly_2bb, w_gf
 from .shapes import Shape, _planted, as_shape, project_shape, shape_class
 
 EXIT_OK = 0
@@ -55,7 +60,8 @@ EXIT_INCONSISTENT = 5
 # VM), so a search too large to finish ends with exit 4, not a hang.
 _MATCHINGS_BUDGET = 10**7
 
-_SURGERIES = {"theta": theta, "theta-inv": theta_inv, "eta": eta, "eta-inv": eta_inv}
+# `bij` directions; "theta-inv" names bijections.theta_inv
+_SURGERIES = ("theta", "theta-inv", "eta", "eta-inv")
 
 
 def _read_text(path: str) -> str:
@@ -166,7 +172,9 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_bij(args) -> int:
-    fn = _SURGERIES[args.direction]
+    from . import bijections
+
+    fn = getattr(bijections, args.direction.replace("-", "_"))
     blocks = []
     for d in _read_diagrams(args.input):
         out = fn(d)
@@ -177,6 +185,8 @@ def _cmd_bij(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from .series import shape_poly_1bb, shape_poly_2bb
+
     if args.backbones == 1:
         p = shape_poly_1bb(args.genus)
     else:
@@ -186,6 +196,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import fiber_gf, w_gf
+
     if args.kind == "fiber":
         if args.l is None:
             args.usage_error("fiber needs --l")
@@ -201,6 +213,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import EnumSpec, enumerate_matchings, enumerate_shapes
+
     if args.matchings:
         if args.arcs is None:
             args.usage_error("--matchings needs --arcs")
@@ -250,6 +264,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import sample_stats
+
     def show(s: Shape) -> None:
         sys.stdout.write(s.code + "\n")
 
@@ -277,6 +293,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    from .enumeration import count_fiber
+
     diagrams = _read_diagrams(args.input)
     for d in diagrams:
         s = as_shape(d)

@@ -241,7 +241,7 @@ def test_poly_past_digit_limit(capsys, monkeypatch):
         built.append(shape_poly_1bb(g))
         return built[-1]
 
-    monkeypatch.setattr("chordshapes.cli.shape_poly_1bb", keep)
+    monkeypatch.setattr("chordshapes.series.shape_poly_1bb", keep)
     code, out, _ = run(capsys, "poly", "--backbones", "1", "--genus", "560")
     assert code == 0
     coeffs = json.loads(out)
@@ -597,7 +597,7 @@ def test_consistency_error_exit_code_5(capsys, monkeypatch):
     def broken(g):
         raise ConsistencyError("x")
 
-    monkeypatch.setattr("chordshapes.cli.shape_poly_2bb", broken)
+    monkeypatch.setattr("chordshapes.series.shape_poly_2bb", broken)
     code, out, err = run(capsys, "poly", "--backbones", "2", "--genus", "1")
     assert code == 5
     assert out == ""
